@@ -7,9 +7,10 @@ output for NaN/Inf (an error state, not a value), and the backward pass checks
 every produced gradient the same way, reporting the primitive responsible.
 
 The primitive set is deliberately small: add, sub, mul, matmul, affine, tanh,
-sigmoid, relu, mean, sum, square, log, exp, concat, slicing, clip, reshape,
-broadcast_to, detach.  Enough to express the encoder/generator/discriminator
-stacks and every loss in the library.
+sigmoid, relu, mean, sum, cumsum, square, log, exp, concat, slicing, clip,
+reshape, broadcast_to, detach.  Enough to express the encoder/generator/
+discriminator stacks and every loss in the library.  Slicing takes basic or
+advanced indices, provided no position is selected twice.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 __all__ = [
     "Tensor", "GradTape", "backward", "NumericsError", "GradientError",
     "add", "sub", "mul", "neg", "matmul", "affine", "tanh", "sigmoid", "relu",
-    "mean", "sum", "square", "log", "exp", "concat", "clip", "reshape",
+    "mean", "sum", "cumsum", "square", "log", "exp", "concat", "clip", "reshape",
     "broadcast_to", "detach",
 ]
 
@@ -79,9 +80,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data.reshape(-1)[0])
 
-    def numpy(self) -> np.ndarray:
-        return self.data
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
@@ -134,12 +132,14 @@ class GradTape:
 
     Use as a context manager; a tape is confined to one thread and one loss
     evaluation.  Entering a tape while another is active nests: only the
-    innermost tape records.
+    innermost tape records.  A tape that exits after a backward pass releases
+    its records: recorded tensors point back at their tape, so without that
+    a step's whole graph would wait for the cycle collector.
     """
 
     def __init__(self):
-        self.records: list[_Rec] = []
-        self._tracked_ids: set[int] = set()
+        self.records: list[_Rec] | None = []
+        self._replayed = False
 
     def __enter__(self):
         self._outer = _active_tape()
@@ -148,10 +148,12 @@ class GradTape:
 
     def __exit__(self, *exc):
         _state.tape = self._outer
+        if self._replayed:
+            self.records = None
         return False
 
     def _tracks(self, t: Tensor) -> bool:
-        return t.requires_grad or id(t) in self._tracked_ids
+        return t.requires_grad or t._tape is self
 
 
 def _as_tensor(x) -> Tensor:
@@ -163,7 +165,6 @@ def _emit(op: str, out_data: np.ndarray, inputs: tuple, vjp) -> Tensor:
     out = Tensor._wrap(out_data)
     tape = _active_tape()
     if tape is not None and any(tape._tracks(t) for t in inputs):
-        tape._tracked_ids.add(id(out))
         tape.records.append(_Rec(op, inputs, out, vjp))
         out._tape = tape
     return out
@@ -312,6 +313,13 @@ def mean(a, axis=None, keepdims: bool = False) -> Tensor:
     return _emit("mean", out, (a,), vjp)
 
 
+def cumsum(a, axis: int) -> Tensor:
+    """Running sum along `axis`, accumulated in index order."""
+    a = _as_tensor(a)
+    return _emit("cumsum", np.cumsum(a.data, axis=axis), (a,),
+                 lambda g: (np.flip(np.cumsum(np.flip(g, axis), axis=axis), axis),))
+
+
 def reshape(a, shape) -> Tensor:
     a = _as_tensor(a)
     out = a.data.reshape(shape)
@@ -348,7 +356,7 @@ def _slice(a, idx) -> Tensor:
 
     def vjp(g):
         buf = np.zeros(a.data.shape)
-        buf[idx] = g  # basic indexing: no repeated positions
+        buf[idx] = g  # each position selected at most once
         return (buf,)
 
     return _emit("slice", np.array(out), (a,), vjp)
@@ -382,6 +390,10 @@ def backward(loss: Tensor, params) -> list[np.ndarray]:
     if tape is None:
         # loss not produced from tracked tensors: every gradient is zero
         return [np.zeros(p.shape) for p in params]
+    if tape.records is None:
+        raise GradientError("the loss's tape was released when it exited "
+                            "after a backward pass")
+    tape._replayed = True
 
     grads: dict[int, np.ndarray] = {id(loss): np.ones(loss.shape)}
     for rec in reversed(tape.records):

@@ -38,8 +38,8 @@ from . import autodiff as ad
 from .autodiff import Tensor, backward
 from .gaussian import reparameterize, gaussian_kl
 from .losses import (
-    LossOutput, _as_clip_tensor, _frame_indices, _push_fake, _push_real,
-    gather_frames, pixel_mse, ref_frame_recon,
+    LossOutput, _as_clip_tensor, _encode_generate, _frame_indices, _push_fake,
+    _push_real, gather_frames, pixel_mse, ref_frame_recon,
 )
 from .model import D_GROUP, ENC_GROUP, GEN_GROUP, ModelBundle, clip_diffs
 from .optim import adam_step
@@ -129,11 +129,7 @@ def loss_rencg(bundle: ModelBundle, pairs, stream: RandomStream) -> LossOutput:
     b, t = x.shape[0], x.shape[1]
     ref = _ref_index(t)
 
-    q_x, q_v = bundle.encode_clips(x, ref_index=ref)
-    z_x = reparameterize(q_x, stream.split("eps_x"))
-    z_v = reparameterize(q_v, stream.split("eps_v"))
-    _, _, raw, fake = bundle.compose(z_x, z_v, ref_index=ref)
-
+    q_x, q_v, raw, fake = _encode_generate(bundle, x, stream, ref)
     ref_term = ref_frame_recon(x, raw, ref)
     full_term = clip_recon(x, raw)
     kl_x, kl_v = gaussian_kl(q_x), gaussian_kl(q_v)
@@ -147,20 +143,11 @@ def loss_rencg(bundle: ModelBundle, pairs, stream: RandomStream) -> LossOutput:
         "mse": pixel_mse(x, raw), "total": total.item()})
 
 
-def _encoded_fakes(bundle: ModelBundle, x: Tensor, stream: RandomStream) -> Tensor:
-    """Clamped clips generated from the posteriors of x at the mid reference."""
-    ref = _ref_index(x.shape[1])
-    q_x, q_v = bundle.encode_clips(x, ref_index=ref)
-    z_x = reparameterize(q_x, stream.split("eps_x"))
-    z_v = reparameterize(q_v, stream.split("eps_v"))
-    return bundle.compose(z_x, z_v, ref_index=ref)[3]
-
-
 def loss_d_image_r(bundle: ModelBundle, pairs, stream: RandomStream) -> LossOutput:
     """Two-term image-discriminator loss (no prior-sample term): real frames
     vs frames of clips rebuilt from encoded latents."""
     x = _as_clip_tensor(pairs_to_clips(pairs))
-    fake = _encoded_fakes(bundle, x, stream)
+    fake = _encode_generate(bundle, x, stream, _ref_index(x.shape[1]))[3]
     idx = _frame_indices(x.shape[0], x.shape[1], stream)
     real = _push_real(bundle.d_image_prob(gather_frames(x, idx)))
     fake_t = _push_fake(bundle.d_image_prob(gather_frames(fake, idx)))
@@ -172,7 +159,7 @@ def loss_d_image_r(bundle: ModelBundle, pairs, stream: RandomStream) -> LossOutp
 def loss_d_video_r1(bundle: ModelBundle, pairs, stream: RandomStream) -> LossOutput:
     """Two-term whole-clip discriminator loss (no prior-sample term)."""
     x = _as_clip_tensor(pairs_to_clips(pairs))
-    fake = _encoded_fakes(bundle, x, stream)
+    fake = _encode_generate(bundle, x, stream, _ref_index(x.shape[1]))[3]
     real = _push_real(bundle.d_video_prob(x))
     fake_t = _push_fake(bundle.d_video_prob(fake))
     total = real + fake_t
@@ -203,10 +190,7 @@ def merged_video_terms(bundle: ModelBundle, pairs, stream: RandomStream,
     ref = _ref_index(t)
 
     # first fake: rebuild the pair's first clip from its posterior
-    q_x, q_v = bundle.encode_clips(real, ref_index=ref)
-    z_x = reparameterize(q_x, stream.split("eps_x"))
-    z_v = reparameterize(q_v, stream.split("eps_v"))
-    fake1 = bundle.compose(z_x, z_v, ref_index=ref)[3]
+    fake1 = _encode_generate(bundle, real, stream, ref)[3]
 
     # second fake: chain from the first — re-encode fake1's carried frame
     # and difference maps, then compose one stride later

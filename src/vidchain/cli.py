@@ -105,6 +105,24 @@ def _require_file(path: str, kind: str) -> str:
     return path
 
 
+def _load_bundle(args, path: str) -> ModelBundle:
+    """A bundle from one read of a checkpoint: its stored config under the
+    command's --config file and flags, with the architecture fields checked
+    against the stored ones."""
+    stored, arrays = load_checkpoint(_require_file(path, "checkpoint"))
+    cfg = _effective_config(args, stored)
+    cfg.ensure_arch_matches(stored)
+    bundle = ModelBundle.init(cfg)
+    bundle.load_state_arrays(arrays)
+    return bundle
+
+
+def _training_config(cfg: RunConfig) -> RunConfig:
+    if cfg.steps < 1:
+        raise ConfigError(f"training needs steps >= 1, got {cfg.steps}")
+    return cfg
+
+
 def _load_videos(path: str):
     """A dataset directory (manifest) or a single container file -> list of
     (T, H, W, C) videos."""
@@ -142,7 +160,7 @@ def _loss_report_rows(reports, keys):
 
 
 def cmd_train(args) -> int:
-    cfg = _effective_config(args)
+    cfg = _training_config(_effective_config(args))
     videos, _ = _load_videos(_require_file(args.data, "dataset"))
     bundle = ModelBundle.init(cfg)
     reports = train_loop(bundle, videos)
@@ -159,13 +177,10 @@ def cmd_train(args) -> int:
 
 
 def cmd_train_recall(args) -> int:
-    stored = None
-    if args.init:
-        stored, _ = load_checkpoint(_require_file(args.init, "checkpoint"))
-    cfg = _effective_config(args, stored)
+    bundle = (_load_bundle(args, args.init) if args.init
+              else ModelBundle.init(_effective_config(args)))
+    cfg = _training_config(bundle.cfg)
     videos, _ = _load_videos(_require_file(args.data, "dataset"))
-    bundle = (ModelBundle.load(args.init, cfg) if args.init
-              else ModelBundle.init(cfg))
     pairs, skipped = build_pairs(videos, cfg)
     reports = train_loop_recall(bundle, pairs)
     out = _resolve_out(args.out)
@@ -183,9 +198,8 @@ def cmd_train_recall(args) -> int:
 
 
 def cmd_generate(args) -> int:
-    stored, _ = load_checkpoint(_require_file(args.ckpt, "checkpoint"))
-    cfg = _effective_config(args, stored)
-    bundle = ModelBundle.load(args.ckpt, cfg)
+    bundle = _load_bundle(args, args.ckpt)
+    cfg = bundle.cfg
     stream = RandomStream.from_seed(cfg.seed, "generate")
     z_x = stream.split("prior_x").normal((args.count, cfg.z_content))
     z_v = stream.split("prior_v").normal((args.count, cfg.z_motion))
@@ -200,9 +214,8 @@ def cmd_generate(args) -> int:
 
 
 def cmd_generate_long(args) -> int:
-    stored, _ = load_checkpoint(_require_file(args.ckpt, "checkpoint"))
-    cfg = _effective_config(args, stored)
-    bundle = ModelBundle.load(args.ckpt, cfg)
+    bundle = _load_bundle(args, args.ckpt)
+    cfg = bundle.cfg
     out = _resolve_out(args.out)
     writer = ContainerWriter(out, cfg.frame_shape)
     result = chain_generate(
@@ -313,9 +326,7 @@ def cmd_ablate(args) -> int:
     os.makedirs(out_dir, exist_ok=True)
 
     if args.init:
-        stored, _ = load_checkpoint(_require_file(args.init, "checkpoint"))
-        base_cfg = _effective_config(args, stored)
-        base = ModelBundle.load(args.init, base_cfg)
+        base = _load_bundle(args, args.init)
     else:
         base = ModelBundle.init(cfg)
         train_loop(base, videos)

@@ -24,6 +24,7 @@ container with its declared geometry and class label.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 from dataclasses import dataclass
@@ -33,8 +34,7 @@ import numpy as np
 __all__ = [
     "ContainerError", "ManifestError", "write_container", "read_container",
     "ContainerWriter", "save_checkpoint", "load_checkpoint",
-    "ManifestRecord", "write_manifest", "read_manifest", "validate_manifest",
-    "load_dataset",
+    "ManifestRecord", "write_manifest", "read_manifest", "load_dataset",
 ]
 
 MAGIC = b"RCG1"
@@ -79,15 +79,20 @@ def read_container(path) -> np.ndarray:
 def parse_container(blob: bytes, name: str = "<bytes>") -> np.ndarray:
     if blob[:4] != MAGIC:
         raise ContainerError(f"{name}: bad magic {blob[:4]!r}")
+    if len(blob) < 16:
+        raise ContainerError(f"{name}: header cut short at {len(blob)} bytes")
     version, tag, ndim = struct.unpack_from("<III", blob, 4)
     if version != VERSION:
         raise ContainerError(f"{name}: unsupported version {version}")
     if tag not in _DTYPES:
         raise ContainerError(f"{name}: unknown dtype tag {tag}")
+    start = 16 + 8 * ndim
+    if len(blob) < start:
+        raise ContainerError(f"{name}: header cut short at {len(blob)} bytes, "
+                             f"{ndim} dims need {start}")
     dims = struct.unpack_from(f"<{ndim}Q", blob, 16)
     dtype = _DTYPES[tag]
-    start = 16 + 8 * ndim
-    count = int(np.prod(dims)) if ndim else 1
+    count = math.prod(dims)
     want = start + count * dtype.itemsize
     if len(blob) != want:
         raise ContainerError(f"{name}: payload is {len(blob) - start} bytes, "
@@ -162,25 +167,34 @@ def load_checkpoint(path) -> tuple[dict, dict]:
         raise ContainerError(f"checkpoint not found: {path}") from None
     if blob[:4] != BUNDLE_MAGIC:
         raise ContainerError(f"{path}: not a checkpoint (magic {blob[:4]!r})")
-    (version,) = struct.unpack_from("<I", blob, 4)
-    if version != VERSION:
-        raise ContainerError(f"{path}: unsupported checkpoint version {version}")
-    (cfg_len,) = struct.unpack_from("<I", blob, 8)
-    pos = 12
-    config = json.loads(blob[pos:pos + cfg_len].decode("utf-8"))
-    pos += cfg_len
-    (count,) = struct.unpack_from("<I", blob, pos)
-    pos += 4
-    arrays = {}
-    for _ in range(count):
-        (name_len,) = struct.unpack_from("<I", blob, pos)
+    # A file cut short fails a field read (struct.error) or the decoding of a
+    # cut config or name (UnicodeDecodeError, JSONDecodeError: ValueErrors).
+    try:
+        (version,) = struct.unpack_from("<I", blob, 4)
+        if version != VERSION:
+            raise ContainerError(f"{path}: unsupported checkpoint version {version}")
+        (cfg_len,) = struct.unpack_from("<I", blob, 8)
+        pos = 12
+        config = json.loads(blob[pos:pos + cfg_len].decode("utf-8"))
+        if not isinstance(config, dict):
+            raise ContainerError(f"{path}: stored config is not a JSON object")
+        pos += cfg_len
+        (count,) = struct.unpack_from("<I", blob, pos)
         pos += 4
-        name = blob[pos:pos + name_len].decode("utf-8")
-        pos += name_len
-        (blob_len,) = struct.unpack_from("<Q", blob, pos)
-        pos += 8
-        arrays[name] = parse_container(blob[pos:pos + blob_len], name=f"{path}:{name}")
-        pos += blob_len
+        arrays = {}
+        for _ in range(count):
+            (name_len,) = struct.unpack_from("<I", blob, pos)
+            pos += 4
+            name = blob[pos:pos + name_len].decode("utf-8")
+            pos += name_len
+            (blob_len,) = struct.unpack_from("<Q", blob, pos)
+            pos += 8
+            arrays[name] = parse_container(blob[pos:pos + blob_len],
+                                           name=f"{path}:{name}")
+            pos += blob_len
+    except (struct.error, ValueError) as exc:
+        raise ContainerError(f"{path}: truncated or corrupt checkpoint "
+                             f"({exc})") from None
     if pos != len(blob):
         raise ContainerError(f"{path}: {len(blob) - pos} trailing bytes")
     return config, arrays
@@ -223,24 +237,18 @@ def read_manifest(path) -> list[ManifestRecord]:
     return records
 
 
-def validate_manifest(path) -> list[ManifestRecord]:
-    """Check every record's container exists and matches its declared dims."""
+def load_dataset(path) -> tuple[list[np.ndarray], np.ndarray]:
+    """Videos (float64 (L,H,W,C) arrays) and labels from a manifest.  Every
+    record's container must exist and match its declared dims."""
     records = read_manifest(path)
     base = os.path.dirname(os.path.abspath(path))
+    videos = []
     for rec in records:
         arr = read_container(os.path.join(base, rec.path))
         declared = (rec.frames, rec.height, rec.width, rec.channels)
         if arr.shape != declared:
             raise ManifestError(
                 f"{rec.path}: container shape {arr.shape} != declared {declared}")
-    return records
-
-
-def load_dataset(path) -> tuple[list[np.ndarray], np.ndarray]:
-    """Videos (float64 (L,H,W,C) arrays) and labels from a validated manifest."""
-    records = validate_manifest(path)
-    base = os.path.dirname(os.path.abspath(path))
-    videos = [read_container(os.path.join(base, rec.path)).astype(np.float64)
-              for rec in records]
+        videos.append(arr.astype(np.float64))
     labels = np.array([rec.label for rec in records], dtype=np.int64)
     return videos, labels

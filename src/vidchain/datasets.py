@@ -86,11 +86,6 @@ def make_drift_video(length: int, stream: RandomStream,
     return frames[..., None].astype(np.float32)
 
 
-def drift_diff_bound(amplitude: float, speed: float, period: float) -> float:
-    """Analytic per-pixel bound on |frame diff|: amplitude * 2*pi*speed/period."""
-    return amplitude * 2.0 * np.pi * speed / period
-
-
 def _write_dataset(out_dir, count, make_video, labels) -> str:
     os.makedirs(out_dir, exist_ok=True)
     records = []

@@ -15,7 +15,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .rng import RandomStream
 
-__all__ = ["init_mlp", "apply_mlp", "param_count"]
+__all__ = ["init_mlp", "apply_mlp"]
 
 
 def init_mlp(stream: RandomStream, sizes, bias_init: float) -> list[Tensor]:
@@ -38,7 +38,3 @@ def apply_mlp(params: list[Tensor], x: Tensor) -> Tensor:
         if i < n_layers - 1:
             x = ad.tanh(x)
     return x
-
-
-def param_count(params) -> int:
-    return sum(p.size for p in params)

@@ -97,8 +97,7 @@ def pixel_mse(x: Tensor, x_hat: Tensor) -> float:
 
 def gather_frames(clips: Tensor, indices) -> Tensor:
     """Per-clip frame selection: clips (B, T, D) + 0-based indices (B,) -> (B, D)."""
-    rows = [clips[b:b + 1, int(i), :] for b, i in enumerate(indices)]
-    return ad.concat(rows, axis=0)
+    return clips[np.arange(clips.shape[0]), indices]
 
 
 # -- adversarial pieces -------------------------------------------------------------
@@ -136,30 +135,30 @@ def _frame_indices(b: int, t: int, stream: RandomStream) -> np.ndarray:
 
 # -- the five short-clip losses ------------------------------------------------------
 
-def loss_enc(bundle: ModelBundle, clips, stream: RandomStream) -> LossOutput:
-    """Posterior quality: frame reconstruction through the generator plus the
-    two KL terms.  Differentiable w.r.t. encoder and generator parameters."""
+def _posterior_loss(bundle: ModelBundle, clips, stream: RandomStream,
+                    recon_fn) -> LossOutput:
+    """`recon_fn(x, raw)` of the clips rebuilt through the generator, plus
+    the two KL terms."""
     x = _as_clip_tensor(clips)
     q_x, q_v, raw, _ = _encode_generate(bundle, x, stream)
-    recon = frame_recon(x, raw)
+    recon = recon_fn(x, raw)
     kl_x, kl_v = gaussian_kl(q_x), gaussian_kl(q_v)
     total = recon + kl_x + kl_v
     return LossOutput(total, {
         "recon": recon.item(), "kl_x": kl_x.item(), "kl_v": kl_v.item(),
         "mse": pixel_mse(x, raw), "total": total.item()})
+
+
+def loss_enc(bundle: ModelBundle, clips, stream: RandomStream) -> LossOutput:
+    """Posterior quality: frame reconstruction through the generator plus the
+    two KL terms.  Differentiable w.r.t. encoder and generator parameters."""
+    return _posterior_loss(bundle, clips, stream, frame_recon)
 
 
 def loss_enc_v(bundle: ModelBundle, clips, stream: RandomStream) -> LossOutput:
     """Variant objective: the per-frame term is replaced by reconstruction of
     the difference maps (first frame still anchored)."""
-    x = _as_clip_tensor(clips)
-    q_x, q_v, raw, _ = _encode_generate(bundle, x, stream)
-    recon = diff_recon(x, raw)
-    kl_x, kl_v = gaussian_kl(q_x), gaussian_kl(q_v)
-    total = recon + kl_x + kl_v
-    return LossOutput(total, {
-        "recon": recon.item(), "kl_x": kl_x.item(), "kl_v": kl_v.item(),
-        "mse": pixel_mse(x, raw), "total": total.item()})
+    return _posterior_loss(bundle, clips, stream, diff_recon)
 
 
 def loss_gen(bundle: ModelBundle, clips, stream: RandomStream) -> LossOutput:

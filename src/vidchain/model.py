@@ -36,7 +36,7 @@ from .optim import AdamState
 from .rng import RandomStream
 
 __all__ = ["ModelBundle", "COMPONENTS", "D_GROUP", "ENC_GROUP", "GEN_GROUP",
-           "LOGIT_LIMIT", "clips_to_tensor", "clip_diffs", "latent_combine"]
+           "LOGIT_LIMIT", "clips_to_tensor", "clip_diffs"]
 
 COMPONENTS = ("content_enc", "motion_enc", "g_c", "g_t", "fusion",
               "d_image", "d_video")
@@ -63,15 +63,6 @@ def clip_diffs(clips: Tensor) -> Tensor:
     b, t, d = clips.shape
     diffs = clips[:, 1:, :] - clips[:, :-1, :]
     return ad.reshape(diffs, (b, (t - 1) * d))
-
-
-def latent_combine(z_a, z_b):
-    """Elementwise sum of two (content, motion) latent pairs."""
-    (xa, va), (xb, vb) = z_a, z_b
-    if xa.shape != xb.shape or va.shape != vb.shape:
-        raise ValueError(f"latent dims differ: {xa.shape}/{va.shape} vs "
-                         f"{xb.shape}/{vb.shape}")
-    return (xa + xb, va + vb)
 
 
 def _sizes(cfg: RunConfig) -> dict:
@@ -133,18 +124,14 @@ class ModelBundle:
         out = apply_mlp(self.components["motion_enc"], diffs)
         return GaussianParams(out[:, :zv], out[:, zv:])
 
-    def encode_parts(self, content_in: Tensor, motion_in: Tensor):
-        """Posteriors from already-split encoder inputs: content_in (B, D),
-        motion_in (B, (T-1)*D)."""
-        return self.content_posterior(content_in), self.motion_posterior(motion_in)
-
     def encode_clips(self, clips: Tensor, ref_index: int = 1):
         """Posteriors from a (B, T, D) clip batch; the content encoder reads
         the frame at 1-based `ref_index`, the motion encoder all differences."""
         t = clips.shape[1]
         if not 1 <= ref_index <= t:
             raise ValueError(f"ref_index {ref_index} outside 1..{t}")
-        return self.encode_parts(clips[:, ref_index - 1, :], clip_diffs(clips))
+        return (self.content_posterior(clips[:, ref_index - 1, :]),
+                self.motion_posterior(clip_diffs(clips)))
 
     def encode(self, clips: np.ndarray, ref_index: int = 1):
         """Public entry point: numpy clip (T,H,W,C) or batch (B,T,H,W,C)."""
@@ -179,14 +166,20 @@ class ModelBundle:
         else:
             motion = apply_mlp(self.components["g_t"], ad.concat([z_v, z_x], axis=1))
 
+        # Integrate the differences outward from the reference frame as two
+        # running sums.  The reference frame itself is taken from the forward
+        # half, so its gradient meets the later frames' before the earlier
+        # frames', the same float64 order as a frame-by-frame recursion.
         steps = ad.reshape(motion, (b, t - 1, d))
-        frames: list = [None] * t
-        frames[ref_index - 1] = content
-        for k in range(ref_index - 1, 0, -1):          # integrate backward
-            frames[k - 1] = frames[k] - steps[:, k - 1, :]
-        for k in range(ref_index - 1, t - 1):          # integrate forward
-            frames[k + 1] = frames[k] + steps[:, k, :]
-        raw = ad.concat([ad.reshape(f, (b, 1, d)) for f in frames], axis=1)
+        start = ad.reshape(content, (b, 1, d))
+        k = ref_index - 1
+        halves = []
+        if k > 0:       # frames k, k-1, ..., 0, then back into frame order
+            back = ad.cumsum(ad.concat([start, -steps[:, k - 1::-1, :]], axis=1),
+                             axis=1)
+            halves.append(back[:, :0:-1, :])
+        halves.append(ad.cumsum(ad.concat([start, steps[:, k:, :]], axis=1), axis=1))
+        raw = ad.concat(halves, axis=1)
 
         if not cfg.disable_fusion:
             residual = apply_mlp(self.components["fusion"],

@@ -126,6 +126,22 @@ def test_reshape_broadcast_concat_slice_gradients():
     check_primitive(lambda t: ad.sum(ad.square(t[2])), z0)
 
 
+@pytest.mark.parametrize("axis", [0, 1, -1])
+def test_cumsum_gradient(axis):
+    r = RandomStream.from_seed(17)
+    x0 = r.normal((3, 4))
+    w = Tensor(r.normal((3, 4)))
+    check_primitive(lambda t: ad.sum(ad.mul(ad.cumsum(t, axis), w)), x0)
+
+
+def test_advanced_index_slice_gradient():
+    r = RandomStream.from_seed(18)
+    x0 = r.normal((3, 4, 2))
+    w = Tensor(r.normal((3, 2)))
+    rows, cols = np.arange(3), np.array([2, 0, 3])
+    check_primitive(lambda t: ad.sum(ad.mul(t[rows, cols], w)), x0)
+
+
 # -- backward semantics ---------------------------------------------------------
 
 def test_polynomial_derivative():
@@ -225,6 +241,18 @@ def test_ops_outside_tape_are_not_recorded():
     with GradTape() as tape:
         z = ad.square(x)
     assert len(tape.records) == 1 and z._tape is tape
+
+
+def test_tape_released_on_exit_after_backward():
+    x = Tensor([1.0, 2.0], requires_grad=True)
+    with GradTape() as tape:
+        loss = ad.sum(ad.square(x))
+        first = backward(loss, [x])[0]
+        again = backward(loss, [x])[0]      # still open: replays again
+    assert np.array_equal(first, again)
+    assert tape.records is None
+    with pytest.raises(GradientError, match="released"):
+        backward(loss, [x])
 
 
 def test_loss_with_no_tracked_path_gives_zeros():

@@ -175,6 +175,60 @@ def test_exit_code_data_format(tmp_path):
                 "--report", tmp_path / "r.tsv"]) == 4
 
 
+def _one_error_line(capsys, kind):
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error code={kind} "), err
+
+
+def test_train_zero_steps_is_config_error(tiny_dataset, tmp_path, capsys):
+    assert run(["train", "--data", tiny_dataset, "--out", tmp_path / "z.ckpt",
+                "--steps", "0", *TINY_FLAGS]) == 2
+    _one_error_line(capsys, "config")
+    assert not (tmp_path / "z.ckpt").exists()
+
+
+def test_train_recall_zero_steps_is_config_error(tiny_dataset, tmp_path, capsys):
+    base = tmp_path / "b.ckpt"
+    assert run(["train", "--data", tiny_dataset, "--out", base,
+                "--steps", "1", *TINY_FLAGS]) == 0
+    capsys.readouterr()
+    assert run(["train-recall", "--data", tiny_dataset, "--init", base,
+                "--out", tmp_path / "z.ckpt", "--steps", "0"]) == 2
+    _one_error_line(capsys, "config")
+    assert run(["train-recall", "--data", tiny_dataset, "--out",
+                tmp_path / "z.ckpt", "--steps", "0", *TINY_FLAGS]) == 2
+    _one_error_line(capsys, "config")
+
+
+def test_truncated_checkpoint_is_data_format_error(tiny_dataset, tmp_path, capsys):
+    ckpt = tmp_path / "m.ckpt"
+    assert run(["train", "--data", tiny_dataset, "--out", ckpt,
+                "--steps", "1", *TINY_FLAGS]) == 0
+    capsys.readouterr()
+    cut = tmp_path / "cut.ckpt"
+    cut.write_bytes(ckpt.read_bytes()[:30])
+    assert run(["generate-long", "--ckpt", cut, "--out", tmp_path / "l.rcg",
+                "--clips", "2"]) == 4
+    _one_error_line(capsys, "data-format")
+
+
+def test_generate_long_loads_checkpoint_once(tiny_dataset, tmp_path, monkeypatch):
+    ckpt = tmp_path / "m.ckpt"
+    assert run(["train", "--data", tiny_dataset, "--out", ckpt,
+                "--steps", "1", *TINY_FLAGS]) == 0
+    calls = []
+
+    def counted(path):
+        calls.append(path)
+        return load_checkpoint(path)
+
+    for module in ("vidchain.cli", "vidchain.model"):
+        monkeypatch.setattr(f"{module}.load_checkpoint", counted)
+    assert run(["generate-long", "--ckpt", ckpt, "--out", tmp_path / "l.rcg",
+                "--clips", "3"]) == 0
+    assert len(calls) == 1
+
+
 def test_output_dir_env_override(tiny_dataset, tmp_path, monkeypatch):
     monkeypatch.setenv("VIDCHAIN_OUT", str(tmp_path / "redirected"))
     assert run(["train", "--data", tiny_dataset, "--out", "env.ckpt",

@@ -8,7 +8,7 @@ import pytest
 from vidchain.container import (
     ContainerError, ContainerWriter, ManifestError, ManifestRecord,
     load_checkpoint, load_dataset, read_container, read_manifest,
-    save_checkpoint, validate_manifest, write_container, write_manifest,
+    parse_container, save_checkpoint, write_container, write_manifest,
 )
 
 
@@ -89,6 +89,34 @@ def test_read_truncated_payload(tmp_path):
     p.write_bytes(blob[:-8])
     with pytest.raises(ContainerError, match="payload"):
         read_container(p)
+
+
+def test_every_container_prefix_raises_container_error(tmp_path):
+    p = tmp_path / "cut.rcg"
+    write_container(p, np.arange(6, dtype=np.float32).reshape(2, 3))
+    blob = p.read_bytes()
+    for n in range(len(blob)):
+        with pytest.raises(ContainerError):
+            parse_container(blob[:n], name=f"prefix{n}")
+
+
+def test_every_checkpoint_prefix_raises_container_error(tmp_path):
+    p = tmp_path / "tiny.ckpt"
+    save_checkpoint(p, {"seed": 1, "name": "tiny"},
+                    {"w": np.arange(4.0).reshape(2, 2), "b": np.ones(2)})
+    blob = p.read_bytes()
+    cut = tmp_path / "cut.ckpt"
+    for n in range(len(blob)):
+        cut.write_bytes(blob[:n])
+        with pytest.raises(ContainerError):
+            load_checkpoint(cut)
+
+
+def test_checkpoint_rejects_non_object_config(tmp_path):
+    p = tmp_path / "list.ckpt"
+    save_checkpoint(p, [1, 2], {})
+    with pytest.raises(ContainerError, match="JSON object"):
+        load_checkpoint(p)
 
 
 def test_read_oversized_payload(tmp_path):
@@ -192,24 +220,36 @@ def test_manifest_header_and_fields(tmp_path):
     assert lines[1].split("\t") == ["clip_000.rcg", "5", "4", "4", "1", "0"]
 
 
-def test_validate_manifest_accepts_consistent(tmp_path):
+def test_load_dataset_accepts_consistent(tmp_path):
     manifest, records = _write_small_dataset(tmp_path)
-    assert validate_manifest(manifest) == records
+    videos, labels = load_dataset(manifest)
+    for rec, video in zip(records, videos, strict=True):
+        assert np.array_equal(video, read_container(tmp_path / rec.path))
+    assert labels.tolist() == [rec.label for rec in records]
 
 
-def test_validate_manifest_rejects_shape_mismatch(tmp_path):
+def test_load_dataset_rejects_shape_mismatch(tmp_path):
     manifest, records = _write_small_dataset(tmp_path)
     records[1].frames = 99
     write_manifest(manifest, records)
     with pytest.raises(ManifestError, match="shape"):
-        validate_manifest(manifest)
+        load_dataset(manifest)
 
 
-def test_validate_manifest_rejects_missing_container(tmp_path):
+def test_load_dataset_rejects_missing_container(tmp_path):
     manifest, _ = _write_small_dataset(tmp_path)
     (tmp_path / "clip_001.rcg").unlink()
     with pytest.raises(ContainerError, match="not found"):
-        validate_manifest(manifest)
+        load_dataset(manifest)
+
+
+def test_load_dataset_reads_each_container_once(tmp_path, monkeypatch):
+    manifest, records = _write_small_dataset(tmp_path)
+    calls = []
+    monkeypatch.setattr("vidchain.container.read_container",
+                        lambda path: calls.append(path) or read_container(path))
+    load_dataset(manifest)
+    assert len(calls) == len(records)
 
 
 def test_manifest_rejects_malformed_line(tmp_path):

@@ -6,7 +6,7 @@ import pytest
 from vidchain.config import ConfigError
 from vidchain.container import load_dataset, read_manifest
 from vidchain.datasets import (
-    SHAPE_CLASSES, drift_diff_bound, gen_drift_dataset, gen_shapes_dataset,
+    SHAPE_CLASSES, gen_drift_dataset, gen_shapes_dataset,
     make_drift_video, make_shapes_video, step_sample, uniform_sample,
 )
 from vidchain.rng import RandomStream
@@ -103,7 +103,7 @@ def test_drift_video_shape_range():
 def test_drift_temporal_smoothness_bound():
     # |sin(x - w) - sin(x)| <= w, so per-pixel |diff| <= amplitude * w
     # with the loosest parameters amplitude=0.9, speed=1.5, period=8
-    bound = drift_diff_bound(0.9, 1.5, 8.0)
+    bound = 0.9 * 2.0 * np.pi * 1.5 / 8.0
     for i in range(5):
         v = make_drift_video(48, stream(f"d{i}")).astype(np.float64)
         _, motion = decompose(v)

@@ -6,9 +6,10 @@ import pytest
 import vidchain.autodiff as ad
 from vidchain.autodiff import Tensor
 from vidchain.config import ConfigError, RunConfig
+from vidchain.layers import apply_mlp
 from vidchain.model import (
     COMPONENTS, D_GROUP, ENC_GROUP, GEN_GROUP, ModelBundle, clip_diffs,
-    clips_to_tensor, latent_combine,
+    clips_to_tensor,
 )
 from vidchain.rng import RandomStream
 
@@ -45,26 +46,6 @@ def test_clip_diffs_matches_numpy():
     t = clips_to_tensor(clips)
     want = np.diff(clips.reshape(2, 4, 16), axis=1).reshape(2, 3 * 16)
     assert np.allclose(clip_diffs(t).data, want)
-
-
-def test_latent_combine_identity_and_commutativity():
-    rng = np.random.default_rng(0)
-    a = (Tensor(rng.standard_normal((2, 8))), Tensor(rng.standard_normal((2, 4))))
-    zero = (Tensor(np.zeros((2, 8))), Tensor(np.zeros((2, 4))))
-    combined = latent_combine(a, zero)
-    assert np.array_equal(combined[0].data, a[0].data)
-    assert np.array_equal(combined[1].data, a[1].data)
-    b = (Tensor(rng.standard_normal((2, 8))), Tensor(rng.standard_normal((2, 4))))
-    ab, ba = latent_combine(a, b), latent_combine(b, a)
-    assert np.array_equal(ab[0].data, ba[0].data)
-    assert np.array_equal(ab[1].data, ba[1].data)
-
-
-def test_latent_combine_dim_mismatch():
-    a = (Tensor(np.zeros((2, 8))), Tensor(np.zeros((2, 4))))
-    b = (Tensor(np.zeros((2, 6))), Tensor(np.zeros((2, 4))))
-    with pytest.raises(ValueError, match="latent dims"):
-        latent_combine(a, b)
 
 
 # -- encoders --------------------------------------------------------------------
@@ -155,6 +136,45 @@ def test_generate_recursion_follows_reference_frame():
         assert np.allclose(raw.data[:, ref - 1, :], content.data)
         diffs = np.diff(raw.data, axis=1).reshape(2, -1)
         assert np.allclose(diffs, motion.data, atol=1e-12)
+
+
+def _recursive_raw(bundle, z_x, z_v, ref):
+    """The pre-clamp clip built frame by frame: content at the reference,
+    then one subtraction per earlier frame and one addition per later one."""
+    cfg = bundle.cfg
+    b, d, t = z_x.shape[0], cfg.frame_dim, cfg.t_c
+    content = apply_mlp(bundle.components["g_c"], z_x)
+    motion = apply_mlp(bundle.components["g_t"], ad.concat([z_v, z_x], axis=1))
+    steps = ad.reshape(motion, (b, t - 1, d))
+    frames = [None] * t
+    frames[ref - 1] = content
+    for k in range(ref - 1, 0, -1):
+        frames[k - 1] = frames[k] - steps[:, k - 1, :]
+    for k in range(ref - 1, t - 1):
+        frames[k + 1] = frames[k] + steps[:, k, :]
+    raw = ad.concat([ad.reshape(f, (b, 1, d)) for f in frames], axis=1)
+    residual = apply_mlp(bundle.components["fusion"], ad.concat([z_x, z_v], axis=1))
+    return raw + ad.reshape(residual, (b, t, d))
+
+
+def test_compose_matches_frame_recursion_bit_for_bit():
+    cfg = TINY.replace(t_c=6, r=3)
+    bundle = ModelBundle.init(cfg)
+    z_x, z_v = latents(bundle, b=3)
+    w = Tensor(np.random.default_rng(7).standard_normal((3, 6, cfg.frame_dim)))
+    params = bundle.params(GEN_GROUP)
+    for ref in range(1, cfg.t_c + 1):
+        results = []
+        for build in (lambda: bundle.compose(z_x, z_v, ref_index=ref)[2],
+                      lambda: _recursive_raw(bundle, z_x, z_v, ref)):
+            with ad.GradTape():
+                raw = build()
+                grads = ad.backward(ad.sum(ad.mul(ad.tanh(raw), w)), params)
+            results.append((raw.data, grads))
+        (raw, grads), (want_raw, want_grads) = results
+        assert np.array_equal(raw, want_raw), ref
+        for g, want in zip(grads, want_grads, strict=True):
+            assert np.array_equal(g, want), ref
 
 
 def test_generate_motion_disabled_constant_clip():
