@@ -39,7 +39,7 @@ from .autodiff import Tensor, backward
 from .gaussian import reparameterize, gaussian_kl
 from .losses import (
     LossOutput, _as_clip_tensor, _encode_generate, _frame_indices, _push_fake,
-    _push_real, gather_frames, pixel_mse, ref_frame_recon,
+    _push_real, clip_recon, gather_frames, pixel_mse, ref_frame_recon,
 )
 from .model import D_GROUP, ENC_GROUP, GEN_GROUP, ModelBundle, clip_diffs
 from .optim import adam_step
@@ -75,8 +75,8 @@ def make_training_pairs(videos, t_c: int, stride: int):
     """All (clip at k*stride, clip at (k+1)*stride) pairs of each video.
 
     Returns (pairs, skipped) where skipped lists the indices of videos too
-    short to contribute (length < t_c + stride).  Overlap regions are
-    verified bit-identical at construction.
+    short to contribute (length < t_c + stride).  Clips are views into their
+    video, and their overlaps are verified bit-identical at construction.
     """
     if not 1 <= stride <= t_c:
         raise ValueError(f"pair stride must be in 1..{t_c}, got {stride}")
@@ -95,7 +95,7 @@ def make_training_pairs(videos, t_c: int, stride: int):
             if stride < t_c and not np.array_equal(first[stride:], second[:t_c - stride]):
                 raise ValueError(f"video {src}: clips at {a} and {b} disagree "
                                  "on their shared frames")
-            pairs.append(ClipPair(first.copy(), second.copy(), src, a, stride))
+            pairs.append(ClipPair(first, second, src, a, stride))
             k += 1
     return pairs, skipped
 
@@ -111,11 +111,6 @@ def pairs_to_clips(pairs) -> np.ndarray:
 def _ref_index(t_c: int) -> int:
     """The 1-based mid-clip reference index used by all recall losses."""
     return max(1, t_c // 2)
-
-
-def clip_recon(x: Tensor, x_hat: Tensor) -> Tensor:
-    """mean over batch of (1/T) Σ_j ||x_j - x̂_j||^2 (no extra first-frame term)."""
-    return ad.mean(ad.mean(ad.sum(ad.square(x - x_hat), axis=2), axis=1))
 
 
 # -- recall losses ----------------------------------------------------------------
@@ -311,6 +306,8 @@ def chain_generate(bundle: ModelBundle, n_clips: int, mode: str = "sampled",
     carry = chain_ref_frame(t_c, r)      # 1-based index of the carried frame
     budget = FrameBudget()
     collected = [] if sink is None else None
+    if sink is None:
+        sink = lambda block: collected.append(block.copy())
 
     tail: np.ndarray | None = None       # (olap, D) frames shared with next clip
     carried_motion_mean: np.ndarray | None = None
@@ -354,10 +351,7 @@ def chain_generate(bundle: ModelBundle, n_clips: int, mode: str = "sampled",
 
         block = clip[:r] if j < n_clips - 1 else clip
         block = block.reshape((-1,) + cfg.frame_shape)
-        if sink is None:
-            collected.append(block.copy())
-        else:
-            sink(block)
+        sink(block)
         emitted += len(block)
 
         if mode == "mean":
@@ -372,9 +366,8 @@ def chain_generate(bundle: ModelBundle, n_clips: int, mode: str = "sampled",
             budget.acquire(olap)
         budget.release(t_c)
 
-    video = None
-    if sink is None:
-        video = LongVideo(np.concatenate(collected, axis=0), n_clips, r, t_c)
+    video = (None if collected is None else
+             LongVideo(np.concatenate(collected, axis=0), n_clips, r, t_c))
     return ChainResult(video, emitted, n_clips, r, mismatches, budget.peak)
 
 

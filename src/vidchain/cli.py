@@ -112,9 +112,7 @@ def _load_bundle(args, path: str) -> ModelBundle:
     stored, arrays = load_checkpoint(_require_file(path, "checkpoint"))
     cfg = _effective_config(args, stored)
     cfg.ensure_arch_matches(stored)
-    bundle = ModelBundle.init(cfg)
-    bundle.load_state_arrays(arrays)
-    return bundle
+    return ModelBundle.init(cfg, arrays)
 
 
 def _training_config(cfg: RunConfig) -> RunConfig:
@@ -203,7 +201,7 @@ def cmd_generate(args) -> int:
     stream = RandomStream.from_seed(cfg.seed, "generate")
     z_x = stream.split("prior_x").normal((args.count, cfg.z_content))
     z_v = stream.split("prior_v").normal((args.count, cfg.z_motion))
-    clips = bundle.generate(Tensor(z_x), Tensor(z_v))[2].data
+    clips = bundle.compose(Tensor(z_x), Tensor(z_v))[3].data
     clips = clips.reshape((args.count, cfg.t_c) + cfg.frame_shape)
     out = _resolve_out(args.out)
     writer = ContainerWriter(out, (cfg.t_c,) + cfg.frame_shape)
@@ -334,8 +332,7 @@ def cmd_ablate(args) -> int:
 
     def recall_variant(**flags) -> ModelBundle:
         vcfg = cfg.replace(**flags)
-        bundle = ModelBundle.init(vcfg)
-        bundle.load_state_arrays(base_state)
+        bundle = ModelBundle.init(vcfg, base_state)
         pairs, _ = build_pairs(videos, vcfg)
         train_loop_recall(bundle, pairs)
         return bundle

@@ -37,7 +37,7 @@ from .model import ModelBundle, clips_to_tensor
 from .rng import RandomStream
 
 __all__ = [
-    "LossOutput", "frame_recon", "diff_recon", "ref_frame_recon",
+    "LossOutput", "frame_recon", "clip_recon", "diff_recon", "ref_frame_recon",
     "gather_frames", "pixel_mse",
     "loss_enc", "loss_enc_v", "loss_gen", "loss_d_image", "loss_d_video",
 ]
@@ -69,10 +69,20 @@ def _as_clip_tensor(clips) -> Tensor:
 
 # -- reconstruction objectives (pure, hand-checkable) ---------------------------
 
+def _frame_errors(x: Tensor, x_hat: Tensor) -> Tensor:
+    """(B, T) per-frame errors ||x_j - x̂_j||^2 of two (B, T, D) clip batches."""
+    return ad.sum(ad.square(x - x_hat), axis=2)
+
+
 def frame_recon(x: Tensor, x_hat: Tensor) -> Tensor:
     """mean over batch of  ||x_0 - x̂_0||^2  +  (1/T) Σ_j ||x_j - x̂_j||^2."""
-    per_frame = ad.sum(ad.square(x - x_hat), axis=2)        # (B, T)
+    per_frame = _frame_errors(x, x_hat)
     return ad.mean(per_frame[:, 0] + ad.mean(per_frame, axis=1))
+
+
+def clip_recon(x: Tensor, x_hat: Tensor) -> Tensor:
+    """mean over batch of (1/T) Σ_j ||x_j - x̂_j||^2 (no extra first-frame term)."""
+    return ad.mean(ad.mean(_frame_errors(x, x_hat), axis=1))
 
 
 def diff_recon(x: Tensor, x_hat: Tensor) -> Tensor:

@@ -15,7 +15,7 @@ Layout (all dense stacks over flattened 16x16x1 frames):
 A clip batch travels as a Tensor of shape (B, T, D) with D = H*W*C.  The
 generator composes a clip by placing the content frame at a 1-based
 reference index and integrating differences backward and forward from it;
-``generate`` then adds fusion residuals and clamps to the pixel range.
+``compose`` then adds fusion residuals and clamps to the pixel range.
 
 A ``ModelBundle`` owns all seven parameter stacks plus three Adam states
 (discriminators share one, encoders one, generator one) and round-trips
@@ -44,6 +44,7 @@ D_GROUP = ("d_image", "d_video")
 ENC_GROUP = ("content_enc", "motion_enc")
 GEN_GROUP = ("g_c", "g_t", "fusion")
 LOGIT_LIMIT = 15.0
+_OPT_NAMES = ("opt_d", "opt_enc", "opt_gen")   # checkpoint key prefixes
 
 
 def clips_to_tensor(clips: np.ndarray) -> Tensor:
@@ -78,6 +79,23 @@ def _sizes(cfg: RunConfig) -> dict:
     }
 
 
+def _restore_mlp(state: dict, name: str, widths) -> list[Tensor]:
+    """Component `name`'s parameters from a state_arrays() dict, each checked
+    against the shape init_mlp gives layer widths `widths`."""
+    shapes = [s for n_in, n_out in zip(widths, widths[1:])
+              for s in ((n_in, n_out), (n_out,))]
+    params = []
+    for i, shape in enumerate(shapes):
+        key = f"{name}.{i}"
+        if key not in state:
+            raise ConfigError(f"checkpoint is missing parameter {key}")
+        if state[key].shape != shape:
+            raise ConfigError(f"checkpoint parameter {key} has shape "
+                              f"{state[key].shape}, expected {shape}")
+        params.append(Tensor(state[key], requires_grad=True))
+    return params
+
+
 class ModelBundle:
     def __init__(self, cfg: RunConfig, components: dict,
                  opt_d: AdamState, opt_enc: AdamState, opt_gen: AdamState):
@@ -88,13 +106,25 @@ class ModelBundle:
         self.opt_gen = opt_gen
 
     @classmethod
-    def init(cls, cfg: RunConfig, stream: RandomStream | None = None) -> "ModelBundle":
-        stream = stream or RandomStream.from_seed(cfg.seed, "model-init")
+    def init(cls, cfg: RunConfig, state: dict | None = None) -> "ModelBundle":
+        """A fresh bundle drawn from the config seed or, given a
+        state_arrays() dict, one restored from it without drawing anything."""
         sizes = _sizes(cfg)
-        components = {name: init_mlp(stream.split(name), sizes[name], cfg.bias_init)
+        opts = [AdamState(cfg.lr, cfg.beta1, cfg.beta2, cfg.eps) for _ in _OPT_NAMES]
+        if state is None:
+            stream = RandomStream.from_seed(cfg.seed, "model-init")
+            components = {name: init_mlp(stream.split(name), sizes[name],
+                                         cfg.bias_init)
+                          for name in COMPONENTS}
+            return cls(cfg, components, *opts)
+        components = {name: _restore_mlp(state, name, sizes[name])
                       for name in COMPONENTS}
-        mk = lambda: AdamState(cfg.lr, cfg.beta1, cfg.beta2, cfg.eps)
-        return cls(cfg, components, mk(), mk(), mk())
+        for opt_name, opt in zip(_OPT_NAMES, opts):
+            moments = {k[len(opt_name) + 1:]: v for k, v in state.items()
+                       if k.startswith(opt_name + ".")}
+            if moments:
+                opt.load_state_arrays(moments)
+        return cls(cfg, components, *opts)
 
     # -- parameter groups -----------------------------------------------------
     def params(self, group) -> list[Tensor]:
@@ -187,11 +217,6 @@ class ModelBundle:
             raw = raw + ad.reshape(residual, (b, t, d))
         return content, motion, raw, ad.clip(raw, -1.0, 1.0)
 
-    def generate(self, z_x: Tensor, z_v: Tensor, ref_index: int = 1):
-        """(content frame, difference sequence, clamped clip (B,T,D))."""
-        content, motion, _, clip = self.compose(z_x, z_v, ref_index)
-        return content, motion, clip
-
     # -- discriminators -----------------------------------------------------------
     def d_image_prob(self, frames: Tensor) -> Tensor:
         """P(real) for a frame batch (B, D), strictly inside (0, 1)."""
@@ -212,35 +237,11 @@ class ModelBundle:
         for name in COMPONENTS:
             for i, p in enumerate(self.components[name]):
                 arrays[f"{name}.{i}"] = p.data
-        for opt_name, opt in (("opt_d", self.opt_d), ("opt_enc", self.opt_enc),
-                              ("opt_gen", self.opt_gen)):
+        for opt_name, opt in zip(_OPT_NAMES, (self.opt_d, self.opt_enc,
+                                              self.opt_gen)):
             for key, arr in opt.state_arrays().items():
                 arrays[f"{opt_name}.{key}"] = arr
         return arrays
-
-    def load_state_arrays(self, arrays: dict) -> None:
-        """Restore parameters and optimizer moments from a state_arrays()
-        dict (shape-checked against this bundle's architecture)."""
-        sizes = _sizes(self.cfg)
-        for name in COMPONENTS:
-            n_params = 2 * (len(sizes[name]) - 1)
-            tensors = []
-            for i in range(n_params):
-                key = f"{name}.{i}"
-                if key not in arrays:
-                    raise ConfigError(f"checkpoint is missing parameter {key}")
-                expected = self.components[name][i].shape
-                if arrays[key].shape != expected:
-                    raise ConfigError(f"checkpoint parameter {key} has shape "
-                                      f"{arrays[key].shape}, expected {expected}")
-                tensors.append(Tensor(arrays[key], requires_grad=True))
-            self.components[name] = tensors
-        for opt_name, opt in (("opt_d", self.opt_d), ("opt_enc", self.opt_enc),
-                              ("opt_gen", self.opt_gen)):
-            keys = {k[len(opt_name) + 1:]: v for k, v in arrays.items()
-                    if k.startswith(opt_name + ".")}
-            if keys:
-                opt.load_state_arrays(keys)
 
     def save(self, path) -> None:
         save_checkpoint(path, self.cfg.to_dict(), self.state_arrays())
@@ -256,6 +257,4 @@ class ModelBundle:
             cfg = RunConfig.from_dict(stored_cfg)
         else:
             cfg.ensure_arch_matches(stored_cfg)
-        bundle = cls.init(cfg)
-        bundle.load_state_arrays(arrays)
-        return bundle
+        return cls.init(cfg, arrays)

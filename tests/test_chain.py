@@ -8,11 +8,12 @@ import vidchain.autodiff as ad
 from vidchain.autodiff import GradTape, Tensor, backward
 from vidchain.chain import (
     ClipPair, chain_generate, chain_overlap_mismatch, chain_ref_frame,
-    clip_recon, loss_d_image_r, loss_d_video_merged, loss_d_video_r1,
+    loss_d_image_r, loss_d_video_merged, loss_d_video_r1,
     loss_rencg, make_training_pairs, merged_video_terms, pairs_to_clips,
     train_step_recall, FrameBudget,
 )
 from vidchain.config import RunConfig
+from vidchain.losses import clip_recon
 from vidchain.model import D_GROUP, ENC_GROUP, GEN_GROUP, ModelBundle
 from vidchain.rng import RandomStream
 
@@ -69,6 +70,9 @@ def test_pair_overlap_property():
         assert np.array_equal(p.first, video[p.offset:p.offset + TINY.t_c])
         assert np.array_equal(p.second,
                               video[p.second_offset:p.second_offset + TINY.t_c])
+        # views, not copies: each interior clip is stored once
+        assert np.shares_memory(p.first, video)
+        assert np.shares_memory(p.second, video)
 
 
 def test_disjoint_pairs_at_full_stride():

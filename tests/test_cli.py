@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from vidchain.cli import main
-from vidchain.container import load_checkpoint, read_container
+from vidchain.container import load_checkpoint, read_container, save_checkpoint
 from vidchain.metrics import read_metric_report
 
 TINY_FLAGS = ["--t-c", "4", "--r", "2", "--height", "4", "--width", "4",
@@ -178,6 +178,7 @@ def test_exit_code_data_format(tmp_path):
 def _one_error_line(capsys, kind):
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith(f"error code={kind} "), err
+    return err[0]
 
 
 def test_train_zero_steps_is_config_error(tiny_dataset, tmp_path, capsys):
@@ -210,6 +211,25 @@ def test_truncated_checkpoint_is_data_format_error(tiny_dataset, tmp_path, capsy
     assert run(["generate-long", "--ckpt", cut, "--out", tmp_path / "l.rcg",
                 "--clips", "2"]) == 4
     _one_error_line(capsys, "data-format")
+
+
+@pytest.mark.parametrize("damage", ["missing", "wrong-shape"])
+def test_damaged_checkpoint_parameter_is_config_error(tiny_dataset, tmp_path,
+                                                      capsys, damage):
+    ckpt = tmp_path / "m.ckpt"
+    assert run(["train", "--data", tiny_dataset, "--out", ckpt,
+                "--steps", "1", *TINY_FLAGS]) == 0
+    capsys.readouterr()
+    cfg, arrays = load_checkpoint(ckpt)
+    if damage == "missing":
+        del arrays["g_t.2"]
+    else:
+        arrays["g_t.2"] = arrays["g_t.2"][:-1]
+    bad = tmp_path / "bad.ckpt"
+    save_checkpoint(bad, cfg, arrays)
+    assert run(["generate-long", "--ckpt", bad, "--out", tmp_path / "l.rcg",
+                "--clips", "2"]) == 2
+    assert "g_t.2" in _one_error_line(capsys, "config")
 
 
 def test_generate_long_loads_checkpoint_once(tiny_dataset, tmp_path, monkeypatch):

@@ -99,7 +99,7 @@ def test_encode_ref_index_moves_content_input():
 def test_generate_shapes_and_range():
     bundle = tiny_bundle()
     z_x, z_v = latents(bundle)
-    content, motion, clip = bundle.generate(z_x, z_v)
+    content, motion, _, clip = bundle.compose(z_x, z_v)
     assert content.shape == (2, 16)
     assert motion.shape == (2, 3 * 16)
     assert clip.shape == (2, 4, 16)
@@ -110,7 +110,7 @@ def test_generate_clamp_on_100_random_latents():
     bundle = tiny_bundle()
     for i in range(100):
         z_x, z_v = latents(bundle, b=1, seed=i)
-        _, _, clip = bundle.generate(z_x, z_v)
+        clip = bundle.compose(z_x, z_v)[3]
         assert np.all(np.abs(clip.data) <= 1.0)
 
 
@@ -119,8 +119,8 @@ def test_generate_stream_separation():
     bundle = tiny_bundle()
     z_x, z_v1 = latents(bundle, seed=1)
     _, z_v2 = latents(bundle, seed=2)
-    c1, m1, _ = bundle.generate(z_x, z_v1)
-    c2, m2, _ = bundle.generate(z_x, z_v2)
+    c1, m1, _, _ = bundle.compose(z_x, z_v1)
+    c2, m2, _, _ = bundle.compose(z_x, z_v2)
     assert np.array_equal(c1.data, c2.data)
     assert not np.array_equal(m1.data, m2.data)
 
@@ -191,7 +191,7 @@ def test_generate_content_disabled_zero_content():
     cfg = TINY.replace(disable_content=True)
     bundle = ModelBundle.init(cfg)
     z_x, z_v = latents(bundle)
-    content, _, _ = bundle.generate(z_x, z_v)
+    content = bundle.compose(z_x, z_v)[0]
     assert np.all(content.data == 0.0)
 
 
@@ -208,9 +208,9 @@ def test_generate_fusion_changes_clip():
 def test_generate_rejects_bad_latent_dims():
     bundle = tiny_bundle()
     with pytest.raises(ValueError, match="latent"):
-        bundle.generate(Tensor(np.zeros((2, 7))), Tensor(np.zeros((2, 4))))
+        bundle.compose(Tensor(np.zeros((2, 7))), Tensor(np.zeros((2, 4))))
     with pytest.raises(ValueError, match="latent"):
-        bundle.generate(Tensor(np.zeros((2, 8))), Tensor(np.zeros((2, 5))))
+        bundle.compose(Tensor(np.zeros((2, 8))), Tensor(np.zeros((2, 5))))
 
 
 # -- discriminators ---------------------------------------------------------------
@@ -270,11 +270,12 @@ def test_bias_init_nonzero_by_default():
     assert all(np.any(b.data != 0) for b in biases)
 
 
-def test_checkpoint_roundtrip_bit_exact(tmp_path):
-    bundle = tiny_bundle()
-    # take an optimizer step so moments are nontrivial
+def _trained_checkpoint(tmp_path):
+    """A saved bundle whose generator took one Adam step, so its moments
+    are nontrivial."""
     from vidchain.autodiff import GradTape, backward
     from vidchain.optim import adam_step
+    bundle = tiny_bundle()
     params = bundle.params(GEN_GROUP)
     with GradTape():
         z_x, z_v = latents(bundle)
@@ -282,9 +283,18 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
         loss = ad.mean(clip * clip)
     grads = backward(loss, params)
     bundle.set_params(GEN_GROUP, adam_step(bundle.opt_gen, params, grads))
-
     path = tmp_path / "bundle.ckpt"
     bundle.save(path)
+    return bundle, path
+
+
+def test_checkpoint_roundtrip_bit_exact(tmp_path, monkeypatch):
+    bundle, path = _trained_checkpoint(tmp_path)
+
+    def no_draws(*args, **kwargs):
+        raise AssertionError("a restored bundle must not draw fresh weights")
+
+    monkeypatch.setattr("vidchain.model.init_mlp", no_draws)
     back = ModelBundle.load(path)
     assert back.cfg == bundle.cfg
     for name in COMPONENTS:
@@ -293,7 +303,8 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
         for pb in back.components[name]:
             assert pb.requires_grad
     assert back.opt_gen.step == 1
-    for m1, m2 in zip(bundle.opt_gen.m, back.opt_gen.m):
+    for m1, m2 in zip(bundle.opt_gen.m + bundle.opt_gen.v,
+                      back.opt_gen.m + back.opt_gen.v, strict=True):
         assert np.array_equal(m1, m2)
     assert back.opt_d.step == 0 and back.opt_d.m is None
 
@@ -323,3 +334,19 @@ def test_checkpoint_untrained_roundtrip_then_trainable(tmp_path):
     grads = backward(loss, params)
     back.set_params(D_GROUP, adam_step(back.opt_d, params, grads))  # no error
     assert back.opt_d.step == 1
+
+
+@pytest.mark.parametrize("damage", ["missing", "wrong-shape"])
+def test_checkpoint_load_rejects_damaged_parameter(tmp_path, damage):
+    from vidchain.container import load_checkpoint, save_checkpoint
+    _, path = _trained_checkpoint(tmp_path)
+    cfg, arrays = load_checkpoint(path)
+    if damage == "missing":
+        del arrays["d_video.1"]
+        match = "missing parameter d_video.1"
+    else:
+        arrays["d_video.1"] = np.zeros((3, 16))
+        match = "d_video.1 has shape"
+    save_checkpoint(path, cfg, arrays)
+    with pytest.raises(ConfigError, match=match):
+        ModelBundle.load(path)
