@@ -2,9 +2,11 @@
 
 Tensors are immutable float64 arrays.  Operations executed while a GradTape is
 active are recorded in order; `backward` replays the tape in reverse and
-returns one gradient per requested parameter.  Every primitive checks its
+returns one gradient per requested parameter, replaying only the records on a
+path from a requested parameter to the loss.  Every primitive checks its
 output for NaN/Inf (an error state, not a value), and the backward pass checks
-every produced gradient the same way, reporting the primitive responsible.
+every gradient on a path to a requested parameter the same way, reporting the
+primitive responsible.
 
 The primitive set is deliberately small: add, sub, mul, matmul, affine, tanh,
 sigmoid, relu, mean, sum, cumsum, square, log, exp, concat, slicing, clip,
@@ -373,10 +375,12 @@ def detach(a) -> Tensor:
 def backward(loss: Tensor, params) -> list[np.ndarray]:
     """Gradient of a scalar loss w.r.t. each parameter, in order.
 
-    Parameters never touched by the loss get zero gradients.  Raises
-    GradientError for a non-scalar loss, for parameters that are not
-    trainable leaves, and when the replay produces a non-finite gradient
-    (the message names the responsible primitive).
+    Parameters never touched by the loss get zero gradients.  Only records
+    whose output depends on a requested parameter are replayed, and the
+    backward pass checks every gradient on a path to a requested parameter.
+    Raises GradientError for a non-scalar loss, for parameters that are not
+    trainable leaves, and when such a gradient is non-finite (the message
+    names the responsible primitive).
     """
     params = list(params)
     if not isinstance(loss, Tensor):
@@ -395,15 +399,25 @@ def backward(loss: Tensor, params) -> list[np.ndarray]:
                             "after a backward pass")
     tape._replayed = True
 
+    # Ids of the tensors that depend on a requested parameter.  A record whose
+    # output is not among them cannot carry gradient to any parameter, so the
+    # replay skips it; pruning changes no live tensor's accumulation order.
+    live = {id(p) for p in params}
+    for rec in tape.records:
+        if any(id(t) in live for t in rec.inputs):
+            live.add(id(rec.out))
+
     grads: dict[int, np.ndarray] = {id(loss): np.ones(loss.shape)}
     for rec in reversed(tape.records):
+        if id(rec.out) not in live:
+            continue
         g = grads.pop(id(rec.out), None)
         if g is None:
             continue
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             inp_grads = rec.vjp(g)
         for t, ig in zip(rec.inputs, inp_grads):
-            if ig is None or not tape._tracks(t):
+            if ig is None or id(t) not in live:
                 continue
             if not np.isfinite(ig).all():
                 raise GradientError(

@@ -29,7 +29,8 @@ from .autodiff import GradientError, NumericsError, Tensor
 from .chain import chain_generate, chain_overlap_mismatch
 from .config import ConfigError, RunConfig
 from .container import (ContainerError, ContainerWriter, ManifestError,
-                        load_checkpoint, load_dataset, read_container)
+                        atomic_write, load_checkpoint, load_dataset,
+                        read_container)
 from .datasets import gen_drift_dataset, gen_shapes_dataset
 from .metrics import (FeatureExtractor, fvd_ratio, inception_score,
                       segmentwise_scores, train_probe, write_metric_report)
@@ -318,14 +319,15 @@ def _mismatch_curve(bundle: ModelBundle, clip_counts, r: int) -> list[float]:
 
 
 def cmd_ablate(args) -> int:
-    cfg = _effective_config(args)
+    # with --init, the variants take the checkpoint's stored config under the
+    # --config file and flags, as the base bundle does
+    base = _load_bundle(args, args.init) if args.init else None
+    cfg = base.cfg if base is not None else _effective_config(args)
     videos, _ = _load_videos(_require_file(args.data, "dataset"))
     out_dir = _resolve_out(args.out)
     os.makedirs(out_dir, exist_ok=True)
 
-    if args.init:
-        base = _load_bundle(args, args.init)
-    else:
+    if base is None:
         base = ModelBundle.init(cfg)
         train_loop(base, videos)
     base_state = base.state_arrays()
@@ -352,7 +354,7 @@ def cmd_ablate(args) -> int:
         t11.append(f"{length}\t{curves['ovi'][i]!r}\t{curves['mgv'][i]!r}"
                    f"\t{curves['recall'][i]!r}")
     t11_path = os.path.join(out_dir, "table11.tsv")
-    with open(t11_path, "w", encoding="utf-8") as fh:
+    with atomic_write(t11_path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(t11) + "\n")
 
     # overlap sweep: training-pair overlap o -> pair stride t_c - o;
@@ -372,7 +374,7 @@ def cmd_ablate(args) -> int:
         value = chain_overlap_mismatch(bundle, probe_n, mode="mean", r=cfg.r)
         overlap_rows.append(f"{overlap}\t{stride}\t{value!r}")
     t10_path = os.path.join(out_dir, "table10.tsv")
-    with open(t10_path, "w", encoding="utf-8") as fh:
+    with atomic_write(t10_path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(overlap_rows) + "\n")
 
     wins = sum(r < o for r, o in zip(curves["recall"], curves["ovi"]))

@@ -23,6 +23,7 @@ container with its declared geometry and class label.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
@@ -35,6 +36,7 @@ __all__ = [
     "ContainerError", "ManifestError", "write_container", "read_container",
     "ContainerWriter", "save_checkpoint", "load_checkpoint",
     "ManifestRecord", "write_manifest", "read_manifest", "load_dataset",
+    "atomic_write",
 ]
 
 MAGIC = b"RCG1"
@@ -50,6 +52,23 @@ class ContainerError(RuntimeError):
 
 class ManifestError(RuntimeError):
     """Manifest record disagrees with the container it points to."""
+
+
+@contextlib.contextmanager
+def atomic_write(path, mode: str = "wb", **open_kwargs):
+    """Open a temporary file beside `path` for writing.  A block that
+    completes moves it over `path` with `os.replace`; a block that raises
+    deletes it, so `path` keeps its previous bytes or stays absent."""
+    path = os.fspath(path)
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, mode, **open_kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 def _header(dtype_tag: int, dims) -> bytes:
@@ -146,7 +165,7 @@ class ContainerWriter:
 
 def save_checkpoint(path, config: dict, arrays: dict) -> None:
     cfg_blob = json.dumps(config, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
+    with atomic_write(path) as fh:
         fh.write(BUNDLE_MAGIC + struct.pack("<I", VERSION))
         fh.write(struct.pack("<I", len(cfg_blob)) + cfg_blob)
         fh.write(struct.pack("<I", len(arrays)))
@@ -213,7 +232,7 @@ class ManifestRecord:
 
 
 def write_manifest(path, records) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path, "w", encoding="utf-8") as fh:
         fh.write("# path\tframes\theight\twidth\tchannels\tlabel\n")
         for r in records:
             fh.write(f"{r.path}\t{r.frames}\t{r.height}\t{r.width}\t{r.channels}\t{r.label}\n")

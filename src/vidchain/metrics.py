@@ -32,6 +32,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor, backward
+from .container import atomic_write
 from .layers import apply_mlp, init_mlp
 from .optim import AdamState, adam_step
 from .rng import RandomStream
@@ -331,7 +332,7 @@ def write_metric_report(path, rows) -> None:
     lines = ["# metric\tsegment\tvalue"]
     for metric, segment, value in rows:
         lines.append(f"{metric}\t{segment}\t{value!r}")
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
 

@@ -1,18 +1,25 @@
 """Adam with bias correction, in a functional style.
 
 `adam_step` consumes immutable parameter Tensors plus raw gradient arrays and
-returns fresh parameter Tensors; the AdamState's moment accumulators and step
-counter are updated in place.  Identical (state, params, grads) triples
-produce bit-identical results.
+returns fresh parameter Tensors.  The AdamState's step counter and its moment
+arrays are updated in place, and each new parameter array is wrapped as a
+Tensor without a copy.  Identical (state, params, grads) triples produce
+bit-identical results.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import Tensor
+from .autodiff import NumericsError, Tensor
 
 __all__ = ["AdamState", "adam_step"]
+
+
+def _read_only_view(arr: np.ndarray) -> np.ndarray:
+    view = arr.view()
+    view.setflags(write=False)
+    return view
 
 
 class AdamState:
@@ -29,11 +36,15 @@ class AdamState:
         self.v: list[np.ndarray] | None = None
 
     def state_arrays(self) -> dict:
-        """Accumulators as named arrays (for checkpointing)."""
+        """Accumulators as named arrays (for checkpointing).
+
+        The moments are read-only views of the live accumulators, which the
+        next `adam_step` overwrites: write them out or copy them before
+        stepping again."""
         out = {"step": np.array([float(self.step)])}
         for i, (m, v) in enumerate(zip(self.m or [], self.v or [])):
-            out[f"m{i}"] = m
-            out[f"v{i}"] = v
+            out[f"m{i}"] = _read_only_view(m)
+            out[f"v{i}"] = _read_only_view(v)
         return out
 
     def load_state_arrays(self, arrays: dict) -> None:
@@ -63,12 +74,30 @@ def adam_step(state: AdamState, params, grads) -> list[Tensor]:
     state.step += 1
     t = state.step
     b1, b2 = state.beta1, state.beta2
+    c1, c2 = 1.0 - b1 ** t, 1.0 - b2 ** t
     out = []
-    for i, (p, g) in enumerate(zip(params, grads)):
-        state.m[i] = b1 * state.m[i] + (1.0 - b1) * g
-        state.v[i] = b2 * state.v[i] + (1.0 - b2) * (g * g)
-        m_hat = state.m[i] / (1.0 - b1 ** t)
-        v_hat = state.v[i] / (1.0 - b2 ** t)
-        out.append(Tensor(p.data - state.lr * m_hat / (np.sqrt(v_hat) + state.eps),
-                          requires_grad=True))
+    for m, v, p, g in zip(state.m, state.v, params, grads):
+        # m = b1*m + (1-b1)*g and v = b2*v + (1-b2)*(g*g), in that float64
+        # order, with one scratch buffer for the right-hand terms
+        scratch = np.multiply(g, 1.0 - b1)
+        m *= b1
+        m += scratch
+        np.multiply(g, g, out=scratch)
+        scratch *= 1.0 - b2
+        v *= b2
+        v += scratch
+        # p - lr*m_hat / (sqrt(v_hat) + eps); the step array becomes the
+        # new parameter
+        np.divide(v, c2, out=scratch)
+        np.sqrt(scratch, out=scratch)
+        scratch += state.eps
+        step = m / c1
+        step *= state.lr
+        step /= scratch
+        np.subtract(p.data, step, out=step)
+        if not np.isfinite(step).all():
+            raise NumericsError("non-finite parameter produced by adam_step")
+        new = Tensor._wrap(step)
+        new.requires_grad = True
+        out.append(new)
     return out

@@ -5,7 +5,14 @@ from oracle_utils import H, REL_TOL, fd_grad, rel_err
 from vidchain import autodiff as ad
 from vidchain.autodiff import (GradientError, GradTape, NumericsError, Tensor,
                                backward)
+from vidchain.chain import (loss_d_image_r, loss_d_video_merged, loss_d_video_r1,
+                            loss_rencg)
+from vidchain.losses import loss_d_image, loss_d_video, loss_enc, loss_enc_v, loss_gen
+from vidchain.model import COMPONENTS, D_GROUP, ENC_GROUP, GEN_GROUP, ModelBundle
 from vidchain.rng import RandomStream
+
+from test_chain import tiny_pairs
+from test_losses import TINY, random_clips
 
 
 def grad_of(build, x0):
@@ -211,6 +218,56 @@ def test_backward_nonfinite_reports_producing_primitive():
         loss = ad.sum(ad.mul(ad.mul(e, e), e))
     with pytest.raises(GradientError, match="exp"):
         backward(loss, [x])
+
+
+def test_backward_skips_nonfinite_branch_reaching_no_parameter():
+    # the exp branch overflows on replay (as above), but only y depends on it
+    x = Tensor([1.5, -0.5], requires_grad=True)
+    y = Tensor([236.4], requires_grad=True)
+    with GradTape():
+        e = ad.exp(y)
+        loss = ad.add(ad.sum(ad.square(x)), ad.sum(ad.mul(ad.mul(e, e), e)))
+        gx = backward(loss, [x])[0]
+        with pytest.raises(GradientError, match="exp"):
+            backward(loss, [x, y])
+    assert np.array_equal(gx, [3.0, -1.0])
+
+
+def _total(*losses):
+    """A loss builder summing the totals of `losses`, each on its own stream."""
+    def build(bundle, batch, stream):
+        totals = [fn(bundle, batch, stream.split(fn.__name__)).total
+                  for fn in losses]
+        return totals[0] if len(totals) == 1 else ad.add(*totals)
+    return build
+
+
+# every loss a training step differentiates: (builder, batch of clips or pairs)
+STEP_LOSSES = {
+    "clip-d": (_total(loss_d_image, loss_d_video), "clips"),
+    "clip-enc": (_total(loss_enc), "clips"),
+    "clip-enc-diff": (_total(loss_enc_v), "clips"),
+    "clip-gen": (_total(loss_gen), "clips"),
+    "recall-d-merged": (_total(loss_d_image_r, loss_d_video_merged), "pairs"),
+    "recall-d-r1": (_total(loss_d_image_r, loss_d_video_r1), "pairs"),
+    "recall-joint": (_total(loss_rencg), "pairs"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STEP_LOSSES))
+def test_group_backward_equals_slice_of_full_backward(name):
+    build, kind = STEP_LOSSES[name]
+    bundle = ModelBundle.init(TINY)
+    batch = random_clips() if kind == "clips" else tiny_pairs()[:TINY.batch]
+    everything = bundle.params(COMPONENTS)
+    with GradTape():
+        loss = build(bundle, batch, RandomStream.from_seed(7, name))
+        full = dict(zip(map(id, everything), backward(loss, everything)))
+        for group in (D_GROUP, ENC_GROUP, GEN_GROUP, ENC_GROUP + GEN_GROUP):
+            params = bundle.params(group)
+            for p, g in zip(params, backward(loss, params), strict=True):
+                assert np.array_equal(g, full[id(p)])
+    assert any(np.any(g != 0) for g in full.values())
 
 
 def test_detach_blocks_gradient():

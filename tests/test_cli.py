@@ -271,3 +271,21 @@ def test_ablate_report_structure(tiny_dataset, tmp_path):
     # overlaps of 4+ frames have no valid pair stride at clip length 4
     overlaps = [int(l.split("\t")[0]) for l in t10[1:]]
     assert overlaps == [0, 2]
+
+
+def test_ablate_init_takes_architecture_and_seed_from_checkpoint(tiny_dataset, tmp_path):
+    ckpt = tmp_path / "h32.ckpt"
+    flags = list(TINY_FLAGS)
+    flags[flags.index("--hidden") + 1] = "32"
+    assert run(["train", "--data", tiny_dataset, "--out", ckpt,
+                "--steps", "1", "--seed", "3", *flags]) == 0
+    tables = {}
+    for name, extra in (("stored", []), ("same", ["--seed", "3"]),
+                        ("other", ["--seed", "4"])):
+        out = tmp_path / name
+        assert run(["ablate", "--data", tiny_dataset, "--out", out,
+                    "--init", ckpt, "--steps", "2", *extra]) == 0
+        tables[name] = [(out / t).read_bytes()
+                        for t in ("table10.tsv", "table11.tsv")]
+    assert tables["stored"] == tables["same"]
+    assert tables["stored"] != tables["other"]

@@ -1,5 +1,6 @@
 """Binary container, checkpoint, and manifest round-trips and error handling."""
 
+import os
 import struct
 
 import numpy as np
@@ -192,6 +193,26 @@ def test_checkpoint_rejects_container_file(tmp_path):
 def test_checkpoint_missing_file():
     with pytest.raises(ContainerError, match="not found"):
         load_checkpoint("/nonexistent/model.ckpt")
+
+
+class _Unconvertible:
+    """An array-like whose conversion fails, partway through a write."""
+
+    def __array__(self, *args, **kwargs):
+        raise RuntimeError("conversion failed")
+
+
+def test_write_failing_midway_leaves_previous_file(tmp_path):
+    ckpt, manifest = tmp_path / "m.ckpt", tmp_path / "index.tsv"
+    save_checkpoint(ckpt, {"k": 1}, {"a": np.arange(3.0)})
+    write_manifest(manifest, [ManifestRecord("a.rcg", 5, 4, 4, 1, 0)])
+    before = {p: p.read_bytes() for p in (ckpt, manifest)}
+    with pytest.raises(RuntimeError, match="conversion"):
+        save_checkpoint(ckpt, {"k": 2}, {"a": np.arange(4.0), "b": _Unconvertible()})
+    with pytest.raises(AttributeError):
+        write_manifest(manifest, [ManifestRecord("b.rcg", 6, 4, 4, 1, 1), None])
+    assert {p: p.read_bytes() for p in before} == before
+    assert sorted(os.listdir(tmp_path)) == ["index.tsv", "m.ckpt"]
 
 
 def _write_small_dataset(tmp_path, n=3, frames=5):

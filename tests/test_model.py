@@ -309,6 +309,25 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path, monkeypatch):
     assert back.opt_d.step == 0 and back.opt_d.m is None
 
 
+def test_checkpoint_keeps_its_step_after_further_steps(tmp_path):
+    # moments are updated in place and state_arrays() returns live views of
+    # them: a saved checkpoint must still hold the state of its own step
+    from vidchain.training import train_step
+    bundle = tiny_bundle()
+    for step in range(2):
+        train_step(bundle, random_clips(seed=step), RandomStream.from_seed(step))
+    at_k = {k: v.copy() for k, v in bundle.state_arrays().items()}
+    path = tmp_path / "k.ckpt"
+    bundle.save(path)
+    for step in range(2, 4):
+        train_step(bundle, random_clips(seed=step), RandomStream.from_seed(step))
+    assert not np.array_equal(bundle.opt_d.m[0], at_k["opt_d.m0"])
+    back = ModelBundle.load(path).state_arrays()
+    assert back.keys() == at_k.keys()
+    for key, arr in at_k.items():
+        assert np.array_equal(back[key], arr), key
+
+
 def test_checkpoint_load_rejects_conflicting_arch(tmp_path):
     bundle = tiny_bundle()
     path = tmp_path / "bundle.ckpt"

@@ -18,6 +18,21 @@ def reference_adam(p0, grads, lr=2e-4, b1=0.5, b2=0.999, eps=1e-8):
     return p
 
 
+def allocating_adam(p0, grads, lr, b1, b2, eps):
+    """Per step (p, m, v) from fresh-array expressions in the float64 order
+    adam_step's in-place arithmetic must reproduce bit for bit."""
+    p = np.array(p0, dtype=np.float64)
+    m = np.zeros_like(p)
+    v = np.zeros_like(p)
+    for t, g in enumerate(grads, start=1):
+        m = b1 * m + (1.0 - b1) * g
+        v = b2 * v + (1.0 - b2) * (g * g)
+        m_hat = m / (1.0 - b1 ** t)
+        v_hat = v / (1.0 - b2 ** t)
+        p = p - lr * m_hat / (np.sqrt(v_hat) + eps)
+        yield p, m, v
+
+
 def test_first_step_closed_form():
     state = AdamState(lr=2e-4, beta1=0.5, beta2=0.999, eps=1e-8)
     (p,) = adam_step(state, [Tensor([0.0], requires_grad=True)], [np.array([1.0])])
@@ -89,3 +104,36 @@ def test_state_roundtrip_through_arrays():
     (a,) = adam_step(state, [p], [np.array([0.3, 0.4])])
     (b,) = adam_step(clone, [p], [np.array([0.3, 0.4])])
     assert np.array_equal(a.data, b.data)
+
+
+def test_in_place_update_equals_allocating_expressions_bit_for_bit():
+    r = RandomStream.from_seed(8)
+    shapes = [(5, 3), (3,), (2, 4)]
+    p0 = [r.split(f"p{i}").normal(s) for i, s in enumerate(shapes)]
+    gs = [[r.split(f"g{t}.{i}").normal(s, scale=10.0 ** (t % 5 - 2))
+           for i, s in enumerate(shapes)] for t in range(12)]
+    state = AdamState(lr=3e-3, beta1=0.5, beta2=0.999, eps=1e-8)
+    params = [Tensor(p, requires_grad=True) for p in p0]
+    refs = [allocating_adam(p0[i], [g[i] for g in gs], 3e-3, 0.5, 0.999, 1e-8)
+            for i in range(len(shapes))]
+    for g in gs:
+        params = adam_step(state, params, g)
+        for i, (p, m, v) in enumerate(next(ref) for ref in refs):
+            assert params[i].requires_grad
+            assert np.array_equal(params[i].data, p)
+            assert np.array_equal(state.m[i], m)
+            assert np.array_equal(state.v[i], v)
+
+
+def test_state_arrays_are_read_only_views_of_live_moments():
+    state = AdamState()
+    (p,) = adam_step(state, [Tensor([1.0, 2.0], requires_grad=True)],
+                     [np.array([0.1, -0.2])])
+    blobs = state.state_arrays()
+    for key in ("m0", "v0"):
+        with pytest.raises(ValueError):
+            blobs[key][0] = 5.0
+    assert np.shares_memory(blobs["m0"], state.m[0])
+    before = blobs["m0"].copy()
+    adam_step(state, [p], [np.array([0.3, 0.4])])
+    assert not np.array_equal(blobs["m0"], before)   # the view is live
