@@ -19,7 +19,7 @@ def gradient_by_hand():
     y = np.array([[2.0], [4.0], [6.0]])
     w = Tensor(np.array([[0.5]]), requires_grad=True)
     with ad.GradTape():
-        pred = ad.matmul(Tensor(x), w)
+        pred = ad.affine(Tensor(x), w, Tensor(np.zeros(1)))
         loss = ad.sum(ad.square(ad.sub(pred, Tensor(y))))
         grads = backward(loss, [w])
     manual = 2.0 * x.T @ (x @ w.data - y)
@@ -43,10 +43,10 @@ def fit_a_line():
             grads = backward(loss, [w, b])
         w, b = adam_step(opt, [w, b], grads)
         if step % 50 == 0 or step == 199:
-            print(f"step {step:3d}  mse={float(loss.data):8.5f}  "
-                  f"w={float(w.data):6.3f}  b={float(b.data):6.3f}")
-    assert abs(float(w.data) - 3.0) < 0.05
-    assert abs(float(b.data) + 1.0) < 0.05
+            print(f"step {step:3d}  mse={loss.item():8.5f}  "
+                  f"w={w.item():6.3f}  b={b.item():6.3f}")
+    assert abs(w.item() - 3.0) < 0.05
+    assert abs(b.item() + 1.0) < 0.05
 
 
 def finite_difference_check():
@@ -56,20 +56,21 @@ def finite_difference_check():
     rng = np.random.default_rng(1)
     p = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
     x = rng.normal(size=(5, 4))
+    zero_bias = Tensor(np.zeros(3))
 
     def f(param):
         with ad.GradTape():
-            out = ad.sum(ad.tanh(ad.matmul(Tensor(x), param)))
+            out = ad.sum(ad.tanh(ad.affine(Tensor(x), param, zero_bias)))
             return out
 
     with ad.GradTape():
-        loss = ad.sum(ad.tanh(ad.matmul(Tensor(x), p)))
+        loss = ad.sum(ad.tanh(ad.affine(Tensor(x), p, zero_bias)))
         (grad,) = backward(loss, [p])
     direction = rng.normal(size=p.data.shape)
     direction /= np.linalg.norm(direction)
     h = 1e-6
-    plus = float(f(Tensor(p.data + h * direction)).data)
-    minus = float(f(Tensor(p.data - h * direction)).data)
+    plus = f(Tensor(p.data + h * direction)).item()
+    minus = f(Tensor(p.data - h * direction)).item()
     numeric = (plus - minus) / (2 * h)
     analytic = float(np.sum(grad * direction))
     print(f"directional derivative: taped={analytic:.10f} "

@@ -56,7 +56,8 @@ def main():
     train_n = 90
     probe = train_probe(feats[:train_n], labels[:train_n],
                         RandomStream.from_seed(0, "demo-probe"))
-    acc = probe.accuracy(feats[train_n:], labels[train_n:])
+    predicted = probe.predict_proba(feats[train_n:]).argmax(axis=1)
+    acc = float(np.mean(predicted == labels[train_n:]))
     print(f"  holdout accuracy on {len(labels) - train_n} videos: {acc:.2f} "
           f"(chance = 0.25)")
 

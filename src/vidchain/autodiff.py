@@ -8,10 +8,10 @@ output for NaN/Inf (an error state, not a value), and the backward pass checks
 every gradient on a path to a requested parameter the same way, reporting the
 primitive responsible.
 
-The primitive set is deliberately small: add, sub, mul, matmul, affine, tanh,
-sigmoid, relu, mean, sum, cumsum, square, log, exp, concat, slicing, clip,
-reshape, broadcast_to, detach.  Enough to express the encoder/generator/
-discriminator stacks and every loss in the library.  Slicing takes basic or
+The primitive set is deliberately small: add, sub, mul, neg, affine, tanh,
+sigmoid, mean, sum, cumsum, square, log, exp, concat, slicing, clip, reshape.
+Enough to express the encoder/generator/discriminator stacks and every loss
+in the library.  Slicing takes basic or
 advanced indices, provided no position is selected twice.
 """
 
@@ -23,12 +23,9 @@ import numpy as np
 
 __all__ = [
     "Tensor", "GradTape", "backward", "NumericsError", "GradientError",
-    "add", "sub", "mul", "neg", "matmul", "affine", "tanh", "sigmoid", "relu",
-    "mean", "sum", "cumsum", "square", "log", "exp", "concat", "clip", "reshape",
-    "broadcast_to", "detach",
+    "add", "sub", "mul", "neg", "affine", "tanh", "sigmoid", "mean", "sum",
+    "cumsum", "square", "log", "exp", "concat", "clip", "reshape",
 ]
-
-_builtin_sum = sum
 
 
 class NumericsError(RuntimeError):
@@ -104,9 +101,6 @@ class Tensor:
 
     def __neg__(self):
         return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
     def __getitem__(self, idx):
         return _slice(self, idx)
@@ -246,12 +240,6 @@ def sigmoid(a) -> Tensor:
     return _emit("sigmoid", out, (a,), lambda g: (g * out * (1.0 - out),))
 
 
-def relu(a) -> Tensor:
-    a = _as_tensor(a)
-    return _emit("relu", np.maximum(a.data, 0.0), (a,),
-                 lambda g: (g * (a.data > 0.0),))
-
-
 def clip(a, lo: float, hi: float) -> Tensor:
     a = _as_tensor(a)
     out = np.clip(a.data, lo, hi)
@@ -260,15 +248,6 @@ def clip(a, lo: float, hi: float) -> Tensor:
 
 
 # -- linear algebra -----------------------------------------------------------
-
-def matmul(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    if a.ndim != 2 or b.ndim != 2:
-        raise GradientError("matmul expects 2-D tensors")
-    out = a.data @ b.data
-    return _emit("matmul", out, (a, b),
-                 lambda g: (g @ b.data.T, a.data.T @ g))
-
 
 def affine(x, w, b) -> Tensor:
     """x @ w + b for a (batch, in) input, (in, out) weight, (out,) bias."""
@@ -332,12 +311,6 @@ def reshape(a, shape) -> Tensor:
     return _emit("reshape", out.copy(), (a,), vjp)
 
 
-def broadcast_to(a, shape) -> Tensor:
-    a = _as_tensor(a)
-    out = np.broadcast_to(a.data, shape).copy()
-    return _emit("broadcast", out, (a,), lambda g: (_unbroadcast(g, a.data.shape),))
-
-
 def concat(tensors, axis: int = 0) -> Tensor:
     ts = tuple(_as_tensor(t) for t in tensors)
     if not ts:
@@ -362,12 +335,6 @@ def _slice(a, idx) -> Tensor:
         return (buf,)
 
     return _emit("slice", np.array(out), (a,), vjp)
-
-
-def detach(a) -> Tensor:
-    """Constant copy: same values, no gradient path."""
-    a = _as_tensor(a)
-    return Tensor._wrap(a.data.copy())
 
 
 # -- backward -----------------------------------------------------------------

@@ -66,10 +66,6 @@ class ClipPair:
     offset: int            # start frame of `first` within the source
     stride: int            # second clip starts at offset + stride
 
-    @property
-    def second_offset(self) -> int:
-        return self.offset + self.stride
-
 
 def make_training_pairs(videos, t_c: int, stride: int):
     """All (clip at k*stride, clip at (k+1)*stride) pairs of each video.

@@ -10,9 +10,9 @@ Conventions
   (where a checkpoint is loaded) < --config file < individual flags.
 * The single honored environment variable is VIDCHAIN_OUT: when set,
   relative output paths are created under it.  Inputs are never remapped.
-* Exit codes: 0 success; 2 usage or configuration error; 3 missing file;
-  4 data/dimension error; 5 numeric failure.  Errors print exactly one line
-  to stderr: ``error code=<kind> detail=<message>``.
+* Exit codes: 0 success; 2 usage or configuration error; 3 missing or
+  unusable file; 4 data/dimension error; 5 numeric failure.  Errors print
+  exactly one line to stderr: ``error code=<kind> detail=<message>``.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from .chain import chain_generate, chain_overlap_mismatch
 from .config import ConfigError, RunConfig
 from .container import (ContainerError, ContainerWriter, ManifestError,
                         atomic_write, load_checkpoint, load_dataset,
-                        read_container)
+                        read_container, write_container)
 from .datasets import gen_drift_dataset, gen_shapes_dataset
 from .metrics import (FeatureExtractor, fvd_ratio, inception_score,
                       segmentwise_scores, train_probe, write_metric_report)
@@ -89,7 +89,11 @@ def _effective_config(args, stored: dict | None = None) -> RunConfig:
         if not os.path.exists(args.config):
             raise FileNotFoundError(f"config file {args.config} not found")
         with open(args.config, "r", encoding="utf-8") as fh:
-            loaded = json.load(fh)
+            try:
+                loaded = json.load(fh)
+            except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+                raise ConfigError(f"config file {args.config} is not "
+                                  f"valid JSON: {exc}") from None
         if not isinstance(loaded, dict):
             raise ConfigError("config file must hold a JSON object")
         merged.update(loaded)
@@ -197,6 +201,8 @@ def cmd_train_recall(args) -> int:
 
 
 def cmd_generate(args) -> int:
+    if args.count < 1:
+        raise ConfigError(f"generate needs --count >= 1, got {args.count}")
     bundle = _load_bundle(args, args.ckpt)
     cfg = bundle.cfg
     stream = RandomStream.from_seed(cfg.seed, "generate")
@@ -204,10 +210,7 @@ def cmd_generate(args) -> int:
     z_v = stream.split("prior_v").normal((args.count, cfg.z_motion))
     clips = bundle.compose(Tensor(z_x), Tensor(z_v))[3].data
     clips = clips.reshape((args.count, cfg.t_c) + cfg.frame_shape)
-    out = _resolve_out(args.out)
-    writer = ContainerWriter(out, (cfg.t_c,) + cfg.frame_shape)
-    writer.append(clips.astype(np.float32))
-    writer.close()
+    write_container(_resolve_out(args.out), clips.astype(np.float32))
     print(f"generated clips={args.count} t_c={cfg.t_c} out={args.out}")
     return 0
 
@@ -215,12 +218,10 @@ def cmd_generate(args) -> int:
 def cmd_generate_long(args) -> int:
     bundle = _load_bundle(args, args.ckpt)
     cfg = bundle.cfg
-    out = _resolve_out(args.out)
-    writer = ContainerWriter(out, cfg.frame_shape)
-    result = chain_generate(
-        bundle, args.clips, mode=cfg.gen_mode, r=args.stride,
-        sink=lambda block: writer.append(block.astype(np.float32)))
-    writer.close()
+    with ContainerWriter(_resolve_out(args.out), cfg.frame_shape) as writer:
+        result = chain_generate(
+            bundle, args.clips, mode=cfg.gen_mode, r=args.stride,
+            sink=lambda block: writer.append(block.astype(np.float32)))
     if args.report:
         rows = [("seam_mismatch", j, m) for j, m in enumerate(result.mismatches)]
         rows += [("mean_mismatch", "-", result.mean_mismatch),
@@ -482,7 +483,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except ConfigError as exc:
         return _fail("config", 2, exc)
-    except FileNotFoundError as exc:
+    except OSError as exc:      # missing, a directory, or otherwise unusable
         return _fail("missing-file", 3, exc)
     except (ContainerError, ManifestError) as exc:
         return _fail("data-format", 4, exc)

@@ -10,7 +10,6 @@ rate, sampling) may differ between phases.
 from __future__ import annotations
 
 import dataclasses
-import json
 from dataclasses import dataclass
 
 __all__ = ["ConfigError", "RunConfig", "ARCH_FIELDS"]
@@ -95,14 +94,6 @@ class RunConfig:
     def frame_dim(self) -> int:
         return self.height * self.width * self.channels
 
-    @property
-    def clip_shape(self) -> tuple[int, int, int, int]:
-        return (self.t_c,) + self.frame_shape
-
-    @property
-    def diff_dim(self) -> int:
-        return (self.t_c - 1) * self.frame_dim
-
     # -- serialization ------------------------------------------------------
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -117,19 +108,6 @@ class RunConfig:
             return cls(**data)
         except TypeError as exc:
             raise ConfigError(str(exc)) from None
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
-
-    @classmethod
-    def from_json(cls, text: str) -> "RunConfig":
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config is not valid JSON: {exc}") from None
-        if not isinstance(data, dict):
-            raise ConfigError("config JSON must be an object")
-        return cls.from_dict(data)
 
     def replace(self, **changes) -> "RunConfig":
         known = {f.name for f in dataclasses.fields(self)}

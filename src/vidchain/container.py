@@ -11,7 +11,9 @@ Container layout (magic "RCG1"), all integers little-endian:
 
 The first dimension sits at a fixed byte offset, so a writer can stream
 frames and patch the final length on close — that is how long generated
-videos are written incrementally.
+videos are written incrementally.  Every container is written through
+`ContainerWriter`, into a temporary file that only a completed write moves
+into place.
 
 A checkpoint (magic "RCGB") is a JSON config echo followed by named RCG1
 blobs; loading verifies the config against the caller's and refuses to mix
@@ -78,12 +80,10 @@ def _header(dtype_tag: int, dims) -> bytes:
 
 def write_container(path, array: np.ndarray) -> None:
     array = np.asarray(array)
-    if array.dtype not in _TAGS:
-        raise ContainerError(f"unsupported dtype {array.dtype}; use float32 or float64")
-    tag = _TAGS[array.dtype]
-    with open(path, "wb") as fh:
-        fh.write(_header(tag, array.shape))
-        fh.write(np.ascontiguousarray(array, dtype=_DTYPES[tag]).tobytes())
+    if array.ndim == 0:
+        raise ContainerError("a container needs at least one dimension")
+    with ContainerWriter(path, array.shape[1:], array.dtype) as writer:
+        writer.append(array)
 
 
 def read_container(path) -> np.ndarray:
@@ -123,19 +123,22 @@ def parse_container(blob: bytes, name: str = "<bytes>") -> np.ndarray:
 class ContainerWriter:
     """Streaming writer that appends along axis 0 and patches the final length.
 
-    The header is written up front with a zero leading dimension; `close()`
-    (or the context manager exit) seeks back and writes the true count, so a
-    crash mid-stream leaves an obviously empty container rather than a lie.
+    The stream goes to a temporary file beside `path` (see `atomic_write`)
+    under a header with a zero leading dimension.  `close()`, or a `with`
+    block that completes, writes the true count and moves the file over
+    `path`; a `with` block that raises deletes it, so `path` keeps its
+    previous bytes or stays absent.
     """
 
     def __init__(self, path, item_shape, dtype=np.float32):
         dtype = np.dtype(dtype)
         if dtype not in _TAGS:
-            raise ContainerError(f"unsupported dtype {dtype}")
+            raise ContainerError(f"unsupported dtype {dtype}; use float32 or float64")
         self._dtype = _DTYPES[_TAGS[dtype]]
         self._item_shape = tuple(int(d) for d in item_shape)
         self._count = 0
-        self._fh = open(path, "wb")
+        self._target = atomic_write(path)
+        self._fh = self._target.__enter__()
         self._fh.write(_header(_TAGS[dtype], (0,) + self._item_shape))
 
     def append(self, item: np.ndarray) -> None:
@@ -150,14 +153,17 @@ class ContainerWriter:
     def close(self) -> int:
         self._fh.seek(16)  # first dim of the header
         self._fh.write(struct.pack("<Q", self._count))
-        self._fh.close()
+        self._target.__exit__(None, None, None)
         return self._count
 
     def __enter__(self):
         return self
 
     def __exit__(self, *exc):
-        self.close()
+        if exc[0] is None:
+            self.close()
+        else:
+            self._target.__exit__(*exc)
         return False
 
 

@@ -31,8 +31,6 @@ class GaussianParams:
     __slots__ = ("mu", "_raw_log_var")
 
     def __init__(self, mu: Tensor, log_var: Tensor):
-        mu = mu if isinstance(mu, Tensor) else Tensor(mu)
-        log_var = log_var if isinstance(log_var, Tensor) else Tensor(log_var)
         if mu.shape != log_var.shape:
             raise ValueError(f"mu shape {mu.shape} != log_var shape {log_var.shape}")
         self.mu = mu
@@ -41,10 +39,6 @@ class GaussianParams:
     @property
     def log_var(self) -> Tensor:
         return ad.clip(self._raw_log_var, LOG_VAR_MIN, LOG_VAR_MAX)
-
-    @property
-    def dim(self) -> int:
-        return self.mu.shape[-1]
 
 
 def gaussian_kl(q: GaussianParams) -> Tensor:

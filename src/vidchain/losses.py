@@ -53,18 +53,10 @@ class LossOutput:
 
 
 def _as_clip_tensor(clips) -> Tensor:
-    if isinstance(clips, Tensor):
-        t = clips
-    else:
-        arr = np.asarray(clips)
-        if arr.size == 0:
-            raise ValueError("empty batch")
-        t = clips_to_tensor(arr)
-    if t.ndim != 3:
-        raise ValueError(f"expected a (batch, frames, pixels) tensor, got {t.shape}")
-    if t.shape[0] == 0:
+    arr = np.asarray(clips)
+    if arr.size == 0:
         raise ValueError("empty batch")
-    return t
+    return clips_to_tensor(arr)
 
 
 # -- reconstruction objectives (pure, hand-checkable) ---------------------------

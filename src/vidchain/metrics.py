@@ -75,11 +75,8 @@ class FeatureExtractor:
         self.bias = stream.split("bias").normal((out_dim,), scale=0.25)
 
     def features(self, clips: np.ndarray) -> np.ndarray:
-        """(B, clip_len, ...) or a single clip -> (B, out_dim) in (-1, 1)."""
+        """(B, clip_len, ...) -> (B, out_dim) in (-1, 1)."""
         x = np.asarray(clips, dtype=np.float64)
-        if x.ndim >= 2 and x.shape[0] == self.clip_len and (
-                int(np.prod(x.shape[1:])) == self.frame_dim):
-            x = x[None]
         if x.ndim < 3:
             raise ValueError(f"expected a batch of clips, got shape {x.shape}")
         b, t = x.shape[0], x.shape[1]
@@ -175,9 +172,6 @@ class SegmentScores:
     average: float
     group_sizes: list       # generated segments contributing per position
     excluded: list = field(default_factory=list)  # too-short video indices
-
-    def __iter__(self):
-        return iter(self.scores)
 
 
 def _segment_groups(videos, seg_len: int):
@@ -280,16 +274,7 @@ class ProbeClassifier:
         return shifted - lse
 
     def predict_proba(self, features: np.ndarray) -> np.ndarray:
-        x = np.asarray(features, dtype=np.float64)
-        if x.ndim == 1:
-            x = x[None]
-        return np.exp(self.log_probs(Tensor(x)).data)
-
-    def predict(self, features: np.ndarray) -> np.ndarray:
-        return self.predict_proba(features).argmax(axis=1)
-
-    def accuracy(self, features: np.ndarray, labels: np.ndarray) -> float:
-        return float(np.mean(self.predict(features) == np.asarray(labels)))
+        return np.exp(self.log_probs(Tensor(features)).data)
 
 
 def train_probe(features: np.ndarray, labels: np.ndarray,

@@ -48,12 +48,10 @@ _OPT_NAMES = ("opt_d", "opt_enc", "opt_gen")   # checkpoint key prefixes
 
 
 def clips_to_tensor(clips: np.ndarray) -> Tensor:
-    """(T,H,W,C) or (B,T,H,W,C) numpy pixels -> constant Tensor (B, T, D)."""
+    """(B,T,H,W,C) numpy pixels -> constant Tensor (B, T, D)."""
     clips = np.asarray(clips, dtype=np.float64)
-    if clips.ndim == 4:
-        clips = clips[None]
     if clips.ndim != 5:
-        raise ValueError(f"expected a clip or clip batch, got shape {clips.shape}")
+        raise ValueError(f"expected a clip batch, got shape {clips.shape}")
     b, t = clips.shape[:2]
     return Tensor(clips.reshape(b, t, -1))
 
@@ -163,15 +161,6 @@ class ModelBundle:
         return (self.content_posterior(clips[:, ref_index - 1, :]),
                 self.motion_posterior(clip_diffs(clips)))
 
-    def encode(self, clips: np.ndarray, ref_index: int = 1):
-        """Public entry point: numpy clip (T,H,W,C) or batch (B,T,H,W,C)."""
-        clips = np.asarray(clips)
-        expected = self.cfg.clip_shape
-        if clips.shape[-4:] != expected:
-            raise ValueError(f"clip shape {clips.shape} does not match "
-                             f"configured {expected}")
-        return self.encode_clips(clips_to_tensor(clips), ref_index)
-
     # -- generator ------------------------------------------------------------
     def compose(self, z_x: Tensor, z_v: Tensor, ref_index: int = 1):
         """Full generator pass. Returns (content (B,D), motion (B,(T-1)*D),
@@ -224,11 +213,9 @@ class ModelBundle:
         return ad.sigmoid(ad.clip(logit, -LOGIT_LIMIT, LOGIT_LIMIT))
 
     def d_video_prob(self, clips: Tensor) -> Tensor:
-        """P(real) for a clip batch (B, T, D) or (B, T*D)."""
-        if clips.ndim == 3:
-            b, t, d = clips.shape
-            clips = ad.reshape(clips, (b, t * d))
-        logit = apply_mlp(self.components["d_video"], clips)
+        """P(real) for a clip batch (B, T, D)."""
+        b, t, d = clips.shape
+        logit = apply_mlp(self.components["d_video"], ad.reshape(clips, (b, t * d)))
         return ad.sigmoid(ad.clip(logit, -LOGIT_LIMIT, LOGIT_LIMIT))
 
     # -- checkpointing -----------------------------------------------------------

@@ -56,8 +56,6 @@ def away_from(points, x, margin=0.05):
     (ad.sigmoid, lambda r: r.normal((3, 4), scale=3.0)),
     (ad.exp, lambda r: r.normal((3, 4))),
     (ad.log, lambda r: r.uniform((3, 4), 0.5, 3.0)),
-    # kink-bearing primitive sampled away from its kink
-    (ad.relu, lambda r: away_from([0.0], r.normal((3, 4)))),
 ])
 def test_elementwise_gradients(prim, sampler):
     x0 = sampler(RandomStream.from_seed(11).split(prim.__name__))
@@ -89,12 +87,10 @@ def test_add_sub_mul_gradients_both_args_with_broadcast():
             check_primitive(build, x0)
 
 
-def test_matmul_and_affine_gradients():
+def test_affine_gradients():
     r = RandomStream.from_seed(14)
     x0, w0, b0 = r.normal((5, 3)), r.normal((3, 2)), r.normal(2)
     s = Tensor(r.normal((5, 2)))
-    check_primitive(lambda t: ad.sum(ad.mul(ad.matmul(t, Tensor(w0)), s)), x0)
-    check_primitive(lambda t: ad.sum(ad.mul(ad.matmul(Tensor(x0), t), s)), w0)
     check_primitive(lambda t: ad.sum(ad.mul(ad.affine(t, Tensor(w0), Tensor(b0)), s)), x0)
     check_primitive(lambda t: ad.sum(ad.mul(ad.affine(Tensor(x0), t, Tensor(b0)), s)), w0)
     check_primitive(lambda t: ad.sum(ad.mul(ad.affine(Tensor(x0), Tensor(w0), t), s)), b0)
@@ -112,15 +108,11 @@ def test_reduction_gradients(axis, keepdims):
         check_primitive(build, x0)
 
 
-def test_reshape_broadcast_concat_slice_gradients():
+def test_reshape_concat_slice_gradients():
     r = RandomStream.from_seed(16)
     x0 = r.normal((2, 6))
     w = Tensor(r.normal((3, 4)))
     check_primitive(lambda t: ad.sum(ad.mul(ad.reshape(t, (3, 4)), w)), x0)
-
-    y0 = r.normal((1, 4))
-    wb = Tensor(r.normal((5, 4)))
-    check_primitive(lambda t: ad.sum(ad.mul(ad.broadcast_to(t, (5, 4)), wb)), y0)
 
     a0, b0 = r.normal((2, 3)), r.normal((2, 3))
     wc = Tensor(r.normal((4, 3)))
@@ -160,7 +152,7 @@ def test_sigmoid_net_matches_finite_differences():
     r = RandomStream.from_seed(17)
     w0 = r.normal((4, 4))
     v = Tensor(r.normal((4, 1)))
-    build = lambda W: ad.sum(ad.sigmoid(ad.matmul(W, v)))
+    build = lambda W: ad.sum(ad.sigmoid(ad.affine(W, v, Tensor(np.zeros(1)))))
     an = grad_of(build, w0)
     fd = fd_grad(lambda W: build(Tensor(W, requires_grad=True)).item(), w0, h=H)
     assert rel_err(an, fd) < REL_TOL
@@ -268,14 +260,6 @@ def test_group_backward_equals_slice_of_full_backward(name):
             for p, g in zip(params, backward(loss, params), strict=True):
                 assert np.array_equal(g, full[id(p)])
     assert any(np.any(g != 0) for g in full.values())
-
-
-def test_detach_blocks_gradient():
-    x = Tensor([2.0], requires_grad=True)
-    with GradTape():
-        loss = ad.sum(ad.mul(ad.detach(ad.square(x)), x))
-    g = backward(loss, [x])[0]
-    assert np.allclose(g, [4.0])  # only the direct factor contributes
 
 
 def test_tensors_are_immutable():

@@ -45,13 +45,13 @@ def test_pair_offsets_l32():
     videos = [np.zeros((32, 2, 2, 1))]
     pairs, skipped = make_training_pairs(videos, t_c=16, stride=8)
     assert [p.offset for p in pairs] == [0, 8]
-    assert [p.second_offset for p in pairs] == [8, 16]
+    assert [p.offset + p.stride for p in pairs] == [8, 16]
     assert skipped == []
 
 
 def test_pair_offsets_l24_single():
     pairs, _ = make_training_pairs([np.zeros((24, 2, 2, 1))], t_c=16, stride=8)
-    assert [(p.offset, p.second_offset) for p in pairs] == [(0, 8)]
+    assert [(p.offset, p.offset + p.stride) for p in pairs] == [(0, 8)]
 
 
 def test_short_video_skipped():
@@ -68,8 +68,8 @@ def test_pair_overlap_property():
     for p in pairs:
         assert np.array_equal(p.first[p.stride:], p.second[:TINY.t_c - p.stride])
         assert np.array_equal(p.first, video[p.offset:p.offset + TINY.t_c])
-        assert np.array_equal(p.second,
-                              video[p.second_offset:p.second_offset + TINY.t_c])
+        second = p.offset + p.stride
+        assert np.array_equal(p.second, video[second:second + TINY.t_c])
         # views, not copies: each interior clip is stored once
         assert np.shares_memory(p.first, video)
         assert np.shares_memory(p.second, video)

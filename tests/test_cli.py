@@ -181,6 +181,54 @@ def _one_error_line(capsys, kind):
     return err[0]
 
 
+_LONG = ["generate-long", "--ckpt", "CKPT", "--out", "OUT", "--clips", "2"]
+
+
+@pytest.mark.parametrize("argv,config,code,kind", [
+    pytest.param(_LONG + ["--config", "CFG"], b"{not json", 2, "config",
+                 id="config-not-json"),
+    pytest.param(_LONG + ["--config", "CFG"], b"[1, 2]", 2, "config",
+                 id="config-not-object"),
+    pytest.param(_LONG + ["--config", "CFG"], b"\xff{}", 2, "config",
+                 id="config-not-utf8"),
+    pytest.param(_LONG + ["--config", "DIR"], None, 3, "missing-file",
+                 id="config-is-dir"),
+    pytest.param(["generate-long", "--ckpt", "DIR", "--out", "OUT", "--clips", "2"],
+                 None, 3, "missing-file", id="ckpt-is-dir"),
+    pytest.param(["generate-long", "--ckpt", "CKPT", "--out", "DIR", "--clips", "2"],
+                 None, 3, "missing-file", id="long-out-is-dir"),
+    pytest.param(["generate", "--ckpt", "CKPT", "--out", "DIR"],
+                 None, 3, "missing-file", id="out-is-dir"),
+    pytest.param(["generate", "--ckpt", "CKPT", "--out", "OUT", "--count", "0"],
+                 None, 2, "config", id="count-zero"),
+    pytest.param(["generate", "--ckpt", "CKPT", "--out", "OUT", "--count", "-1"],
+                 None, 2, "config", id="count-negative"),
+    pytest.param(["generate-long", "--ckpt", "CKPT", "--out", "OUT", "--clips", "0"],
+                 None, 4, "dimension", id="clips-zero"),
+])
+def test_cli_error_contract(tiny_dataset, tmp_path, capsys, argv, config, code,
+                            kind):
+    """Bad input gives one error line and the documented exit code, and
+    leaves the previous output and its directory as they were."""
+    ckpt = tmp_path / "m.ckpt"
+    assert run(["train", "--data", tiny_dataset, "--out", ckpt,
+                "--steps", "1", *TINY_FLAGS]) == 0
+    capsys.readouterr()
+    work = tmp_path / "work"
+    (work / "dir").mkdir(parents=True)
+    (work / "out.rcg").write_bytes(b"previous")
+    if config is not None:
+        (work / "cfg.json").write_bytes(config)
+    before = sorted(os.listdir(work))
+    paths = {"CKPT": ckpt, "OUT": work / "out.rcg", "DIR": work / "dir",
+             "CFG": work / "cfg.json"}
+    assert run([paths.get(a, a) for a in argv]) == code
+    _one_error_line(capsys, kind)
+    assert (work / "out.rcg").read_bytes() == b"previous"
+    assert sorted(os.listdir(work)) == before
+    assert os.listdir(work / "dir") == []
+
+
 def test_train_zero_steps_is_config_error(tiny_dataset, tmp_path, capsys):
     assert run(["train", "--data", tiny_dataset, "--out", tmp_path / "z.ckpt",
                 "--steps", "0", *TINY_FLAGS]) == 2

@@ -28,7 +28,7 @@ def tiny_bundle(seed=5, **changes):
 
 def random_clips(b=2, cfg=TINY, seed=0):
     rng = np.random.default_rng(seed)
-    return rng.uniform(-1, 1, (b,) + cfg.clip_shape)
+    return rng.uniform(-1, 1, (b, cfg.t_c) + cfg.frame_shape)
 
 
 def zero_discriminators(bundle):
@@ -171,7 +171,7 @@ def test_losses_deterministic_per_stream(loss_fn):
                                      loss_d_image, loss_d_video])
 def test_losses_reject_empty_batch(loss_fn):
     bundle = tiny_bundle()
-    empty = np.zeros((0,) + TINY.clip_shape)
+    empty = np.zeros((0, TINY.t_c) + TINY.frame_shape)
     with pytest.raises(ValueError, match="empty"):
         loss_fn(bundle, empty, stream())
 
