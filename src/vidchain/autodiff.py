@@ -1,12 +1,15 @@
 """Minimal dense-tensor arithmetic with reverse-mode automatic differentiation.
 
 Tensors are immutable float64 arrays.  Operations executed while a GradTape is
-active are recorded in order; `backward` replays the tape in reverse and
-returns one gradient per requested parameter, replaying only the records on a
-path from a requested parameter to the loss.  Every primitive checks its
-output for NaN/Inf (an error state, not a value), and the backward pass checks
-every gradient on a path to a requested parameter the same way, reporting the
-primitive responsible.
+active are recorded in order, each with one vector-Jacobian product (VJP) per
+input.  `backward` replays the tape in reverse and returns one gradient per
+requested parameter.  It replays only the records on a path from a requested
+parameter to the loss, and of those it runs only the VJPs of inputs on such a
+path: a discriminator update never forms the gradient of the discriminator's
+input, nor a generator update the weight gradients of the discriminator.
+Every primitive checks its output for NaN/Inf (an error state, not a value),
+and the backward pass checks every gradient it forms the same way, reporting
+the primitive responsible.
 
 The primitive set is deliberately small: add, sub, mul, neg, affine, tanh,
 sigmoid, mean, sum, cumsum, square, log, exp, concat, slicing, clip, reshape.
@@ -107,13 +110,13 @@ class Tensor:
 
 
 class _Rec:
-    __slots__ = ("op", "inputs", "out", "vjp")
+    __slots__ = ("op", "inputs", "out", "vjps")
 
-    def __init__(self, op, inputs, out, vjp):
+    def __init__(self, op, inputs, out, vjps):
         self.op = op
         self.inputs = inputs
         self.out = out
-        self.vjp = vjp
+        self.vjps = vjps  # vjps[i](g): the gradient for inputs[i]
 
 
 _state = threading.local()
@@ -156,12 +159,12 @@ def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
 
 
-def _emit(op: str, out_data: np.ndarray, inputs: tuple, vjp) -> Tensor:
+def _emit(op: str, out_data: np.ndarray, inputs: tuple, vjps: tuple) -> Tensor:
     _check_finite(op, out_data)
     out = Tensor._wrap(out_data)
     tape = _active_tape()
     if tape is not None and any(tape._tracks(t) for t in inputs):
-        tape.records.append(_Rec(op, inputs, out, vjp))
+        tape.records.append(_Rec(op, inputs, out, vjps))
         out._tape = tape
     return out
 
@@ -185,66 +188,68 @@ def add(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     out = a.data + b.data
     return _emit("add", out, (a, b),
-                 lambda g: (_unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)))
+                 (lambda g: _unbroadcast(g, a.data.shape),
+                  lambda g: _unbroadcast(g, b.data.shape)))
 
 
 def sub(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     out = a.data - b.data
     return _emit("sub", out, (a, b),
-                 lambda g: (_unbroadcast(g, a.data.shape), _unbroadcast(-g, b.data.shape)))
+                 (lambda g: _unbroadcast(g, a.data.shape),
+                  lambda g: _unbroadcast(-g, b.data.shape)))
 
 
 def mul(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     out = a.data * b.data
     return _emit("mul", out, (a, b),
-                 lambda g: (_unbroadcast(g * b.data, a.data.shape),
-                            _unbroadcast(g * a.data, b.data.shape)))
+                 (lambda g: _unbroadcast(g * b.data, a.data.shape),
+                  lambda g: _unbroadcast(g * a.data, b.data.shape)))
 
 
 def neg(a) -> Tensor:
     a = _as_tensor(a)
-    return _emit("neg", -a.data, (a,), lambda g: (-g,))
+    return _emit("neg", -a.data, (a,), (np.negative,))
 
 
 def square(a) -> Tensor:
     a = _as_tensor(a)
-    return _emit("square", a.data * a.data, (a,), lambda g: (2.0 * a.data * g,))
+    return _emit("square", a.data * a.data, (a,), (lambda g: 2.0 * a.data * g,))
 
 
 def log(a) -> Tensor:
     a = _as_tensor(a)
     with np.errstate(divide="ignore", invalid="ignore"):
         out = np.log(a.data)
-    return _emit("log", out, (a,), lambda g: (g / a.data,))
+    return _emit("log", out, (a,), (lambda g: g / a.data,))
 
 
 def exp(a) -> Tensor:
     a = _as_tensor(a)
     with np.errstate(over="ignore"):
         out = np.exp(a.data)
-    return _emit("exp", out, (a,), lambda g: (g * out,))
+    return _emit("exp", out, (a,), (lambda g: g * out,))
 
 
 def tanh(a) -> Tensor:
     a = _as_tensor(a)
     out = np.tanh(a.data)
-    return _emit("tanh", out, (a,), lambda g: (g * (1.0 - out * out),))
+    return _emit("tanh", out, (a,), (lambda g: g * (1.0 - out * out),))
 
 
 def sigmoid(a) -> Tensor:
     a = _as_tensor(a)
     out = np.where(a.data >= 0, 1.0 / (1.0 + np.exp(-np.abs(a.data))),
                    np.exp(-np.abs(a.data)) / (1.0 + np.exp(-np.abs(a.data))))
-    return _emit("sigmoid", out, (a,), lambda g: (g * out * (1.0 - out),))
+    return _emit("sigmoid", out, (a,), (lambda g: g * out * (1.0 - out),))
 
 
 def clip(a, lo: float, hi: float) -> Tensor:
     a = _as_tensor(a)
     out = np.clip(a.data, lo, hi)
     mask = (a.data >= lo) & (a.data <= hi)
-    return _emit("clip", out, (a,), lambda g: (g * mask,))
+    return _emit("clip", out, (a,), (lambda g: g * mask,))
 
 
 # -- linear algebra -----------------------------------------------------------
@@ -256,7 +261,8 @@ def affine(x, w, b) -> Tensor:
         raise GradientError("affine expects (B,in) @ (in,out) + (out,)")
     out = x.data @ w.data + b.data
     return _emit("affine", out, (x, w, b),
-                 lambda g: (g @ w.data.T, x.data.T @ g, g.sum(axis=0)))
+                 (lambda g: g @ w.data.T, lambda g: x.data.T @ g,
+                  lambda g: g.sum(axis=0)))
 
 
 # -- shape / reduction --------------------------------------------------------
@@ -276,9 +282,9 @@ def sum(a, axis=None, keepdims: bool = False) -> Tensor:  # noqa: A001 - deliber
 
     def vjp(g):
         gg = g if keepdims or a.ndim == 0 else np.expand_dims(g, axes)
-        return (np.broadcast_to(gg, a.data.shape).copy(),)
+        return np.broadcast_to(gg, a.data.shape).copy()
 
-    return _emit("sum", out, (a,), vjp)
+    return _emit("sum", out, (a,), (vjp,))
 
 
 def mean(a, axis=None, keepdims: bool = False) -> Tensor:
@@ -289,26 +295,23 @@ def mean(a, axis=None, keepdims: bool = False) -> Tensor:
 
     def vjp(g):
         gg = g if keepdims or a.ndim == 0 else np.expand_dims(g, axes)
-        return (np.broadcast_to(gg, a.data.shape) / count,)
+        return np.broadcast_to(gg, a.data.shape) / count
 
-    return _emit("mean", out, (a,), vjp)
+    return _emit("mean", out, (a,), (vjp,))
 
 
 def cumsum(a, axis: int) -> Tensor:
     """Running sum along `axis`, accumulated in index order."""
     a = _as_tensor(a)
     return _emit("cumsum", np.cumsum(a.data, axis=axis), (a,),
-                 lambda g: (np.flip(np.cumsum(np.flip(g, axis), axis=axis), axis),))
+                 (lambda g: np.flip(np.cumsum(np.flip(g, axis), axis=axis), axis),))
 
 
 def reshape(a, shape) -> Tensor:
     a = _as_tensor(a)
-    out = a.data.reshape(shape)
-
-    def vjp(g):
-        return (g.reshape(a.data.shape),)
-
-    return _emit("reshape", out.copy(), (a,), vjp)
+    # tensors are read-only, so the output may be a view of the input
+    return _emit("reshape", a.data.reshape(shape), (a,),
+                 (lambda g: g.reshape(a.data.shape),))
 
 
 def concat(tensors, axis: int = 0) -> Tensor:
@@ -316,13 +319,12 @@ def concat(tensors, axis: int = 0) -> Tensor:
     if not ts:
         raise GradientError("concat of an empty sequence")
     out = np.concatenate([t.data for t in ts], axis=axis)
-    sizes = [t.data.shape[axis] for t in ts]
-    splits = np.cumsum(sizes)[:-1]
+    splits = np.cumsum([t.data.shape[axis] for t in ts])[:-1]
 
-    def vjp(g):
-        return tuple(np.ascontiguousarray(p) for p in np.split(g, splits, axis=axis))
+    def part(i):
+        return lambda g: np.ascontiguousarray(np.split(g, splits, axis=axis)[i])
 
-    return _emit("concat", out, ts, vjp)
+    return _emit("concat", out, ts, tuple(part(i) for i in range(len(ts))))
 
 
 def _slice(a, idx) -> Tensor:
@@ -332,9 +334,9 @@ def _slice(a, idx) -> Tensor:
     def vjp(g):
         buf = np.zeros(a.data.shape)
         buf[idx] = g  # each position selected at most once
-        return (buf,)
+        return buf
 
-    return _emit("slice", np.array(out), (a,), vjp)
+    return _emit("slice", np.array(out), (a,), (vjp,))
 
 
 # -- backward -----------------------------------------------------------------
@@ -343,8 +345,9 @@ def backward(loss: Tensor, params) -> list[np.ndarray]:
     """Gradient of a scalar loss w.r.t. each parameter, in order.
 
     Parameters never touched by the loss get zero gradients.  Only records
-    whose output depends on a requested parameter are replayed, and the
-    backward pass checks every gradient on a path to a requested parameter.
+    whose output depends on a requested parameter are replayed, and of
+    those only the VJPs of inputs that depend on one; the backward pass
+    checks every gradient it forms.
     Raises GradientError for a non-scalar loss, for parameters that are not
     trainable leaves, and when such a gradient is non-finite (the message
     names the responsible primitive).
@@ -375,25 +378,26 @@ def backward(loss: Tensor, params) -> list[np.ndarray]:
             live.add(id(rec.out))
 
     grads: dict[int, np.ndarray] = {id(loss): np.ones(loss.shape)}
-    for rec in reversed(tape.records):
-        if id(rec.out) not in live:
-            continue
-        g = grads.pop(id(rec.out), None)
-        if g is None:
-            continue
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            inp_grads = rec.vjp(g)
-        for t, ig in zip(rec.inputs, inp_grads):
-            if ig is None or id(t) not in live:
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for rec in reversed(tape.records):
+            if id(rec.out) not in live:
                 continue
-            if not np.isfinite(ig).all():
-                raise GradientError(
-                    f"non-finite gradient produced by primitive '{rec.op}'")
-            key = id(t)
-            if key in grads:
-                grads[key] = grads[key] + ig
-            else:
-                grads[key] = np.asarray(ig, dtype=np.float64)
+            g = grads.pop(id(rec.out), None)
+            if g is None:
+                continue
+            # only the VJPs of inputs that reach a requested parameter run
+            for t, vjp in zip(rec.inputs, rec.vjps):
+                key = id(t)
+                if key not in live:
+                    continue
+                ig = vjp(g)
+                if not np.isfinite(ig).all():
+                    raise GradientError(
+                        f"non-finite gradient produced by primitive '{rec.op}'")
+                if key in grads:
+                    grads[key] = grads[key] + ig
+                else:
+                    grads[key] = np.asarray(ig, dtype=np.float64)
 
     out = []
     for p in params:

@@ -216,6 +216,8 @@ def cmd_generate(args) -> int:
 
 
 def cmd_generate_long(args) -> int:
+    if args.clips < 1:
+        raise ConfigError(f"generate-long needs --clips >= 1, got {args.clips}")
     bundle = _load_bundle(args, args.ckpt)
     cfg = bundle.cfg
     with ContainerWriter(_resolve_out(args.out), cfg.frame_shape) as writer:

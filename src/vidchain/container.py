@@ -26,6 +26,7 @@ container with its declared geometry and class label.
 from __future__ import annotations
 
 import contextlib
+import errno
 import json
 import math
 import os
@@ -60,8 +61,11 @@ class ManifestError(RuntimeError):
 def atomic_write(path, mode: str = "wb", **open_kwargs):
     """Open a temporary file beside `path` for writing.  A block that
     completes moves it over `path` with `os.replace`; a block that raises
-    deletes it, so `path` keeps its previous bytes or stays absent."""
+    deletes it, so `path` keeps its previous bytes or stays absent.  A
+    `path` that is a directory is refused before anything is written."""
     path = os.fspath(path)
+    if os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, mode, **open_kwargs) as fh:

@@ -3,8 +3,12 @@
 `adam_step` consumes immutable parameter Tensors plus raw gradient arrays and
 returns fresh parameter Tensors.  The AdamState's step counter and its moment
 arrays are updated in place, and each new parameter array is wrapped as a
-Tensor without a copy.  Identical (state, params, grads) triples produce
-bit-identical results.
+Tensor without a copy.  The update runs over the flat view of each parameter
+in blocks of `BLOCK` elements: every block goes through the whole sequence of
+float64 expressions, and is checked for NaN/Inf, while it is still in cache.
+Each element meets the same operations in the same order as in one pass over
+the whole array, so blocking changes no bit.  Identical (state, params,
+grads) triples produce bit-identical results.
 """
 
 from __future__ import annotations
@@ -14,6 +18,10 @@ import numpy as np
 from .autodiff import NumericsError, Tensor
 
 __all__ = ["AdamState", "adam_step"]
+
+# Elements per block of the update: one block of g, m, v, the scratch buffer
+# and the new parameter (5 x 256 KiB) stays in cache for all its passes.
+BLOCK = 32768
 
 
 def _read_only_view(arr: np.ndarray) -> np.ndarray:
@@ -52,8 +60,8 @@ class AdamState:
         n = len([k for k in arrays if k.startswith("m")])
         # n == 0 means the optimizer had not taken a step yet: keep the
         # accumulators unallocated so the next step lazily sizes them.
-        self.m = [np.array(arrays[f"m{i}"]) for i in range(n)] if n else None
-        self.v = [np.array(arrays[f"v{i}"]) for i in range(n)] if n else None
+        self.m = [np.array(arrays[f"m{i}"], order="C") for i in range(n)] if n else None
+        self.v = [np.array(arrays[f"v{i}"], order="C") for i in range(n)] if n else None
 
 
 def adam_step(state: AdamState, params, grads) -> list[Tensor]:
@@ -73,31 +81,43 @@ def adam_step(state: AdamState, params, grads) -> list[Tensor]:
 
     state.step += 1
     t = state.step
-    b1, b2 = state.beta1, state.beta2
+    b1, b2, lr, eps = state.beta1, state.beta2, state.lr, state.eps
+    a1, a2 = 1.0 - b1, 1.0 - b2
     c1, c2 = 1.0 - b1 ** t, 1.0 - b2 ** t
     out = []
     for m, v, p, g in zip(state.m, state.v, params, grads):
-        # m = b1*m + (1-b1)*g and v = b2*v + (1-b2)*(g*g), in that float64
-        # order, with one scratch buffer for the right-hand terms
-        scratch = np.multiply(g, 1.0 - b1)
-        m *= b1
-        m += scratch
-        np.multiply(g, g, out=scratch)
-        scratch *= 1.0 - b2
-        v *= b2
-        v += scratch
-        # p - lr*m_hat / (sqrt(v_hat) + eps); the step array becomes the
-        # new parameter
-        np.divide(v, c2, out=scratch)
-        np.sqrt(scratch, out=scratch)
-        scratch += state.eps
-        step = m / c1
-        step *= state.lr
-        step /= scratch
-        np.subtract(p.data, step, out=step)
-        if not np.isfinite(step).all():
-            raise NumericsError("non-finite parameter produced by adam_step")
-        new = Tensor._wrap(step)
-        new.requires_grad = True
-        out.append(new)
+        new = np.empty(p.shape)
+        if new.size <= BLOCK:
+            # one block: the whole arrays, which spares small parameters
+            # (biases, the eval probe) the cost of views and slices
+            blocks = ((m, v, g, p.data, new),)
+        else:
+            # flat views: writes to the blocks of m and v land in the
+            # moments, which stay C-contiguous
+            flat = [a.reshape(-1) for a in (m, v, g, p.data, new)]
+            blocks = ([a[lo:lo + BLOCK] for a in flat]
+                      for lo in range(0, new.size, BLOCK))
+        for mb, vb, gb, pb, nb in blocks:
+            # m = b1*m + (1-b1)*g and v = b2*v + (1-b2)*(g*g), in that
+            # float64 order, with one scratch block for the right-hand terms
+            sb = gb * a1
+            mb *= b1
+            mb += sb
+            np.multiply(gb, gb, out=sb)
+            sb *= a2
+            vb *= b2
+            vb += sb
+            # p - lr*m_hat / (sqrt(v_hat) + eps), computed in the new block
+            np.divide(vb, c2, out=sb)
+            np.sqrt(sb, out=sb)
+            sb += eps
+            np.divide(mb, c1, out=nb)
+            nb *= lr
+            nb /= sb
+            np.subtract(pb, nb, out=nb)
+            if not np.isfinite(nb).all():
+                raise NumericsError("non-finite parameter produced by adam_step")
+        tensor = Tensor._wrap(new)
+        tensor.requires_grad = True
+        out.append(tensor)
     return out

@@ -225,6 +225,29 @@ def test_backward_skips_nonfinite_branch_reaching_no_parameter():
     assert np.array_equal(gx, [3.0, -1.0])
 
 
+def test_backward_runs_only_vjps_of_live_inputs():
+    x = Tensor(RS.split("vjp-x").normal((4, 3)))
+    w = Tensor(RS.split("vjp-w").normal((3, 2)), requires_grad=True)
+    b = Tensor(RS.split("vjp-b").normal(2), requires_grad=True)
+    y = Tensor(RS.split("vjp-y").normal((4, 2)), requires_grad=True)
+    with GradTape() as tape:
+        loss = ad.sum(ad.mul(ad.affine(x, w, b), y))
+    called = []
+
+    def spy(op, i, vjp):
+        def wrapped(g):
+            called.append((op, i))
+            return vjp(g)
+        return wrapped
+
+    for rec in tape.records:
+        rec.vjps = tuple(spy(rec.op, i, f) for i, f in enumerate(rec.vjps))
+    (gw,) = backward(loss, [w])
+    # x is a constant, and neither b nor y is requested
+    assert sorted(called) == [("affine", 1), ("mul", 0), ("sum", 0)]
+    assert np.array_equal(gw, x.data.T @ y.data)
+
+
 def _total(*losses):
     """A loss builder summing the totals of `losses`, each on its own stream."""
     def build(bundle, batch, stream):

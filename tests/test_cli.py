@@ -204,7 +204,7 @@ _LONG = ["generate-long", "--ckpt", "CKPT", "--out", "OUT", "--clips", "2"]
     pytest.param(["generate", "--ckpt", "CKPT", "--out", "OUT", "--count", "-1"],
                  None, 2, "config", id="count-negative"),
     pytest.param(["generate-long", "--ckpt", "CKPT", "--out", "OUT", "--clips", "0"],
-                 None, 4, "dimension", id="clips-zero"),
+                 None, 2, "config", id="clips-zero"),
 ])
 def test_cli_error_contract(tiny_dataset, tmp_path, capsys, argv, config, code,
                             kind):

@@ -157,6 +157,15 @@ def test_streaming_writer_rejects_wrong_item_shape(tmp_path):
             w.append(np.ones((3, 3, 1)))
 
 
+def test_streaming_writer_refuses_directory_before_writing(tmp_path):
+    target = tmp_path / "out"
+    target.mkdir()
+    with pytest.raises(IsADirectoryError):
+        ContainerWriter(target, (2, 2, 1))
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out"]
+    assert os.listdir(target) == []
+
+
 def test_checkpoint_roundtrip_bit_exact(tmp_path):
     rng = np.random.default_rng(3)
     arrays = {

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from vidchain.autodiff import Tensor
-from vidchain.optim import AdamState, adam_step
+from vidchain.optim import BLOCK, AdamState, adam_step
 from vidchain.rng import RandomStream
 
 
@@ -108,7 +108,8 @@ def test_state_roundtrip_through_arrays():
 
 def test_in_place_update_equals_allocating_expressions_bit_for_bit():
     r = RandomStream.from_seed(8)
-    shapes = [(5, 3), (3,), (2, 4)]
+    # the last shape spans two blocks, the second one partial
+    shapes = [(5, 3), (3,), (2, 4), (3, BLOCK // 2 + 5)]
     p0 = [r.split(f"p{i}").normal(s) for i, s in enumerate(shapes)]
     gs = [[r.split(f"g{t}.{i}").normal(s, scale=10.0 ** (t % 5 - 2))
            for i, s in enumerate(shapes)] for t in range(12)]
