@@ -88,8 +88,9 @@ def adam_step(state: AdamState, params, grads) -> list[Tensor]:
     for m, v, p, g in zip(state.m, state.v, params, grads):
         new = np.empty(p.shape)
         if new.size <= BLOCK:
-            # one block: the whole arrays, which spares small parameters
-            # (biases, the eval probe) the cost of views and slices
+            # one block: the whole arrays.  The ten views and slices of the
+            # loop below cost about 6 us a parameter, which made the eval
+            # probe's 780 steps of four small parameters 20-30% slower
             blocks = ((m, v, g, p.data, new),)
         else:
             # flat views: writes to the blocks of m and v land in the
