@@ -240,8 +240,8 @@ def tanh(a) -> Tensor:
 
 def sigmoid(a) -> Tensor:
     a = _as_tensor(a)
-    out = np.where(a.data >= 0, 1.0 / (1.0 + np.exp(-np.abs(a.data))),
-                   np.exp(-np.abs(a.data)) / (1.0 + np.exp(-np.abs(a.data))))
+    e = np.exp(-np.abs(a.data))
+    out = np.where(a.data >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
     return _emit("sigmoid", out, (a,), (lambda g: g * out * (1.0 - out),))
 
 

@@ -38,10 +38,11 @@ from . import autodiff as ad
 from .autodiff import Tensor, backward
 from .gaussian import reparameterize, gaussian_kl
 from .losses import (
-    LossOutput, _as_clip_tensor, _encode_generate, _frame_indices, _push_fake,
+    LossOutput, _critic_terms, _encode_generate, _frame_indices, _output,
     _push_real, clip_recon, gather_frames, pixel_mse, ref_frame_recon,
 )
-from .model import D_GROUP, ENC_GROUP, GEN_GROUP, ModelBundle, clip_diffs
+from .model import (D_GROUP, ENC_GROUP, GEN_GROUP, ModelBundle, clip_diffs,
+                    clips_to_tensor)
 from .optim import adam_step
 from .rng import RandomStream
 from .video import LongVideo
@@ -116,7 +117,7 @@ def loss_rencg(bundle: ModelBundle, pairs, stream: RandomStream) -> LossOutput:
     batch: mid-clip reference-frame reconstruction, full-clip reconstruction
     built from that reference, both KL terms, and non-saturating adversarial
     terms from both discriminators."""
-    x = _as_clip_tensor(pairs_to_clips(pairs))
+    x = clips_to_tensor(pairs_to_clips(pairs))
     b, t = x.shape[0], x.shape[1]
     ref = _ref_index(t)
 
@@ -127,35 +128,28 @@ def loss_rencg(bundle: ModelBundle, pairs, stream: RandomStream) -> LossOutput:
     idx = _frame_indices(b, t, stream)
     adv = (_push_real(bundle.d_video_prob(fake))
            + _push_real(bundle.d_image_prob(gather_frames(fake, idx))))
-    total = ref_term + full_term + kl_x + kl_v + adv
-    return LossOutput(total, {
-        "recon_ref": ref_term.item(), "recon_full": full_term.item(),
-        "kl_x": kl_x.item(), "kl_v": kl_v.item(), "adv": adv.item(),
-        "mse": pixel_mse(x, raw), "total": total.item()})
+    return _output({"recon_ref": ref_term, "recon_full": full_term,
+                    "kl_x": kl_x, "kl_v": kl_v, "adv": adv},
+                   mse=pixel_mse(x, raw))
 
 
 def loss_d_image_r(bundle: ModelBundle, pairs, stream: RandomStream) -> LossOutput:
     """Two-term image-discriminator loss (no prior-sample term): real frames
     vs frames of clips rebuilt from encoded latents."""
-    x = _as_clip_tensor(pairs_to_clips(pairs))
+    x = clips_to_tensor(pairs_to_clips(pairs))
     fake = _encode_generate(bundle, x, stream, _ref_index(x.shape[1]))[3]
     idx = _frame_indices(x.shape[0], x.shape[1], stream)
-    real = _push_real(bundle.d_image_prob(gather_frames(x, idx)))
-    fake_t = _push_fake(bundle.d_image_prob(gather_frames(fake, idx)))
-    total = real + fake_t
-    return LossOutput(total, {"real": real.item(), "fake": fake_t.item(),
-                              "total": total.item()})
+    terms = _critic_terms(lambda c: bundle.d_image_prob(gather_frames(c, idx)),
+                          x, fake)
+    return _output(dict(zip(("real", "fake"), terms)))
 
 
 def loss_d_video_r1(bundle: ModelBundle, pairs, stream: RandomStream) -> LossOutput:
     """Two-term whole-clip discriminator loss (no prior-sample term)."""
-    x = _as_clip_tensor(pairs_to_clips(pairs))
+    x = clips_to_tensor(pairs_to_clips(pairs))
     fake = _encode_generate(bundle, x, stream, _ref_index(x.shape[1]))[3]
-    real = _push_real(bundle.d_video_prob(x))
-    fake_t = _push_fake(bundle.d_video_prob(fake))
-    total = real + fake_t
-    return LossOutput(total, {"real": real.item(), "fake": fake_t.item(),
-                              "total": total.item()})
+    terms = _critic_terms(bundle.d_video_prob, x, fake)
+    return _output(dict(zip(("real", "fake"), terms)))
 
 
 def chain_ref_frame(t_c: int, stride: int) -> int:
@@ -164,8 +158,7 @@ def chain_ref_frame(t_c: int, stride: int) -> int:
     return min(stride + t_c // 2, t_c)
 
 
-def merged_video_terms(bundle: ModelBundle, pairs, stream: RandomStream,
-                       stride: int | None = None):
+def merged_video_terms(bundle: ModelBundle, pairs, stream: RandomStream):
     """The three expectations of the merged-clip discriminator objective:
     (real clip up, first generated clip down, chained generated clip down).
 
@@ -175,8 +168,8 @@ def merged_video_terms(bundle: ModelBundle, pairs, stream: RandomStream,
     """
     if len(pairs) == 0:
         raise ValueError("empty batch")
-    stride = bundle.cfg.r if stride is None else stride
-    real = _as_clip_tensor(np.stack([p.first for p in pairs]))
+    r = bundle.cfg.r
+    real = clips_to_tensor(np.stack([p.first for p in pairs]))
     t = real.shape[1]
     ref = _ref_index(t)
 
@@ -185,28 +178,21 @@ def merged_video_terms(bundle: ModelBundle, pairs, stream: RandomStream,
 
     # second fake: chain from the first — re-encode fake1's carried frame
     # and difference maps, then compose one stride later
-    carry = chain_ref_frame(t, stride)
+    carry = chain_ref_frame(t, r)
     q_x2 = bundle.content_posterior(fake1[:, carry - 1, :])
     q_v2 = bundle.motion_posterior(clip_diffs(fake1))
     z_x2 = reparameterize(q_x2, stream.split("eps2_x"))
     z_v2 = reparameterize(q_v2, stream.split("eps2_v"))
-    fake2 = bundle.compose(z_x2, z_v2, ref_index=min(ref, t - min(stride, t - 1)))[3]
-
-    t_real = _push_real(bundle.d_video_prob(real))
-    t_fake1 = _push_fake(bundle.d_video_prob(fake1))
-    t_fake2 = _push_fake(bundle.d_video_prob(fake2))
-    return t_real, t_fake1, t_fake2
+    fake2 = bundle.compose(z_x2, z_v2, ref_index=min(ref, t - r))[1]
+    return _critic_terms(bundle.d_video_prob, real, fake1, fake2)
 
 
-def loss_d_video_merged(bundle: ModelBundle, pairs, stream: RandomStream,
-                        stride: int | None = None) -> LossOutput:
+def loss_d_video_merged(bundle: ModelBundle, pairs,
+                        stream: RandomStream) -> LossOutput:
     """Merged-clip video-discriminator loss: one real clip against the two
     chained generated clips of each pair."""
-    t_real, t_fake1, t_fake2 = merged_video_terms(bundle, pairs, stream, stride)
-    total = t_real + t_fake1 + t_fake2
-    return LossOutput(total, {
-        "real": t_real.item(), "fake1": t_fake1.item(), "fake2": t_fake2.item(),
-        "total": total.item()})
+    terms = merged_video_terms(bundle, pairs, stream)
+    return _output(dict(zip(("real", "fake1", "fake2"), terms)))
 
 
 # -- recall training step ------------------------------------------------------------
@@ -336,7 +322,7 @@ def chain_generate(bundle: ModelBundle, n_clips: int, mode: str = "sampled",
                 z_v = frozen_z_v
             ref = refj
 
-        clip = bundle.compose(Tensor(z_x), Tensor(z_v), ref_index=ref)[3]
+        clip = bundle.compose(Tensor(z_x), Tensor(z_v), ref_index=ref)[1]
         clip = clip.data[0]              # (t_c, D)
         budget.acquire(t_c)
 

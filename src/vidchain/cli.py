@@ -86,8 +86,6 @@ def _effective_config(args, stored: dict | None = None) -> RunConfig:
     """defaults < checkpoint-stored < --config file < flags."""
     merged = dict(stored) if stored else {}
     if getattr(args, "config", None):
-        if not os.path.exists(args.config):
-            raise FileNotFoundError(f"config file {args.config} not found")
         with open(args.config, "r", encoding="utf-8") as fh:
             try:
                 loaded = json.load(fh)
@@ -104,17 +102,11 @@ def _effective_config(args, stored: dict | None = None) -> RunConfig:
     return RunConfig.from_dict(merged)
 
 
-def _require_file(path: str, kind: str) -> str:
-    if not os.path.exists(path):
-        raise FileNotFoundError(f"{kind} {path} not found")
-    return path
-
-
 def _load_bundle(args, path: str) -> ModelBundle:
     """A bundle from one read of a checkpoint: its stored config under the
     command's --config file and flags, with the architecture fields checked
     against the stored ones."""
-    stored, arrays = load_checkpoint(_require_file(path, "checkpoint"))
+    stored, arrays = load_checkpoint(path)
     cfg = _effective_config(args, stored)
     cfg.ensure_arch_matches(stored)
     return ModelBundle.init(cfg, arrays)
@@ -132,7 +124,6 @@ def _load_videos(path: str):
     if os.path.isdir(path):
         videos, labels = load_dataset(os.path.join(path, "manifest.tsv"))
         return videos, labels
-    _require_file(path, "container")
     arr = read_container(path).astype(np.float64)
     if arr.ndim == 4:
         return [arr], None
@@ -164,7 +155,7 @@ def _loss_report_rows(reports, keys):
 
 def cmd_train(args) -> int:
     cfg = _training_config(_effective_config(args))
-    videos, _ = _load_videos(_require_file(args.data, "dataset"))
+    videos, _ = _load_videos(args.data)
     bundle = ModelBundle.init(cfg)
     reports = train_loop(bundle, videos)
     out = _resolve_out(args.out)
@@ -183,7 +174,7 @@ def cmd_train_recall(args) -> int:
     bundle = (_load_bundle(args, args.init) if args.init
               else ModelBundle.init(_effective_config(args)))
     cfg = _training_config(bundle.cfg)
-    videos, _ = _load_videos(_require_file(args.data, "dataset"))
+    videos, _ = _load_videos(args.data)
     pairs, skipped = build_pairs(videos, cfg)
     reports = train_loop_recall(bundle, pairs)
     out = _resolve_out(args.out)
@@ -208,7 +199,7 @@ def cmd_generate(args) -> int:
     stream = RandomStream.from_seed(cfg.seed, "generate")
     z_x = stream.split("prior_x").normal((args.count, cfg.z_content))
     z_v = stream.split("prior_v").normal((args.count, cfg.z_motion))
-    clips = bundle.compose(Tensor(z_x), Tensor(z_v))[3].data
+    clips = bundle.compose(Tensor(z_x), Tensor(z_v))[1].data
     clips = clips.reshape((args.count, cfg.t_c) + cfg.frame_shape)
     write_container(_resolve_out(args.out), clips.astype(np.float32))
     print(f"generated clips={args.count} t_c={cfg.t_c} out={args.out}")
@@ -238,8 +229,8 @@ def cmd_generate_long(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    generated, _ = _load_videos(_require_file(args.data, "generated set"))
-    reference, labels = _load_videos(_require_file(args.reference, "reference set"))
+    generated, _ = _load_videos(args.data)
+    reference, labels = _load_videos(args.reference)
     frame_dim = int(np.prod(np.asarray(reference[0]).shape[1:]))
     extractor = FeatureExtractor(args.seg_len, frame_dim, seed=args.seed)
     scores = segmentwise_scores(generated, reference, extractor,
@@ -279,7 +270,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_roundtrip_check(args) -> int:
-    videos, _ = _load_videos(_require_file(args.data, "dataset"))
+    videos, _ = _load_videos(args.data)
     videos = videos[:args.limit]
     t_c = args.t_c
     failures = []
@@ -326,7 +317,7 @@ def cmd_ablate(args) -> int:
     # --config file and flags, as the base bundle does
     base = _load_bundle(args, args.init) if args.init else None
     cfg = base.cfg if base is not None else _effective_config(args)
-    videos, _ = _load_videos(_require_file(args.data, "dataset"))
+    videos, _ = _load_videos(args.data)
     out_dir = _resolve_out(args.out)
     os.makedirs(out_dir, exist_ok=True)
 

@@ -54,7 +54,8 @@ class ContainerError(RuntimeError):
 
 
 class ManifestError(RuntimeError):
-    """Manifest record disagrees with the container it points to."""
+    """Malformed manifest line, or a record that disagrees with the
+    container it points to."""
 
 
 @contextlib.contextmanager
@@ -91,11 +92,8 @@ def write_container(path, array: np.ndarray) -> None:
 
 
 def read_container(path) -> np.ndarray:
-    try:
-        with open(path, "rb") as fh:
-            blob = fh.read()
-    except FileNotFoundError:
-        raise ContainerError(f"container not found: {path}") from None
+    with open(path, "rb") as fh:
+        blob = fh.read()
     return parse_container(blob, name=str(path))
 
 
@@ -189,11 +187,8 @@ def save_checkpoint(path, config: dict, arrays: dict) -> None:
 
 
 def load_checkpoint(path) -> tuple[dict, dict]:
-    try:
-        with open(path, "rb") as fh:
-            blob = fh.read()
-    except FileNotFoundError:
-        raise ContainerError(f"checkpoint not found: {path}") from None
+    with open(path, "rb") as fh:
+        blob = fh.read()
     if blob[:4] != BUNDLE_MAGIC:
         raise ContainerError(f"{path}: not a checkpoint (magic {blob[:4]!r})")
     # A file cut short fails a field read (struct.error) or the decoding of a
@@ -249,20 +244,27 @@ def write_manifest(path, records) -> None:
 
 
 def read_manifest(path) -> list[ManifestRecord]:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            lines = fh.readlines()
-    except FileNotFoundError:
-        raise ManifestError(f"manifest not found: {path}") from None
+    """The records of a manifest.  A line that is not UTF-8, lacks a field
+    or holds a non-integer number raises `ManifestError` naming it."""
+    with open(path, "rb") as fh:
+        lines = fh.read().split(b"\n")
     records = []
-    for lineno, line in enumerate(lines, start=1):
-        line = line.strip()
+    for lineno, raw in enumerate(lines, start=1):
+        try:
+            line = raw.decode("utf-8").strip()
+        except UnicodeDecodeError:
+            raise ManifestError(f"{path}:{lineno}: not UTF-8 text") from None
         if not line or line.startswith("#"):
             continue
         parts = line.split("\t")
         if len(parts) != 6:
             raise ManifestError(f"{path}:{lineno}: expected 6 tab-separated fields")
-        records.append(ManifestRecord(parts[0], *(int(p) for p in parts[1:])))
+        try:
+            numbers = [int(p) for p in parts[1:]]
+        except ValueError:
+            raise ManifestError(f"{path}:{lineno}: frames, height, width, "
+                                "channels and label must be integers") from None
+        records.append(ManifestRecord(parts[0], *numbers))
     return records
 
 

@@ -19,6 +19,10 @@ Conventions shared by every loss here and in the chaining module:
   the same index is shared by every image term inside that evaluation.
 * Every loss takes an explicit RandomStream and derives named children, so
   a (parameters, batch, stream) triple fixes the value bit-for-bit.
+* A loss's total is its named terms summed in the order they are listed,
+  and its ``parts`` name every term, then any diagnostics (``mse``), then
+  ``total``.  A discriminator's terms are one real term followed by one
+  term per fake batch (``_critic_terms``).
 
 Losses never detach: each is differentiable w.r.t. every parameter it
 touches, and the training step decides which group's gradients to apply.
@@ -26,6 +30,8 @@ touches, and the training step decides which group's gradients to apply.
 
 from __future__ import annotations
 
+import functools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,15 +54,13 @@ class LossOutput:
     total: Tensor            # scalar, ready for backward()
     parts: dict              # named float diagnostics, including "total"
 
-    def item(self) -> float:
-        return self.total.item()
 
-
-def _as_clip_tensor(clips) -> Tensor:
-    arr = np.asarray(clips)
-    if arr.size == 0:
-        raise ValueError("empty batch")
-    return clips_to_tensor(arr)
+def _output(terms: dict, **diagnostics) -> LossOutput:
+    """The loss whose total is `terms` summed left to right; `parts` holds
+    each term, then the diagnostics, then the total."""
+    total = functools.reduce(operator.add, terms.values())
+    parts = {name: term.item() for name, term in terms.items()}
+    return LossOutput(total, {**parts, **diagnostics, "total": total.item()})
 
 
 # -- reconstruction objectives (pure, hand-checkable) ---------------------------
@@ -112,23 +116,27 @@ def _push_fake(p: Tensor) -> Tensor:
     return ad.mean(ad.neg(ad.log(1.0 - p)))
 
 
+def _critic_terms(prob, real: Tensor, *fakes: Tensor) -> list[Tensor]:
+    """A discriminator's terms: -log prob(real), then -log(1 - prob(fake))
+    for each fake batch, in order."""
+    return [_push_real(prob(real))] + [_push_fake(prob(f)) for f in fakes]
+
+
 def _encode_generate(bundle: ModelBundle, x: Tensor, stream: RandomStream,
                      ref_index: int = 1):
     """Shared reconstruction path: posterior -> sampled latents -> compose."""
     q_x, q_v = bundle.encode_clips(x, ref_index=ref_index)
     z_x = reparameterize(q_x, stream.split("eps_x"))
     z_v = reparameterize(q_v, stream.split("eps_v"))
-    _, _, raw, clip = bundle.compose(z_x, z_v, ref_index=ref_index)
+    raw, clip = bundle.compose(z_x, z_v, ref_index=ref_index)
     return q_x, q_v, raw, clip
 
 
-def _prior_generate(bundle: ModelBundle, b: int, stream: RandomStream,
-                    ref_index: int = 1) -> Tensor:
+def _prior_generate(bundle: ModelBundle, b: int, stream: RandomStream) -> Tensor:
     cfg = bundle.cfg
     z_x = Tensor(stream.split("prior_x").normal((b, cfg.z_content)))
     z_v = Tensor(stream.split("prior_v").normal((b, cfg.z_motion)))
-    _, _, _, clip = bundle.compose(z_x, z_v, ref_index=ref_index)
-    return clip
+    return bundle.compose(z_x, z_v)[1]
 
 
 def _frame_indices(b: int, t: int, stream: RandomStream) -> np.ndarray:
@@ -141,14 +149,10 @@ def _posterior_loss(bundle: ModelBundle, clips, stream: RandomStream,
                     recon_fn) -> LossOutput:
     """`recon_fn(x, raw)` of the clips rebuilt through the generator, plus
     the two KL terms."""
-    x = _as_clip_tensor(clips)
+    x = clips_to_tensor(clips)
     q_x, q_v, raw, _ = _encode_generate(bundle, x, stream)
-    recon = recon_fn(x, raw)
-    kl_x, kl_v = gaussian_kl(q_x), gaussian_kl(q_v)
-    total = recon + kl_x + kl_v
-    return LossOutput(total, {
-        "recon": recon.item(), "kl_x": kl_x.item(), "kl_v": kl_v.item(),
-        "mse": pixel_mse(x, raw), "total": total.item()})
+    return _output({"recon": recon_fn(x, raw), "kl_x": gaussian_kl(q_x),
+                    "kl_v": gaussian_kl(q_v)}, mse=pixel_mse(x, raw))
 
 
 def loss_enc(bundle: ModelBundle, clips, stream: RandomStream) -> LossOutput:
@@ -167,7 +171,7 @@ def loss_gen(bundle: ModelBundle, clips, stream: RandomStream) -> LossOutput:
     """Generator objective: reconstruction plus four non-saturating
     adversarial terms — image and video discriminators, each scoring clips
     rebuilt from encoded latents and clips drawn from the prior."""
-    x = _as_clip_tensor(clips)
+    x = clips_to_tensor(clips)
     b, t = x.shape[0], x.shape[1]
     _, _, raw, fake_e = _encode_generate(bundle, x, stream)
     fake_p = _prior_generate(bundle, b, stream)
@@ -178,39 +182,26 @@ def loss_gen(bundle: ModelBundle, clips, stream: RandomStream) -> LossOutput:
            + _push_real(bundle.d_image_prob(gather_frames(fake_p, idx)))
            + _push_real(bundle.d_video_prob(fake_e))
            + _push_real(bundle.d_video_prob(fake_p)))
-    total = recon + adv
-    return LossOutput(total, {
-        "recon": recon.item(), "adv": adv.item(),
-        "mse": pixel_mse(x, raw), "total": total.item()})
+    return _output({"recon": recon, "adv": adv}, mse=pixel_mse(x, raw))
 
 
 def loss_d_image(bundle: ModelBundle, clips, stream: RandomStream) -> LossOutput:
     """Image-discriminator objective on one random frame per clip: real frames
     up, reconstruction fakes and prior fakes down."""
-    x = _as_clip_tensor(clips)
+    x = clips_to_tensor(clips)
     b, t = x.shape[0], x.shape[1]
-    _, _, _, fake_e = _encode_generate(bundle, x, stream)
-    fake_p = _prior_generate(bundle, b, stream)
+    fakes = (_encode_generate(bundle, x, stream)[3],
+             _prior_generate(bundle, b, stream))
     idx = _frame_indices(b, t, stream)
-
-    real = _push_real(bundle.d_image_prob(gather_frames(x, idx)))
-    fakes = (_push_fake(bundle.d_image_prob(gather_frames(fake_e, idx)))
-             + _push_fake(bundle.d_image_prob(gather_frames(fake_p, idx))))
-    total = real + fakes
-    return LossOutput(total, {"real": real.item(), "fake": fakes.item(),
-                              "total": total.item()})
+    real, fake_e, fake_p = _critic_terms(
+        lambda c: bundle.d_image_prob(gather_frames(c, idx)), x, *fakes)
+    return _output({"real": real, "fake": fake_e + fake_p})
 
 
 def loss_d_video(bundle: ModelBundle, clips, stream: RandomStream) -> LossOutput:
     """Video-discriminator objective on whole clips, same three-term shape."""
-    x = _as_clip_tensor(clips)
-    b = x.shape[0]
-    _, _, _, fake_e = _encode_generate(bundle, x, stream)
-    fake_p = _prior_generate(bundle, b, stream)
-
-    real = _push_real(bundle.d_video_prob(x))
-    fakes = (_push_fake(bundle.d_video_prob(fake_e))
-             + _push_fake(bundle.d_video_prob(fake_p)))
-    total = real + fakes
-    return LossOutput(total, {"real": real.item(), "fake": fakes.item(),
-                              "total": total.item()})
+    x = clips_to_tensor(clips)
+    fakes = (_encode_generate(bundle, x, stream)[3],
+             _prior_generate(bundle, x.shape[0], stream))
+    real, fake_e, fake_p = _critic_terms(bundle.d_video_prob, x, *fakes)
+    return _output({"real": real, "fake": fake_e + fake_p})

@@ -48,8 +48,11 @@ _OPT_NAMES = ("opt_d", "opt_enc", "opt_gen")   # checkpoint key prefixes
 
 
 def clips_to_tensor(clips: np.ndarray) -> Tensor:
-    """(B,T,H,W,C) numpy pixels -> constant Tensor (B, T, D)."""
+    """(B,T,H,W,C) numpy pixels -> constant Tensor (B, T, D).  An empty
+    batch is refused."""
     clips = np.asarray(clips, dtype=np.float64)
+    if clips.size == 0:
+        raise ValueError("empty batch")
     if clips.ndim != 5:
         raise ValueError(f"expected a clip batch, got shape {clips.shape}")
     b, t = clips.shape[:2]
@@ -163,8 +166,11 @@ class ModelBundle:
 
     # -- generator ------------------------------------------------------------
     def compose(self, z_x: Tensor, z_v: Tensor, ref_index: int = 1):
-        """Full generator pass. Returns (content (B,D), motion (B,(T-1)*D),
-        raw clip (B,T,D) before clamping, clamped clip (B,T,D))."""
+        """Full generator pass from latents (B, z_content) and (B, z_motion),
+        the content frame placed at 1-based `ref_index`.  Returns the raw
+        clip (B,T,D) before clamping, which reconstruction terms compare,
+        and the clamped clip (B,T,D), which generation emits and the
+        discriminators score."""
         cfg = self.cfg
         if z_x.ndim != 2 or z_x.shape[1] != cfg.z_content:
             raise ValueError(f"content latent shape {z_x.shape} != "
@@ -204,7 +210,7 @@ class ModelBundle:
             residual = apply_mlp(self.components["fusion"],
                                  ad.concat([z_x, z_v], axis=1))
             raw = raw + ad.reshape(residual, (b, t, d))
-        return content, motion, raw, ad.clip(raw, -1.0, 1.0)
+        return raw, ad.clip(raw, -1.0, 1.0)
 
     # -- discriminators -----------------------------------------------------------
     def d_image_prob(self, frames: Tensor) -> Tensor:

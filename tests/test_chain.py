@@ -172,16 +172,6 @@ def test_merged_gradient_reaches_generator_through_chained_clip():
     assert any(np.any(g != 0) for g in enc_grads)
 
 
-def test_merged_disjoint_stride_composes_at_first_frame():
-    # stride == clip length: the carried frame is the clip's last frame and
-    # the chained clip's reference falls back to index 1; must still run
-    bundle = tiny_bundle()
-    videos = [ramp_video(8)]
-    pairs, _ = make_training_pairs(videos, t_c=4, stride=4)
-    out = loss_d_video_merged(bundle, pairs, stream(), stride=4)
-    assert np.isfinite(out.total.item())
-
-
 def test_fd_rencg_wrt_encoders():
     bundle = tiny_bundle()
     pairs = tiny_pairs()

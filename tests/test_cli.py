@@ -2,6 +2,7 @@
 
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -184,6 +185,20 @@ def _one_error_line(capsys, kind):
 _LONG = ["generate-long", "--ckpt", "CKPT", "--out", "OUT", "--clips", "2"]
 
 
+def _edit_manifest(dataset, old, new):
+    manifest = dataset / "manifest.tsv"
+    manifest.write_bytes(manifest.read_bytes().replace(old, new, 1))
+
+
+# copies of the test dataset, each damaged in one way
+_DAMAGED = {
+    "NO_VIDEO": lambda ds: (ds / "video_00001.rcg").unlink(),
+    "NOT_INT": lambda ds: _edit_manifest(ds, b"video_00001.rcg\t12",
+                                         b"video_00001.rcg\tabc"),
+    "NOT_UTF8": lambda ds: _edit_manifest(ds, b"video_00001", b"video_\xff0001"),
+}
+
+
 @pytest.mark.parametrize("argv,config,code,kind", [
     pytest.param(_LONG + ["--config", "CFG"], b"{not json", 2, "config",
                  id="config-not-json"),
@@ -205,6 +220,16 @@ _LONG = ["generate-long", "--ckpt", "CKPT", "--out", "OUT", "--clips", "2"]
                  None, 2, "config", id="count-negative"),
     pytest.param(["generate-long", "--ckpt", "CKPT", "--out", "OUT", "--clips", "0"],
                  None, 2, "config", id="clips-zero"),
+    pytest.param(["roundtrip-check", "--data", "DIR"], None, 3, "missing-file",
+                 id="dataset-without-manifest"),
+    pytest.param(["roundtrip-check", "--data", "NO_VIDEO"], None, 3,
+                 "missing-file", id="manifest-names-missing-container"),
+    pytest.param(["train", "--data", "NO_VIDEO", "--out", "OUT"], None, 3,
+                 "missing-file", id="train-manifest-names-missing-container"),
+    pytest.param(["roundtrip-check", "--data", "NOT_INT"], None, 4,
+                 "data-format", id="manifest-field-not-integer"),
+    pytest.param(["roundtrip-check", "--data", "NOT_UTF8"], None, 4,
+                 "data-format", id="manifest-not-utf8"),
 ])
 def test_cli_error_contract(tiny_dataset, tmp_path, capsys, argv, config, code,
                             kind):
@@ -222,8 +247,15 @@ def test_cli_error_contract(tiny_dataset, tmp_path, capsys, argv, config, code,
     before = sorted(os.listdir(work))
     paths = {"CKPT": ckpt, "OUT": work / "out.rcg", "DIR": work / "dir",
              "CFG": work / "cfg.json"}
+    for name, damage in _DAMAGED.items():
+        if name in argv:
+            paths[name] = tmp_path / name
+            shutil.copytree(tiny_dataset, paths[name])
+            damage(paths[name])
     assert run([paths.get(a, a) for a in argv]) == code
-    _one_error_line(capsys, kind)
+    line = _one_error_line(capsys, kind)
+    if "NOT_INT" in argv or "NOT_UTF8" in argv:
+        assert "manifest.tsv:3:" in line
     assert (work / "out.rcg").read_bytes() == b"previous"
     assert sorted(os.listdir(work)) == before
     assert os.listdir(work / "dir") == []

@@ -61,7 +61,7 @@ def test_rejects_unsupported_dtype(tmp_path):
 
 
 def test_read_missing_file():
-    with pytest.raises(ContainerError, match="not found"):
+    with pytest.raises(FileNotFoundError):
         read_container("/nonexistent/path.rcg")
 
 
@@ -200,7 +200,7 @@ def test_checkpoint_rejects_container_file(tmp_path):
 
 
 def test_checkpoint_missing_file():
-    with pytest.raises(ContainerError, match="not found"):
+    with pytest.raises(FileNotFoundError):
         load_checkpoint("/nonexistent/model.ckpt")
 
 
@@ -269,7 +269,7 @@ def test_load_dataset_rejects_shape_mismatch(tmp_path):
 def test_load_dataset_rejects_missing_container(tmp_path):
     manifest, _ = _write_small_dataset(tmp_path)
     (tmp_path / "clip_001.rcg").unlink()
-    with pytest.raises(ContainerError, match="not found"):
+    with pytest.raises(FileNotFoundError):
         load_dataset(manifest)
 
 
@@ -290,7 +290,7 @@ def test_manifest_rejects_malformed_line(tmp_path):
 
 
 def test_manifest_missing_file():
-    with pytest.raises(ManifestError, match="not found"):
+    with pytest.raises(FileNotFoundError):
         read_manifest("/nonexistent/index.tsv")
 
 

@@ -36,6 +36,16 @@ def latents(bundle, b=2, seed=1):
             Tensor(rng.standard_normal((b, bundle.cfg.z_motion))))
 
 
+def content_frame(bundle, z_x):
+    """The content stream's frame (B, D), as compose computes it."""
+    return apply_mlp(bundle.components["g_c"], z_x)
+
+
+def motion_steps(bundle, z_x, z_v):
+    """The motion stream's differences (B, (T-1)*D), as compose computes them."""
+    return apply_mlp(bundle.components["g_t"], ad.concat([z_v, z_x], axis=1))
+
+
 # -- plumbing -------------------------------------------------------------------
 
 def test_clips_to_tensor_shapes():
@@ -102,10 +112,10 @@ def test_encode_ref_index_moves_content_input():
 def test_generate_shapes_and_range():
     bundle = tiny_bundle()
     z_x, z_v = latents(bundle)
-    content, motion, _, clip = bundle.compose(z_x, z_v)
-    assert content.shape == (2, 16)
-    assert motion.shape == (2, 3 * 16)
-    assert clip.shape == (2, 4, 16)
+    assert content_frame(bundle, z_x).shape == (2, 16)
+    assert motion_steps(bundle, z_x, z_v).shape == (2, 3 * 16)
+    raw, clip = bundle.compose(z_x, z_v)
+    assert raw.shape == clip.shape == (2, 4, 16)
     assert np.all(np.abs(clip.data) <= 1.0)
 
 
@@ -113,7 +123,7 @@ def test_generate_clamp_on_100_random_latents():
     bundle = tiny_bundle()
     for i in range(100):
         z_x, z_v = latents(bundle, b=1, seed=i)
-        clip = bundle.compose(z_x, z_v)[3]
+        clip = bundle.compose(z_x, z_v)[1]
         assert np.all(np.abs(clip.data) <= 1.0)
 
 
@@ -122,8 +132,8 @@ def test_generate_stream_separation():
     bundle = tiny_bundle()
     z_x, z_v1 = latents(bundle, seed=1)
     _, z_v2 = latents(bundle, seed=2)
-    c1, m1, _, _ = bundle.compose(z_x, z_v1)
-    c2, m2, _, _ = bundle.compose(z_x, z_v2)
+    c1, m1 = content_frame(bundle, z_x), motion_steps(bundle, z_x, z_v1)
+    c2, m2 = content_frame(bundle, z_x), motion_steps(bundle, z_x, z_v2)
     assert np.array_equal(c1.data, c2.data)
     assert not np.array_equal(m1.data, m2.data)
 
@@ -134,8 +144,9 @@ def test_generate_recursion_follows_reference_frame():
     cfg = TINY.replace(disable_fusion=True)
     bundle = ModelBundle.init(cfg)
     z_x, z_v = latents(bundle)
+    content, motion = content_frame(bundle, z_x), motion_steps(bundle, z_x, z_v)
     for ref in (1, 2, 4):
-        content, motion, raw, _ = bundle.compose(z_x, z_v, ref_index=ref)
+        raw = bundle.compose(z_x, z_v, ref_index=ref)[0]
         assert np.allclose(raw.data[:, ref - 1, :], content.data)
         diffs = np.diff(raw.data, axis=1).reshape(2, -1)
         assert np.allclose(diffs, motion.data, atol=1e-12)
@@ -146,9 +157,8 @@ def _recursive_raw(bundle, z_x, z_v, ref):
     then one subtraction per earlier frame and one addition per later one."""
     cfg = bundle.cfg
     b, d, t = z_x.shape[0], cfg.frame_dim, cfg.t_c
-    content = apply_mlp(bundle.components["g_c"], z_x)
-    motion = apply_mlp(bundle.components["g_t"], ad.concat([z_v, z_x], axis=1))
-    steps = ad.reshape(motion, (b, t - 1, d))
+    content = content_frame(bundle, z_x)
+    steps = ad.reshape(motion_steps(bundle, z_x, z_v), (b, t - 1, d))
     frames = [None] * t
     frames[ref - 1] = content
     for k in range(ref - 1, 0, -1):
@@ -168,7 +178,7 @@ def test_compose_matches_frame_recursion_bit_for_bit():
     params = bundle.params(GEN_GROUP)
     for ref in range(1, cfg.t_c + 1):
         results = []
-        for build in (lambda: bundle.compose(z_x, z_v, ref_index=ref)[2],
+        for build in (lambda: bundle.compose(z_x, z_v, ref_index=ref)[0],
                       lambda: _recursive_raw(bundle, z_x, z_v, ref)):
             with ad.GradTape():
                 raw = build()
@@ -184,27 +194,30 @@ def test_generate_motion_disabled_constant_clip():
     cfg = TINY.replace(disable_motion=True, disable_fusion=True)
     bundle = ModelBundle.init(cfg)
     z_x, z_v = latents(bundle)
-    content, motion, raw, _ = bundle.compose(z_x, z_v)
-    assert np.all(motion.data == 0.0)
+    raw = bundle.compose(z_x, z_v)[0]
+    assert np.all(np.diff(raw.data, axis=1) == 0.0)     # the motion is zero
     for k in range(cfg.t_c):
-        assert np.array_equal(raw.data[:, k, :], content.data)
+        assert np.array_equal(raw.data[:, k, :], content_frame(bundle, z_x).data)
 
 
 def test_generate_content_disabled_zero_content():
     cfg = TINY.replace(disable_content=True)
     bundle = ModelBundle.init(cfg)
     z_x, z_v = latents(bundle)
-    content = bundle.compose(z_x, z_v)[0]
-    assert np.all(content.data == 0.0)
+    raw = bundle.compose(z_x, z_v)[0]
+    # the reference frame is content + fusion residual; with content zero it
+    # is exactly the residual
+    residual = apply_mlp(bundle.components["fusion"], ad.concat([z_x, z_v], axis=1))
+    assert np.array_equal(raw.data[:, 0, :], residual.data[:, :cfg.frame_dim])
 
 
 def test_generate_fusion_changes_clip():
     bundle = tiny_bundle()
     z_x, z_v = latents(bundle)
-    _, _, raw_with, _ = bundle.compose(z_x, z_v)
+    raw_with = bundle.compose(z_x, z_v)[0]
     bundle_no = ModelBundle.init(TINY.replace(disable_fusion=True))
     # same seed -> same g_c/g_t parameters, so the difference is the residual
-    _, _, raw_without, _ = bundle_no.compose(z_x, z_v)
+    raw_without = bundle_no.compose(z_x, z_v)[0]
     assert not np.allclose(raw_with.data, raw_without.data)
 
 
@@ -282,7 +295,7 @@ def _trained_checkpoint(tmp_path):
     params = bundle.params(GEN_GROUP)
     with GradTape():
         z_x, z_v = latents(bundle)
-        _, _, _, clip = bundle.compose(z_x, z_v)
+        clip = bundle.compose(z_x, z_v)[1]
         loss = ad.mean(clip * clip)
     grads = backward(loss, params)
     bundle.set_params(GEN_GROUP, adam_step(bundle.opt_gen, params, grads))
