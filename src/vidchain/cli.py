@@ -34,7 +34,7 @@ from .container import (ContainerError, ContainerWriter, ManifestError,
 from .datasets import gen_drift_dataset, gen_shapes_dataset
 from .metrics import (FeatureExtractor, fvd_ratio, inception_score,
                       segmentwise_scores, train_probe, write_metric_report)
-from .model import ModelBundle
+from .model import OPT_NAMES, ModelBundle
 from .rng import RandomStream
 from .training import build_pairs, train_loop, train_loop_recall
 from .video import (decompose, reconstruct, reconstruct_from_reference,
@@ -102,11 +102,12 @@ def _effective_config(args, stored: dict | None = None) -> RunConfig:
     return RunConfig.from_dict(merged)
 
 
-def _load_bundle(args, path: str) -> ModelBundle:
+def _load_bundle(args, path: str, skip: tuple[str, ...] = ()) -> ModelBundle:
     """A bundle from one read of a checkpoint: its stored config under the
     command's --config file and flags, with the architecture fields checked
-    against the stored ones."""
-    stored, arrays = load_checkpoint(path)
+    against the stored ones.  Arrays under the `skip` name prefixes stay on
+    disk (see `load_checkpoint`)."""
+    stored, arrays = load_checkpoint(path, skip)
     cfg = _effective_config(args, stored)
     cfg.ensure_arch_matches(stored)
     return ModelBundle.init(cfg, arrays)
@@ -194,7 +195,7 @@ def cmd_train_recall(args) -> int:
 def cmd_generate(args) -> int:
     if args.count < 1:
         raise ConfigError(f"generate needs --count >= 1, got {args.count}")
-    bundle = _load_bundle(args, args.ckpt)
+    bundle = _load_bundle(args, args.ckpt, skip=OPT_NAMES)   # moments stay on disk
     cfg = bundle.cfg
     stream = RandomStream.from_seed(cfg.seed, "generate")
     z_x = stream.split("prior_x").normal((args.count, cfg.z_content))
@@ -209,7 +210,7 @@ def cmd_generate(args) -> int:
 def cmd_generate_long(args) -> int:
     if args.clips < 1:
         raise ConfigError(f"generate-long needs --clips >= 1, got {args.clips}")
-    bundle = _load_bundle(args, args.ckpt)
+    bundle = _load_bundle(args, args.ckpt, skip=OPT_NAMES)   # moments stay on disk
     cfg = bundle.cfg
     with ContainerWriter(_resolve_out(args.out), cfg.frame_shape) as writer:
         result = chain_generate(

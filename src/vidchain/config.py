@@ -26,6 +26,17 @@ ARCH_FIELDS = (
 )
 
 
+# The values each field's annotation admits.  bool is an int to Python, so
+# the int and float fields refuse it by name; a float field takes an int.
+_KINDS = {
+    "int": ((int,), "an int"),
+    "int | None": ((int, type(None)), "an int or null"),
+    "float": ((int, float), "a number"),
+    "bool": ((bool,), "true or false"),
+    "str": ((str,), "a string"),
+}
+
+
 class ConfigError(ValueError):
     """Invalid, unknown, or conflicting configuration values."""
 
@@ -65,6 +76,12 @@ class RunConfig:
     gen_mode: str = "sampled"    # chain generation latents: sampled | mean | seeded
 
     def __post_init__(self):
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            types, kind = _KINDS[f.type]
+            _check(isinstance(value, types)
+                   and (f.type == "bool" or not isinstance(value, bool)),
+                   f"{f.name} must be {kind}, got {value!r}")
         if self.r is None:
             object.__setattr__(self, "r", self.t_c // 2)
         _check(self.t_c >= 2, f"t_c must be >= 2, got {self.t_c}")

@@ -31,6 +31,7 @@ import json
 import math
 import os
 import struct
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -92,34 +93,47 @@ def write_container(path, array: np.ndarray) -> None:
 
 
 def read_container(path) -> np.ndarray:
+    """The array of one container file, read straight into a fresh native
+    array."""
     with open(path, "rb") as fh:
-        blob = fh.read()
-    return parse_container(blob, name=str(path))
+        return _read_array(fh, os.fstat(fh.fileno()).st_size, name=str(path))
 
 
-def parse_container(blob: bytes, name: str = "<bytes>") -> np.ndarray:
-    if blob[:4] != MAGIC:
-        raise ContainerError(f"{name}: bad magic {blob[:4]!r}")
-    if len(blob) < 16:
-        raise ContainerError(f"{name}: header cut short at {len(blob)} bytes")
-    version, tag, ndim = struct.unpack_from("<III", blob, 4)
+def _read_array(fh, size: int, name: str, skip: bool = False):
+    """The container of `size` bytes at `fh`'s position.  Its header is read
+    and checked against `size`, then its payload is read once, into the array
+    returned; with `skip`, the payload is seeked past and None returned."""
+    magic = fh.read(4)
+    if magic != MAGIC:
+        raise ContainerError(f"{name}: bad magic {magic!r}")
+    if size < 16:
+        raise ContainerError(f"{name}: header cut short at {size} bytes")
+    version, tag, ndim = struct.unpack("<III", fh.read(12))
     if version != VERSION:
         raise ContainerError(f"{name}: unsupported version {version}")
     if tag not in _DTYPES:
         raise ContainerError(f"{name}: unknown dtype tag {tag}")
     start = 16 + 8 * ndim
-    if len(blob) < start:
-        raise ContainerError(f"{name}: header cut short at {len(blob)} bytes, "
+    if size < start:
+        raise ContainerError(f"{name}: header cut short at {size} bytes, "
                              f"{ndim} dims need {start}")
-    dims = struct.unpack_from(f"<{ndim}Q", blob, 16)
+    dims = struct.unpack(f"<{ndim}Q", fh.read(8 * ndim))
     dtype = _DTYPES[tag]
-    count = math.prod(dims)
-    want = start + count * dtype.itemsize
-    if len(blob) != want:
-        raise ContainerError(f"{name}: payload is {len(blob) - start} bytes, "
-                             f"dims {tuple(dims)} require {count * dtype.itemsize}")
-    arr = np.frombuffer(blob, dtype=dtype, count=count, offset=start)
-    return arr.reshape(dims).astype(dtype.newbyteorder("="), copy=True)
+    nbytes = math.prod(dims) * dtype.itemsize
+    if size != start + nbytes:
+        raise ContainerError(f"{name}: payload is {size - start} bytes, "
+                             f"dims {tuple(dims)} require {nbytes}")
+    if skip:
+        fh.seek(nbytes, os.SEEK_CUR)
+        return None
+    arr = np.empty(dims, dtype.type)
+    got = fh.readinto(arr)
+    if got != nbytes:
+        raise ContainerError(f"{name}: payload cut short at {got} of "
+                             f"{nbytes} bytes")
+    if sys.byteorder != "little":
+        arr.byteswap(inplace=True)
+    return arr
 
 
 class ContainerWriter:
@@ -149,7 +163,7 @@ class ContainerWriter:
             item = item[None]
         if item.shape[1:] != self._item_shape:
             raise ContainerError(f"item shape {item.shape[1:]} != declared {self._item_shape}")
-        self._fh.write(np.ascontiguousarray(item, dtype=self._dtype).tobytes())
+        self._fh.write(np.ascontiguousarray(item, dtype=self._dtype).data)
         self._count += item.shape[0]
 
     def close(self) -> int:
@@ -172,55 +186,78 @@ class ContainerWriter:
 # -- checkpoints ---------------------------------------------------------------
 
 def save_checkpoint(path, config: dict, arrays: dict) -> None:
+    """Write `config` and the float64 `arrays` as a checkpoint.  Each array's
+    bytes go from the array to the file once, after its header."""
     cfg_blob = json.dumps(config, sort_keys=True).encode("utf-8")
     with atomic_write(path) as fh:
         fh.write(BUNDLE_MAGIC + struct.pack("<I", VERSION))
         fh.write(struct.pack("<I", len(cfg_blob)) + cfg_blob)
         fh.write(struct.pack("<I", len(arrays)))
         for name, arr in arrays.items():
-            arr = np.asarray(arr, dtype=np.float64)
-            blob = (_header(2, arr.shape)
-                    + np.ascontiguousarray(arr, dtype="<f8").tobytes())
+            arr = np.require(arr, "<f8", "C")
+            header = _header(2, arr.shape)
             name_b = name.encode("utf-8")
             fh.write(struct.pack("<I", len(name_b)) + name_b)
-            fh.write(struct.pack("<Q", len(blob)) + blob)
+            fh.write(struct.pack("<Q", len(header) + arr.nbytes) + header)
+            fh.write(arr.data)
 
 
-def load_checkpoint(path) -> tuple[dict, dict]:
+def _unpack(fh, fmt: str):
+    """One field read from `fh`; a file cut short raises struct.error."""
+    return struct.unpack(fmt, fh.read(struct.calcsize(fmt)))[0]
+
+
+def _read_text(fh, length: int, file_size: int) -> str:
+    """`length` bytes of UTF-8 from `fh`, or as many as the file still holds:
+    a corrupt length asks for no more memory than the file's size."""
+    return fh.read(min(length, file_size - fh.tell())).decode("utf-8")
+
+
+def load_checkpoint(path, skip: tuple[str, ...] = ()) -> tuple[dict, dict]:
+    """The stored config and the named arrays of a checkpoint.
+
+    Each array is read from the file once, straight into a fresh, writable,
+    C-contiguous float64 array that nothing else references: the caller owns
+    it, and `ModelBundle.init` adopts such arrays without copying them.  An
+    array whose name starts with one of the `skip` prefixes stays on disk:
+    its header is read and checked, its payload is seeked past, and it is
+    left out of the returned dict.  Any malformed, truncated or overlong
+    file raises `ContainerError`."""
     with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:4] != BUNDLE_MAGIC:
-        raise ContainerError(f"{path}: not a checkpoint (magic {blob[:4]!r})")
-    # A file cut short fails a field read (struct.error) or the decoding of a
-    # cut config or name (UnicodeDecodeError, JSONDecodeError: ValueErrors).
-    try:
-        (version,) = struct.unpack_from("<I", blob, 4)
-        if version != VERSION:
-            raise ContainerError(f"{path}: unsupported checkpoint version {version}")
-        (cfg_len,) = struct.unpack_from("<I", blob, 8)
-        pos = 12
-        config = json.loads(blob[pos:pos + cfg_len].decode("utf-8"))
-        if not isinstance(config, dict):
-            raise ContainerError(f"{path}: stored config is not a JSON object")
-        pos += cfg_len
-        (count,) = struct.unpack_from("<I", blob, pos)
-        pos += 4
-        arrays = {}
-        for _ in range(count):
-            (name_len,) = struct.unpack_from("<I", blob, pos)
-            pos += 4
-            name = blob[pos:pos + name_len].decode("utf-8")
-            pos += name_len
-            (blob_len,) = struct.unpack_from("<Q", blob, pos)
-            pos += 8
-            arrays[name] = parse_container(blob[pos:pos + blob_len],
-                                           name=f"{path}:{name}")
-            pos += blob_len
-    except (struct.error, ValueError) as exc:
-        raise ContainerError(f"{path}: truncated or corrupt checkpoint "
-                             f"({exc})") from None
-    if pos != len(blob):
-        raise ContainerError(f"{path}: {len(blob) - pos} trailing bytes")
+        file_size = os.fstat(fh.fileno()).st_size
+        magic = fh.read(4)
+        if magic != BUNDLE_MAGIC:
+            raise ContainerError(f"{path}: not a checkpoint (magic {magic!r})")
+        # A file cut short fails a field read (struct.error) or the decoding
+        # of a cut config or name (UnicodeDecodeError, JSONDecodeError:
+        # ValueErrors).
+        try:
+            version = _unpack(fh, "<I")
+            if version != VERSION:
+                raise ContainerError(f"{path}: unsupported checkpoint version {version}")
+            cfg_len = _unpack(fh, "<I")
+            config = json.loads(_read_text(fh, cfg_len, file_size))
+            if not isinstance(config, dict):
+                raise ContainerError(f"{path}: stored config is not a JSON object")
+            count = _unpack(fh, "<I")
+            arrays = {}
+            pos = fh.tell()
+            for _ in range(count):
+                name_len = _unpack(fh, "<I")
+                name = _read_text(fh, name_len, file_size)
+                blob_len = _unpack(fh, "<Q")
+                pos = fh.tell()
+                arr = _read_array(fh, min(blob_len, file_size - pos),
+                                  name=f"{path}:{name}",
+                                  skip=name.startswith(skip))
+                if arr is not None:
+                    arrays[name] = arr
+                pos += blob_len
+        except (struct.error, ValueError) as exc:
+            raise ContainerError(f"{path}: truncated or corrupt checkpoint "
+                                 f"({exc})") from None
+    if pos != file_size:
+        raise ContainerError(f"{path}: {file_size - pos} trailing bytes")
     return config, arrays
 
 

@@ -36,7 +36,7 @@ from .optim import AdamState
 from .rng import RandomStream
 
 __all__ = ["ModelBundle", "COMPONENTS", "D_GROUP", "ENC_GROUP", "GEN_GROUP",
-           "LOGIT_LIMIT", "clips_to_tensor", "clip_diffs"]
+           "LOGIT_LIMIT", "OPT_NAMES", "clips_to_tensor", "clip_diffs"]
 
 COMPONENTS = ("content_enc", "motion_enc", "g_c", "g_t", "fusion",
               "d_image", "d_video")
@@ -44,7 +44,7 @@ D_GROUP = ("d_image", "d_video")
 ENC_GROUP = ("content_enc", "motion_enc")
 GEN_GROUP = ("g_c", "g_t", "fusion")
 LOGIT_LIMIT = 15.0
-_OPT_NAMES = ("opt_d", "opt_enc", "opt_gen")   # checkpoint key prefixes
+OPT_NAMES = ("opt_d", "opt_enc", "opt_gen")   # checkpoint key prefixes
 
 
 def clips_to_tensor(clips: np.ndarray) -> Tensor:
@@ -93,7 +93,12 @@ def _restore_mlp(state: dict, name: str, widths) -> list[Tensor]:
         if state[key].shape != shape:
             raise ConfigError(f"checkpoint parameter {key} has shape "
                               f"{state[key].shape}, expected {shape}")
-        params.append(Tensor(state[key], requires_grad=True))
+        # adopted without a copy where the bundle may take the array
+        arr = np.require(state[key], np.float64, "CW")
+        ad._check_finite("tensor", arr)
+        param = Tensor._wrap(arr)
+        param.requires_grad = True
+        params.append(param)
     return params
 
 
@@ -109,9 +114,19 @@ class ModelBundle:
     @classmethod
     def init(cls, cfg: RunConfig, state: dict | None = None) -> "ModelBundle":
         """A fresh bundle drawn from the config seed or, given a
-        state_arrays() dict, one restored from it without drawing anything."""
+        state_arrays() dict, one restored from it without drawing anything.
+
+        A restored bundle owns `state`'s arrays: each one that is writable,
+        C-contiguous float64 (as `load_checkpoint` returns them) is adopted
+        as it is, a parameter as the read-only data of its Tensor after the
+        same finite check `Tensor()` runs, a moment as the live accumulator
+        the next Adam step updates in place.  The caller must not write to
+        such an array afterwards.  Any other array, such as the read-only
+        views of another bundle's `state_arrays()`, is copied, so bundles
+        restored from one live bundle train independently of it and of
+        each other.  A state without optimizer moments gives fresh ones."""
         sizes = _sizes(cfg)
-        opts = [AdamState(cfg.lr, cfg.beta1, cfg.beta2, cfg.eps) for _ in _OPT_NAMES]
+        opts = [AdamState(cfg.lr, cfg.beta1, cfg.beta2, cfg.eps) for _ in OPT_NAMES]
         if state is None:
             stream = RandomStream.from_seed(cfg.seed, "model-init")
             components = {name: init_mlp(stream.split(name), sizes[name],
@@ -120,7 +135,7 @@ class ModelBundle:
             return cls(cfg, components, *opts)
         components = {name: _restore_mlp(state, name, sizes[name])
                       for name in COMPONENTS}
-        for opt_name, opt in zip(_OPT_NAMES, opts):
+        for opt_name, opt in zip(OPT_NAMES, opts):
             moments = {k[len(opt_name) + 1:]: v for k, v in state.items()
                        if k.startswith(opt_name + ".")}
             if moments:
@@ -230,8 +245,8 @@ class ModelBundle:
         for name in COMPONENTS:
             for i, p in enumerate(self.components[name]):
                 arrays[f"{name}.{i}"] = p.data
-        for opt_name, opt in zip(_OPT_NAMES, (self.opt_d, self.opt_enc,
-                                              self.opt_gen)):
+        for opt_name, opt in zip(OPT_NAMES, (self.opt_d, self.opt_enc,
+                                             self.opt_gen)):
             for key, arr in opt.state_arrays().items():
                 arrays[f"{opt_name}.{key}"] = arr
         return arrays

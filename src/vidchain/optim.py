@@ -56,12 +56,17 @@ class AdamState:
         return out
 
     def load_state_arrays(self, arrays: dict) -> None:
+        """Take the step counter and the moments of a `state_arrays()` dict.
+        A writable, C-contiguous float64 moment becomes the accumulator
+        itself, which later steps update in place; any other is copied."""
         self.step = int(arrays["step"][0])
         n = len([k for k in arrays if k.startswith("m")])
         # n == 0 means the optimizer had not taken a step yet: keep the
         # accumulators unallocated so the next step lazily sizes them.
-        self.m = [np.array(arrays[f"m{i}"], order="C") for i in range(n)] if n else None
-        self.v = [np.array(arrays[f"v{i}"], order="C") for i in range(n)] if n else None
+        self.m = [np.require(arrays[f"m{i}"], np.float64, "CW")
+                  for i in range(n)] if n else None
+        self.v = [np.require(arrays[f"v{i}"], np.float64, "CW")
+                  for i in range(n)] if n else None
 
 
 def adam_step(state: AdamState, params, grads) -> list[Tensor]:

@@ -6,20 +6,28 @@ Run it as a plain script, with no arguments:
 
 For each variant it trains a fresh bundle for a few clip steps and then a
 few recall steps, and prints one sha256 over every `state_arrays()` array
-(name, shape and bytes) and the `repr` of every step's loss reports.  A
-refactor that claims to leave training byte-identical prints the same
-lines before and after.  The script imports the package from the `src/`
-beside it, so it measures the checkout it lives in.
+(name, shape and bytes) and the `repr` of every step's loss reports.  Two
+more lines hash files written from the default variant's bundle: the
+checkpoint `save` writes, and a short `chain_generate` video written
+through `ContainerWriter` as `generate-long` writes it.  A refactor that
+claims to leave training or file I/O byte-identical prints the same lines
+before and after.  The script imports the package from the `src/` beside
+it, so it measures the checkout it lives in.
 """
 
 import hashlib
 import os
 import sys
+import tempfile
+
+import numpy as np
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
                                 os.pardir, "src"))
 
+from vidchain.chain import chain_generate  # noqa: E402
 from vidchain.config import RunConfig  # noqa: E402
+from vidchain.container import ContainerWriter  # noqa: E402
 from vidchain.datasets import make_shapes_video  # noqa: E402
 from vidchain.model import ModelBundle  # noqa: E402
 from vidchain.rng import RandomStream  # noqa: E402
@@ -29,6 +37,7 @@ SEED = 101
 STEPS = 4
 VIDEOS = 8
 VIDEO_FRAMES = 48
+CHAIN_CLIPS = 5
 
 VARIANTS = {
     "default": {},
@@ -47,12 +56,17 @@ def videos():
             for i in range(VIDEOS)]
 
 
-def digest(fields: dict, data) -> str:
+def trained(fields: dict, data):
+    """A bundle after the short run, and its loss reports."""
     cfg = RunConfig(seed=SEED, steps=STEPS, **fields)
     bundle = ModelBundle.init(cfg)
     reports = train_loop(bundle, data)
     pairs, _ = build_pairs(data, cfg)
     reports += train_loop_recall(bundle, pairs)
+    return bundle, reports
+
+
+def digest(bundle, reports) -> str:
     h = hashlib.sha256()
     for name, arr in bundle.state_arrays().items():
         h.update(f"{name}{arr.shape}".encode())
@@ -61,10 +75,32 @@ def digest(fields: dict, data) -> str:
     return h.hexdigest()
 
 
+def file_digests(bundle) -> dict:
+    """sha256 of the bundle's checkpoint and of a short chained video."""
+    with tempfile.TemporaryDirectory() as tmp:
+        ckpt, video = os.path.join(tmp, "m.ckpt"), os.path.join(tmp, "long.rcg")
+        bundle.save(ckpt)
+        with ContainerWriter(video, bundle.cfg.frame_shape) as writer:
+            chain_generate(bundle, CHAIN_CLIPS, mode=bundle.cfg.gen_mode,
+                           sink=lambda block: writer.append(
+                               block.astype(np.float32)))
+        out = {}
+        for name, path in (("checkpoint", ckpt), ("chain_container", video)):
+            with open(path, "rb") as fh:
+                out[name] = hashlib.sha256(fh.read()).hexdigest()
+        return out
+
+
 def main() -> int:
     data = videos()
+    files = {}
     for name, fields in VARIANTS.items():
-        print(f"{name}\t{digest(fields, data)}")
+        bundle, reports = trained(fields, data)
+        print(f"{name}\t{digest(bundle, reports)}")
+        if not fields:
+            files = file_digests(bundle)
+    for name, value in files.items():
+        print(f"{name}\t{value}")
     return 0
 
 

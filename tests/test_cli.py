@@ -8,8 +8,12 @@ import numpy as np
 import pytest
 
 from vidchain.cli import main
-from vidchain.container import load_checkpoint, read_container, save_checkpoint
+from vidchain.config import RunConfig
+from vidchain.container import (load_checkpoint, load_dataset, read_container,
+                                save_checkpoint)
 from vidchain.metrics import read_metric_report
+from vidchain.model import OPT_NAMES, ModelBundle
+from vidchain.training import build_pairs, train_loop_recall
 
 TINY_FLAGS = ["--t-c", "4", "--r", "2", "--height", "4", "--width", "4",
               "--channels", "1", "--z-content", "8", "--z-motion", "4",
@@ -183,6 +187,7 @@ def _one_error_line(capsys, kind):
 
 
 _LONG = ["generate-long", "--ckpt", "CKPT", "--out", "OUT", "--clips", "2"]
+_TRAIN = ["train", "--data", "DATA", "--out", "OUT", "--steps", "1"]
 
 
 def _edit_manifest(dataset, old, new):
@@ -208,6 +213,20 @@ _DAMAGED = {
                  id="config-not-utf8"),
     pytest.param(_LONG + ["--config", "DIR"], None, 3, "missing-file",
                  id="config-is-dir"),
+    pytest.param(_TRAIN + ["--config", "CFG"], b'{"hidden": 1.5}', 2, "config",
+                 id="config-int-field-float"),
+    pytest.param(_TRAIN + ["--config", "CFG"], b'{"t_c": "abc"}', 2, "config",
+                 id="config-int-field-string"),
+    pytest.param(_TRAIN + ["--config", "CFG"], b'{"batch": true}', 2, "config",
+                 id="config-int-field-bool"),
+    pytest.param(_TRAIN + ["--config", "CFG"], b'{"ovi": "no"}', 2, "config",
+                 id="config-bool-field-string"),
+    pytest.param(_TRAIN + ["--config", "CFG"], b'{"r": 2.0}', 2, "config",
+                 id="config-stride-float"),
+    pytest.param(_LONG + ["--config", "CFG"], b'{"lr": "fast"}', 2, "config",
+                 id="config-float-field-string"),
+    pytest.param(["generate-long", "--ckpt", "FLOAT_CKPT", "--out", "OUT",
+                  "--clips", "2"], None, 2, "config", id="stored-config-float-hidden"),
     pytest.param(["generate-long", "--ckpt", "DIR", "--out", "OUT", "--clips", "2"],
                  None, 3, "missing-file", id="ckpt-is-dir"),
     pytest.param(["generate-long", "--ckpt", "CKPT", "--out", "DIR", "--clips", "2"],
@@ -246,7 +265,12 @@ def test_cli_error_contract(tiny_dataset, tmp_path, capsys, argv, config, code,
         (work / "cfg.json").write_bytes(config)
     before = sorted(os.listdir(work))
     paths = {"CKPT": ckpt, "OUT": work / "out.rcg", "DIR": work / "dir",
-             "CFG": work / "cfg.json"}
+             "CFG": work / "cfg.json", "DATA": tiny_dataset}
+    if "FLOAT_CKPT" in argv:    # the same model, its hidden stored as 16.0
+        stored, arrays = load_checkpoint(ckpt)
+        paths["FLOAT_CKPT"] = tmp_path / "float.ckpt"
+        save_checkpoint(paths["FLOAT_CKPT"],
+                        dict(stored, hidden=float(stored["hidden"])), arrays)
     for name, damage in _DAMAGED.items():
         if name in argv:
             paths[name] = tmp_path / name
@@ -256,6 +280,10 @@ def test_cli_error_contract(tiny_dataset, tmp_path, capsys, argv, config, code,
     line = _one_error_line(capsys, kind)
     if "NOT_INT" in argv or "NOT_UTF8" in argv:
         assert "manifest.tsv:3:" in line
+    if "CFG" in argv and config.startswith(b'{"'):
+        assert config[2:config.index(b'"', 2)].decode() in line    # names the field
+    if "FLOAT_CKPT" in argv:
+        assert "hidden" in line
     assert (work / "out.rcg").read_bytes() == b"previous"
     assert sorted(os.listdir(work)) == before
     assert os.listdir(work / "dir") == []
@@ -293,6 +321,63 @@ def test_truncated_checkpoint_is_data_format_error(tiny_dataset, tmp_path, capsy
     _one_error_line(capsys, "data-format")
 
 
+def test_checkpoint_cut_in_skipped_moments_is_data_format_error(
+        tiny_dataset, tmp_path, capsys):
+    ckpt = tmp_path / "m.ckpt"
+    assert run(["train", "--data", tiny_dataset, "--out", ckpt,
+                "--steps", "1", *TINY_FLAGS]) == 0
+    capsys.readouterr()
+    blob = ckpt.read_bytes()
+    last = list(load_checkpoint(ckpt)[1])[-1]
+    assert last.startswith("opt_")       # the file ends in a skipped payload
+    # 8 bytes into the payload of opt_d.m0 (name, length, 2-dim header
+    # first), and 8 bytes before the end of the last moment
+    for at in (blob.index(b"opt_d.m0") + 8 + 8 + 32 + 8, len(blob) - 8):
+        cut = tmp_path / "cut.ckpt"
+        cut.write_bytes(blob[:at])
+        for argv in (["generate-long", "--clips", "2"], ["generate"]):
+            assert run([argv[0], "--ckpt", cut, "--out", tmp_path / "g.rcg",
+                        *argv[1:]]) == 4
+            _one_error_line(capsys, "data-format")
+
+
+def test_nan_parameter_checkpoint_is_numeric_error(tiny_dataset, tmp_path, capsys):
+    ckpt = tmp_path / "m.ckpt"
+    assert run(["train", "--data", tiny_dataset, "--out", ckpt,
+                "--steps", "1", *TINY_FLAGS]) == 0
+    capsys.readouterr()
+    cfg, arrays = load_checkpoint(ckpt)
+    arrays["g_c.0"][0, 0] = np.nan
+    bad = tmp_path / "nan.ckpt"
+    save_checkpoint(bad, cfg, arrays)
+    assert run(["generate-long", "--ckpt", bad, "--out", tmp_path / "l.rcg",
+                "--clips", "2"]) == 5
+    _one_error_line(capsys, "numeric")
+    assert not (tmp_path / "l.rcg").exists()
+
+
+def test_train_recall_init_restores_the_moments(tiny_dataset, tmp_path):
+    """train-recall --init continues the stored Adam moments: its output
+    equals a library run from the whole checkpoint, and differs from one
+    that starts the moments afresh."""
+    ckpt, out = tmp_path / "m.ckpt", tmp_path / "r.ckpt"
+    assert run(["train", "--data", tiny_dataset, "--out", ckpt,
+                "--steps", "2", *TINY_FLAGS]) == 0
+    assert run(["train-recall", "--data", tiny_dataset, "--init", ckpt,
+                "--out", out, "--steps", "1"]) == 0
+    cfg = RunConfig.from_dict(load_checkpoint(ckpt)[0]).replace(steps=1)
+    videos, _ = load_dataset(tiny_dataset / "manifest.tsv")
+    pairs, _ = build_pairs(videos, cfg)
+    saved = {}
+    for name, skip in (("whole", ()), ("params", OPT_NAMES)):
+        bundle = ModelBundle.init(cfg, load_checkpoint(ckpt, skip)[1])
+        train_loop_recall(bundle, pairs)
+        bundle.save(tmp_path / f"{name}.ckpt")
+        saved[name] = (tmp_path / f"{name}.ckpt").read_bytes()
+    assert out.read_bytes() == saved["whole"]
+    assert out.read_bytes() != saved["params"]
+
+
 @pytest.mark.parametrize("damage", ["missing", "wrong-shape"])
 def test_damaged_checkpoint_parameter_is_config_error(tiny_dataset, tmp_path,
                                                       capsys, damage):
@@ -318,15 +403,21 @@ def test_generate_long_loads_checkpoint_once(tiny_dataset, tmp_path, monkeypatch
                 "--steps", "1", *TINY_FLAGS]) == 0
     calls = []
 
-    def counted(path):
-        calls.append(path)
-        return load_checkpoint(path)
+    def counted(path, skip=()):
+        stored, arrays = load_checkpoint(path, skip)
+        calls.append((skip, sorted(arrays)))
+        return stored, arrays
 
     for module in ("vidchain.cli", "vidchain.model"):
         monkeypatch.setattr(f"{module}.load_checkpoint", counted)
     assert run(["generate-long", "--ckpt", ckpt, "--out", tmp_path / "l.rcg",
                 "--clips", "3"]) == 0
     assert len(calls) == 1
+    # generation leaves the optimizer moments on disk
+    skip, names = calls[0]
+    assert skip == OPT_NAMES
+    assert names and not any(n.startswith("opt_") for n in names)
+    assert set(names) < set(load_checkpoint(ckpt)[1])
 
 
 def test_output_dir_env_override(tiny_dataset, tmp_path, monkeypatch):

@@ -40,6 +40,21 @@ def test_rejects_invalid_values(bad):
         RunConfig(**bad)
 
 
+@pytest.mark.parametrize("field,value", [
+    ("hidden", 1.5), ("hidden", 96.0), ("t_c", "abc"), ("batch", True),
+    ("r", 2.0), ("r", False), ("lr", "fast"), ("lr", True), ("ovi", "no"),
+    ("ovi", 1), ("gen_mode", 1),
+])
+def test_rejects_wrong_field_types(field, value):
+    with pytest.raises(ConfigError, match=f"^{field} must be"):
+        RunConfig.from_dict({field: value})
+
+
+def test_float_fields_take_ints_and_r_takes_none():
+    cfg = RunConfig(lr=1, bias_init=0, r=None, t_c=6)
+    assert (cfg.lr, cfg.bias_init, cfg.r) == (1, 0, 3)
+
+
 def test_zero_lr_allowed():
     assert RunConfig(lr=0.0).lr == 0.0
 

@@ -9,7 +9,7 @@ import pytest
 from vidchain.container import (
     ContainerError, ContainerWriter, ManifestError, ManifestRecord,
     load_checkpoint, load_dataset, read_container, read_manifest,
-    parse_container, save_checkpoint, write_container, write_manifest,
+    save_checkpoint, write_container, write_manifest,
 )
 
 
@@ -96,9 +96,11 @@ def test_every_container_prefix_raises_container_error(tmp_path):
     p = tmp_path / "cut.rcg"
     write_container(p, np.arange(6, dtype=np.float32).reshape(2, 3))
     blob = p.read_bytes()
+    cut = tmp_path / "prefix.rcg"
     for n in range(len(blob)):
+        cut.write_bytes(blob[:n])
         with pytest.raises(ContainerError):
-            parse_container(blob[:n], name=f"prefix{n}")
+            read_container(cut)
 
 
 def test_every_checkpoint_prefix_raises_container_error(tmp_path):
@@ -109,8 +111,23 @@ def test_every_checkpoint_prefix_raises_container_error(tmp_path):
     cut = tmp_path / "cut.ckpt"
     for n in range(len(blob)):
         cut.write_bytes(blob[:n])
-        with pytest.raises(ContainerError):
-            load_checkpoint(cut)
+        for skip in ((), ("w",), ("w", "b")):    # skipped payloads are checked too
+            with pytest.raises(ContainerError):
+                load_checkpoint(cut, skip)
+
+
+def test_checkpoint_skip_leaves_prefixed_arrays_out(tmp_path):
+    p = tmp_path / "skip.ckpt"
+    arrays = {"enc.0": np.arange(4.0), "opt_enc.m0": np.ones(4),
+              "opt_enc.step": np.array([3.0]), "gen.0": np.eye(2)}
+    save_checkpoint(p, {"k": 1}, arrays)
+    cfg, back = load_checkpoint(p, ("opt_",))
+    assert cfg == {"k": 1}
+    assert list(back) == ["enc.0", "gen.0"]
+    assert np.array_equal(back["gen.0"], np.eye(2))
+    p.write_bytes(p.read_bytes() + b"\x00")
+    with pytest.raises(ContainerError, match="1 trailing bytes"):
+        load_checkpoint(p, ("opt_",))
 
 
 def test_checkpoint_rejects_non_object_config(tmp_path):

@@ -289,9 +289,17 @@ def test_bias_init_nonzero_by_default():
 def _trained_checkpoint(tmp_path):
     """A saved bundle whose generator took one Adam step, so its moments
     are nontrivial."""
+    bundle = tiny_bundle()
+    _generator_step(bundle)
+    path = tmp_path / "bundle.ckpt"
+    bundle.save(path)
+    return bundle, path
+
+
+def _generator_step(bundle):
+    """One Adam step of the generator group on a fixed loss."""
     from vidchain.autodiff import GradTape, backward
     from vidchain.optim import adam_step
-    bundle = tiny_bundle()
     params = bundle.params(GEN_GROUP)
     with GradTape():
         z_x, z_v = latents(bundle)
@@ -299,9 +307,10 @@ def _trained_checkpoint(tmp_path):
         loss = ad.mean(clip * clip)
     grads = backward(loss, params)
     bundle.set_params(GEN_GROUP, adam_step(bundle.opt_gen, params, grads))
-    path = tmp_path / "bundle.ckpt"
-    bundle.save(path)
-    return bundle, path
+
+
+def _snapshot(bundle):
+    return {k: (a.shape, a.tobytes()) for k, a in bundle.state_arrays().items()}
 
 
 def test_checkpoint_roundtrip_bit_exact(tmp_path, monkeypatch):
@@ -385,3 +394,43 @@ def test_checkpoint_load_rejects_damaged_parameter(tmp_path, damage):
     save_checkpoint(path, cfg, arrays)
     with pytest.raises(ConfigError, match=match):
         ModelBundle.load(path)
+
+
+def test_load_adopts_the_arrays_it_reads(tmp_path, monkeypatch):
+    from vidchain.container import load_checkpoint
+    _, path = _trained_checkpoint(tmp_path)
+    loaded = {}
+
+    def spy(*args):
+        stored, arrays = load_checkpoint(*args)
+        loaded.update(arrays)
+        return stored, arrays
+
+    monkeypatch.setattr("vidchain.model.load_checkpoint", spy)
+    state = ModelBundle.load(path).state_arrays()
+    assert "opt_gen.m0" in state and "opt_gen.v0" in state
+    for key, arr in state.items():
+        if not key.endswith(".step"):    # the counter is rebuilt as a fresh array
+            assert np.shares_memory(arr, loaded[key]), key
+
+
+def test_bundles_restored_from_one_live_bundle_train_independently(tmp_path):
+    source, _ = _trained_checkpoint(tmp_path)
+    state = source.state_arrays()
+    before = _snapshot(source)
+    first, second = (ModelBundle.init(TINY, state) for _ in range(2))
+    _generator_step(first)
+    assert _snapshot(first) != before
+    assert _snapshot(second) == before
+    assert _snapshot(source) == before
+    after_first = _snapshot(first)
+    _generator_step(second)
+    assert _snapshot(first) == after_first
+    assert _snapshot(source) == before
+
+
+def test_checkpoint_save_load_save_same_bytes(tmp_path):
+    _, path = _trained_checkpoint(tmp_path)
+    again = tmp_path / "again.ckpt"
+    ModelBundle.load(path).save(again)
+    assert again.read_bytes() == path.read_bytes()
