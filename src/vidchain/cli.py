@@ -75,8 +75,7 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
                                 action=argparse.BooleanOptionalAction,
                                 help=f"override config field {f.name}")
         else:
-            kind = float if f.type == "float" else (
-                str if f.name in ("loss_variant", "gen_mode") else int)
+            kind = {"float": float, "str": str}.get(f.type, int)
             parser.add_argument(flag, dest=f.name, default=None, type=kind,
                                 metavar="V",
                                 help=f"override config field {f.name}")

@@ -94,9 +94,13 @@ def write_container(path, array: np.ndarray) -> None:
 
 def read_container(path) -> np.ndarray:
     """The array of one container file, read straight into a fresh native
-    array."""
+    array.  Datasets and generated videos hold only finite values, so a NaN
+    or an infinity in the payload is refused as malformed data."""
     with open(path, "rb") as fh:
-        return _read_array(fh, os.fstat(fh.fileno()).st_size, name=str(path))
+        arr = _read_array(fh, os.fstat(fh.fileno()).st_size, name=str(path))
+    if not np.isfinite(arr).all():
+        raise ContainerError(f"{path}: payload holds a non-finite value")
+    return arr
 
 
 def _read_array(fh, size: int, name: str, skip: bool = False):
@@ -247,8 +251,11 @@ def load_checkpoint(path, skip: tuple[str, ...] = ()) -> tuple[dict, dict]:
                 name = _read_text(fh, name_len, file_size)
                 blob_len = _unpack(fh, "<Q")
                 pos = fh.tell()
-                arr = _read_array(fh, min(blob_len, file_size - pos),
-                                  name=f"{path}:{name}",
+                if blob_len > file_size - pos:
+                    raise ContainerError(
+                        f"{path}:{name}: file truncated, array of {blob_len} "
+                        f"bytes but {file_size - pos} remain")
+                arr = _read_array(fh, blob_len, name=f"{path}:{name}",
                                   skip=name.startswith(skip))
                 if arr is not None:
                     arrays[name] = arr

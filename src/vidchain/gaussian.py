@@ -1,9 +1,9 @@
 """Diagonal-Gaussian latent utilities: KL to the standard normal prior and
 the reparameterization trick.
 
-GaussianParams always stores a clamped log-variance (range [-10, 10]); the
-clamp happens on the autodiff graph at construction, so every downstream loss
-sees it.
+GaussianParams stores the raw log-variance and clamps it to [-10, 10] on the
+autodiff graph at every `log_var` access, so every downstream loss sees the
+clamp, recorded on whichever tape is active when it reads it.
 """
 
 from __future__ import annotations

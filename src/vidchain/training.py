@@ -1,9 +1,10 @@
-"""Training loops: the D -> Enc -> G clip step and the recall phase driver.
+"""Training: both phases step through one update helper and one loop.
 
-Each optimization step draws one batch of clips from the long training
-videos.  Early steps (the configured fraction) sample frames uniformly from
-binned positions — covering slow dynamics — and the remainder uses fixed
-step-stride sampling; both strategies see every video at every length.
+A clip step updates the discriminators, then the encoders, then the
+generator; a recall step updates the discriminators on pair losses, then
+encoders and generator jointly.  Clip batches sample frames uniformly from
+binned positions for the first `uniform_fraction` of steps, then at a fixed
+step stride; recall batches draw clip pairs uniformly.
 
 Stream discipline: step s derives the named stream "step{s}", and each role
 (batch choice, each loss) splits its own child, so no loss's draw count can
@@ -12,11 +13,15 @@ shift another's randomness and whole runs replay bit-identically.
 
 from __future__ import annotations
 
+import functools
+import operator
+
 import numpy as np
 
 from . import autodiff as ad
+from . import chain
 from .autodiff import backward
-from .chain import make_training_pairs, train_step_recall
+from .chain import make_training_pairs
 from .config import RunConfig
 from .datasets import step_sample, uniform_sample
 from .losses import loss_d_image, loss_d_video, loss_enc, loss_enc_v, loss_gen
@@ -24,41 +29,53 @@ from .model import D_GROUP, ENC_GROUP, GEN_GROUP, ModelBundle
 from .optim import adam_step
 from .rng import RandomStream
 
-__all__ = ["train_step", "sample_batch", "train_loop", "train_loop_recall",
-           "build_pairs"]
+__all__ = ["train_step", "train_step_recall", "sample_batch", "train_loop",
+           "train_loop_recall", "build_pairs"]
+
+
+def _update(bundle: ModelBundle, groups, losses: dict, batch,
+            stream: RandomStream) -> dict:
+    """One Adam update of each (group, optimizer) pair in `groups`, on the
+    totals of `losses` ({name: loss function}) summed in order.  Each loss
+    draws from stream.split(name); returns each loss's parts by name."""
+    with ad.GradTape():
+        outs = {name: loss(bundle, batch, stream.split(name))
+                for name, loss in losses.items()}
+        total = functools.reduce(operator.add, (o.total for o in outs.values()))
+        params = [bundle.params(group) for group, _ in groups]
+        grads = backward(total, [p for group in params for p in group])
+    for (group, opt), group_params in zip(groups, params):
+        n = len(group_params)
+        bundle.set_params(group, adam_step(opt, group_params, grads[:n]))
+        grads = grads[n:]
+    return {name: out.parts for name, out in outs.items()}
 
 
 def train_step(bundle: ModelBundle, clips: np.ndarray,
                stream: RandomStream) -> dict:
-    """One full optimization step: discriminators (image + video losses
-    summed, one Adam update), then encoders, then generator."""
-    cfg = bundle.cfg
-    report = {}
+    """One clip step: discriminators (image + video losses summed, one Adam
+    update), then encoders, then generator."""
+    enc_loss = loss_enc_v if bundle.cfg.loss_variant == "diff" else loss_enc
+    report = _update(bundle, [(D_GROUP, bundle.opt_d)],
+                     {"d_image": loss_d_image, "d_video": loss_d_video},
+                     clips, stream)
+    report.update(_update(bundle, [(ENC_GROUP, bundle.opt_enc)],
+                          {"enc": enc_loss}, clips, stream))
+    report.update(_update(bundle, [(GEN_GROUP, bundle.opt_gen)],
+                          {"gen": loss_gen}, clips, stream))
+    return report
 
-    with ad.GradTape():
-        d_img = loss_d_image(bundle, clips, stream.split("d_image"))
-        d_vid = loss_d_video(bundle, clips, stream.split("d_video"))
-        d_total = d_img.total + d_vid.total
-        d_params = bundle.params(D_GROUP)
-        d_grads = backward(d_total, d_params)
-    bundle.set_params(D_GROUP, adam_step(bundle.opt_d, d_params, d_grads))
-    report["d_image"] = d_img.parts
-    report["d_video"] = d_vid.parts
 
-    enc_loss = loss_enc_v if cfg.loss_variant == "diff" else loss_enc
-    with ad.GradTape():
-        enc = enc_loss(bundle, clips, stream.split("enc"))
-        enc_params = bundle.params(ENC_GROUP)
-        enc_grads = backward(enc.total, enc_params)
-    bundle.set_params(ENC_GROUP, adam_step(bundle.opt_enc, enc_params, enc_grads))
-    report["enc"] = enc.parts
-
-    with ad.GradTape():
-        gen = loss_gen(bundle, clips, stream.split("gen"))
-        gen_params = bundle.params(GEN_GROUP)
-        gen_grads = backward(gen.total, gen_params)
-    bundle.set_params(GEN_GROUP, adam_step(bundle.opt_gen, gen_params, gen_grads))
-    report["gen"] = gen.parts
+def train_step_recall(bundle: ModelBundle, pairs, stream: RandomStream) -> dict:
+    """One recall step: discriminators (image + video, merged when cfg.mgv),
+    then one joint update of encoders and generator on the recall objective."""
+    d_video = chain.loss_d_video_merged if bundle.cfg.mgv else chain.loss_d_video_r1
+    report = _update(bundle, [(D_GROUP, bundle.opt_d)],
+                     {"d_image": chain.loss_d_image_r, "d_video": d_video},
+                     pairs, stream)
+    report.update(_update(bundle, [(ENC_GROUP, bundle.opt_enc),
+                                   (GEN_GROUP, bundle.opt_gen)],
+                          {"rencg": chain.loss_rencg}, pairs, stream))
     return report
 
 
@@ -86,18 +103,24 @@ def sample_batch(videos, cfg: RunConfig, step_index: int,
     return np.stack(clips)
 
 
-def train_loop(bundle: ModelBundle, videos, progress=None) -> list[dict]:
-    """Run cfg.steps optimization steps; returns the per-step loss reports."""
-    cfg = bundle.cfg
-    root = RandomStream.from_seed(cfg.seed, "train")
+def _run(bundle: ModelBundle, label: str, draw, step_fn, progress) -> list[dict]:
+    """cfg.steps steps of `step_fn` under the root stream `label`; step s
+    runs on the batch `draw(s, stream)` takes from its own stream, then
+    calls `progress(s, report)`.  Returns the per-step reports."""
+    root = RandomStream.from_seed(bundle.cfg.seed, label)
     reports = []
-    for step in range(cfg.steps):
+    for step in range(bundle.cfg.steps):
         sstream = root.split(f"step{step}")
-        batch = sample_batch(videos, cfg, step, sstream.split("batch"))
-        reports.append(train_step(bundle, batch, sstream))
+        reports.append(step_fn(bundle, draw(step, sstream), sstream))
         if progress is not None:
             progress(step, reports[-1])
     return reports
+
+
+def train_loop(bundle: ModelBundle, videos, progress=None) -> list[dict]:
+    """Run cfg.steps clip steps; returns the per-step loss reports."""
+    return _run(bundle, "train", lambda step, sstream: sample_batch(
+        videos, bundle.cfg, step, sstream.split("batch")), train_step, progress)
 
 
 def build_pairs(videos, cfg: RunConfig):
@@ -109,16 +132,10 @@ def build_pairs(videos, cfg: RunConfig):
 
 def train_loop_recall(bundle: ModelBundle, pairs, progress=None) -> list[dict]:
     """Run cfg.steps recall steps over uniformly drawn pair batches."""
-    cfg = bundle.cfg
     if not pairs:
         raise ValueError("no training pairs — videos shorter than t_c + stride")
-    root = RandomStream.from_seed(cfg.seed, "train-recall")
-    reports = []
-    for step in range(cfg.steps):
-        sstream = root.split(f"step{step}")
-        which = sstream.split("pairs").choice(len(pairs), cfg.batch)
-        batch = [pairs[int(i)] for i in which]
-        reports.append(train_step_recall(bundle, batch, sstream))
-        if progress is not None:
-            progress(step, reports[-1])
-    return reports
+
+    def draw(step, sstream):
+        which = sstream.split("pairs").choice(len(pairs), bundle.cfg.batch)
+        return [pairs[int(i)] for i in which]
+    return _run(bundle, "train-recall", draw, train_step_recall, progress)

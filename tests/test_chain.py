@@ -10,12 +10,13 @@ from vidchain.chain import (
     ClipPair, chain_generate, chain_overlap_mismatch, chain_ref_frame,
     loss_d_image_r, loss_d_video_merged, loss_d_video_r1,
     loss_rencg, make_training_pairs, merged_video_terms, pairs_to_clips,
-    train_step_recall, FrameBudget,
+    FrameBudget,
 )
 from vidchain.config import RunConfig
 from vidchain.losses import clip_recon
 from vidchain.model import D_GROUP, ENC_GROUP, GEN_GROUP, ModelBundle
 from vidchain.rng import RandomStream
+from vidchain.training import train_step_recall
 
 from test_losses import TINY, directional_fd, stream, tiny_bundle, zero_discriminators
 

@@ -10,7 +10,7 @@ import pytest
 from vidchain.cli import main
 from vidchain.config import RunConfig
 from vidchain.container import (load_checkpoint, load_dataset, read_container,
-                                save_checkpoint)
+                                save_checkpoint, write_container)
 from vidchain.metrics import read_metric_report
 from vidchain.model import OPT_NAMES, ModelBundle
 from vidchain.training import build_pairs, train_loop_recall
@@ -122,6 +122,17 @@ def test_generate_long_dims_and_determinism(tiny_dataset, tmp_path):
     assert rows["peak_frames"] <= 2 * 4
 
 
+def test_string_config_flags_reach_the_run(tiny_dataset, tmp_path, capsys):
+    ckpt = tmp_path / "m.ckpt"
+    assert run(["train", "--data", tiny_dataset, "--out", ckpt, "--steps", "2",
+                "--loss-variant", "diff", *TINY_FLAGS]) == 0
+    assert load_checkpoint(ckpt)[0]["loss_variant"] == "diff"
+    capsys.readouterr()
+    assert run(["generate-long", "--ckpt", ckpt, "--out", tmp_path / "l.rcg",
+                "--clips", "3", "--gen-mode", "mean"]) == 0
+    assert "mode=mean" in capsys.readouterr().out
+
+
 def test_eval_self_scores_tiny(tiny_dataset, tmp_path):
     report = tmp_path / "eval.tsv"
     assert run(["eval", "--data", tiny_dataset, "--reference", tiny_dataset,
@@ -195,8 +206,15 @@ def _edit_manifest(dataset, old, new):
     manifest.write_bytes(manifest.read_bytes().replace(old, new, 1))
 
 
+def _nan_pixel(dataset):
+    video = read_container(dataset / "video_00000.rcg")
+    video[5, 0, 0, 0] = np.nan
+    write_container(dataset / "video_00000.rcg", video)
+
+
 # copies of the test dataset, each damaged in one way
 _DAMAGED = {
+    "NAN_PIXEL": _nan_pixel,
     "NO_VIDEO": lambda ds: (ds / "video_00001.rcg").unlink(),
     "NOT_INT": lambda ds: _edit_manifest(ds, b"video_00001.rcg\t12",
                                          b"video_00001.rcg\tabc"),
@@ -245,6 +263,17 @@ _DAMAGED = {
                  "missing-file", id="manifest-names-missing-container"),
     pytest.param(["train", "--data", "NO_VIDEO", "--out", "OUT"], None, 3,
                  "missing-file", id="train-manifest-names-missing-container"),
+    pytest.param(["train", "--data", "NAN_PIXEL", "--out", "OUT", "--steps", "1",
+                  *TINY_FLAGS], None, 4, "data-format",
+                 id="train-non-finite-pixel"),
+    pytest.param(["train-recall", "--data", "NAN_PIXEL", "--out", "OUT",
+                  "--steps", "1", *TINY_FLAGS], None, 4, "data-format",
+                 id="train-recall-non-finite-pixel"),
+    pytest.param(["eval", "--data", "NAN_PIXEL", "--reference", "DATA",
+                  "--report", "OUT", "--seg-len", "4"], None, 4, "data-format",
+                 id="eval-non-finite-pixel"),
+    pytest.param(["roundtrip-check", "--data", "NAN_PIXEL", "--t-c", "4"], None,
+                 4, "data-format", id="roundtrip-check-non-finite-pixel"),
     pytest.param(["roundtrip-check", "--data", "NOT_INT"], None, 4,
                  "data-format", id="manifest-field-not-integer"),
     pytest.param(["roundtrip-check", "--data", "NOT_UTF8"], None, 4,
@@ -284,6 +313,8 @@ def test_cli_error_contract(tiny_dataset, tmp_path, capsys, argv, config, code,
         assert config[2:config.index(b'"', 2)].decode() in line    # names the field
     if "FLOAT_CKPT" in argv:
         assert "hidden" in line
+    if "NAN_PIXEL" in argv:
+        assert "video_00000.rcg" in line and "non-finite" in line
     assert (work / "out.rcg").read_bytes() == b"previous"
     assert sorted(os.listdir(work)) == before
     assert os.listdir(work / "dir") == []

@@ -130,6 +130,29 @@ def test_checkpoint_skip_leaves_prefixed_arrays_out(tmp_path):
         load_checkpoint(p, ("opt_",))
 
 
+def test_checkpoint_blob_length_past_end_is_truncation(tmp_path):
+    p = tmp_path / "one.ckpt"
+    save_checkpoint(p, {"k": 1}, {"w": np.arange(3.0)})
+    data = bytearray(p.read_bytes())
+    at = len(data) - (16 + 8 + 3 * 8) - 8      # the blob's length field
+    (length,) = struct.unpack_from("<Q", data, at)
+    assert length == len(data) - at - 8
+    struct.pack_into("<Q", data, at, length + 8)
+    p.write_bytes(data)
+    with pytest.raises(ContainerError, match=r":w: file truncated"):
+        load_checkpoint(p)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_read_refuses_non_finite_payload(tmp_path, bad):
+    p = tmp_path / "nf.rcg"
+    arr = np.zeros((3, 2), dtype=np.float32)
+    arr[2, 1] = bad
+    write_container(p, arr)
+    with pytest.raises(ContainerError, match="nf.rcg: payload holds a non-finite"):
+        read_container(p)
+
+
 def test_checkpoint_rejects_non_object_config(tmp_path):
     p = tmp_path / "list.ckpt"
     save_checkpoint(p, [1, 2], {})

@@ -1,0 +1,66 @@
+"""The benchmark's layer tracer still finds every name it patches.
+
+`perfbench/layertrace.py` replaces names where the package looks them up.
+A refactor that binds one of them early (a table built at import, a name
+imported under another module) leaves the wrapper uncalled, and that stage
+of the traced benchmark reads zero.  This runs one tiny step of each phase
+under the installed tracer, in a child process so the patches stay there.
+"""
+
+import json
+import os
+import subprocess
+import sys
+
+ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
+
+_SCRIPT = """
+import json, sys
+sys.path[:0] = [sys.argv[1], sys.argv[2]]
+import numpy as np
+import layertrace
+tracer = layertrace.Tracer()
+layertrace.install(tracer)
+from vidchain.config import RunConfig
+from vidchain.model import ModelBundle
+from vidchain.training import build_pairs, train_loop, train_loop_recall
+
+cfg = RunConfig(t_c=4, r=2, height=4, width=4, channels=1, z_content=8,
+                z_motion=4, hidden=16, batch=2, steps=1, seed=5)
+rng = np.random.default_rng(0)
+videos = [rng.uniform(-1, 1, (24,) + cfg.frame_shape) for _ in range(3)]
+tracer.phase = "clip"
+train_loop(ModelBundle.init(cfg), videos)
+tracer.phase = "pairs"
+pairs, _ = build_pairs(videos, cfg)
+tracer.phase = "recall"
+train_loop_recall(ModelBundle.init(cfg), pairs)
+tracer.phase = None
+print(json.dumps({key: calls for key, (calls, _, _) in tracer.stats.items()}))
+"""
+
+EXPECTED = {
+    "clip": ["training.sample_batch", "autodiff.backward.clip-d",
+             "autodiff.backward.clip-enc", "autodiff.backward.clip-gen",
+             "autodiff.tape_records.clip", "optim.adam_step",
+             "losses.loss_d_image", "losses.loss_d_video", "losses.loss_enc",
+             "losses.loss_gen"],
+    "pairs": ["chain.make_training_pairs"],
+    "recall": ["autodiff.backward.recall-d", "autodiff.backward.recall-joint",
+               "autodiff.tape_records.recall", "optim.adam_step",
+               "chain.loss_d_image_r", "chain.loss_d_video_merged",
+               "chain.loss_rencg"],
+}
+
+
+def test_every_patched_training_name_is_called():
+    out = subprocess.run(
+        [sys.executable, "-c", _SCRIPT, os.path.join(ROOT, "src"),
+         os.path.join(ROOT, "perfbench")],
+        capture_output=True, text=True, check=True, timeout=300).stdout
+    calls = json.loads(out.strip().splitlines()[-1])
+    missing = [f"{phase}|{name}" for phase, names in EXPECTED.items()
+               for name in names if calls.get(f"{phase}|{name}", 0) < 1]
+    assert not missing, missing
+    # one Adam step per group: 3 in a clip step, 3 in a recall step
+    assert calls["clip|optim.adam_step"] == calls["recall|optim.adam_step"] == 3

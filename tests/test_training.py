@@ -135,14 +135,20 @@ def test_sample_batch_deterministic():
 
 # -- loops ------------------------------------------------------------------------
 
-def test_train_loop_runs_and_reports():
+@pytest.mark.parametrize("phase", ["clip", "recall"])
+def test_train_loop_runs_and_reports(phase):
     bundle = tiny_bundle(steps=3)
+    videos = tiny_videos()
+    if phase == "clip":
+        loop, data, last = train_loop, videos, "gen"
+    else:
+        loop, data, last = train_loop_recall, build_pairs(videos, TINY)[0], "rencg"
     seen = []
-    reports = train_loop(bundle, tiny_videos(),
-                         progress=lambda s, r: seen.append(s))
+    reports = loop(bundle, data, progress=lambda s, r: seen.append((s, r)))
     assert len(reports) == 3
-    assert seen == [0, 1, 2]
-    assert all(np.isfinite(r["gen"]["total"]) for r in reports)
+    # the callback sees each step's index and report, in order
+    assert seen == list(enumerate(reports))
+    assert all(np.isfinite(r[last]["total"]) for r in reports)
 
 
 def test_train_loop_bit_reproducible():
