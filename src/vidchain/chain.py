@@ -4,11 +4,12 @@ generation.
 
 Training views a long video as clips taken every `stride` frames; a
 ``ClipPair`` is two such clips one stride apart, sharing ``t_c - stride``
-frames.  The pair losses push the generator to make clip j+1 continue
-clip j: the merged video-discriminator loss scores a real clip against two
-generated ones, where the second is *chained* from the first — its latents
-are obtained by re-encoding the first generated clip, so the discriminator
-gradient reaches the generator through the chaining path.
+frames.  The joint recall loss ``loss_rencg`` trains Enc and G to make clip
+j+1 continue clip j.  The merged video-discriminator loss scores a real clip
+against two generated ones, the second *chained* from the first (its latents
+re-encode the first generated clip), so the graph carries a gradient through
+the chaining path to the generator; but ``loss_d_video_merged`` runs only in
+the discriminator update (``training.train_step_recall``): it trains D alone.
 
 Generation then runs the same chaining forever in fixed memory:
 ``chain_generate`` keeps only the previous clip's overlap tail (the last

@@ -19,7 +19,8 @@ reference index and integrating differences backward and forward from it;
 
 A ``ModelBundle`` owns all seven parameter stacks plus three Adam states
 (discriminators share one, encoders one, generator one) and round-trips
-through a checkpoint file bit-exactly, config echo included.
+through a checkpoint file bit-exactly, config echo included.  It owns the
+checkpoint layout: every array's name and shape follow from the config.
 """
 
 from __future__ import annotations
@@ -44,7 +45,8 @@ D_GROUP = ("d_image", "d_video")
 ENC_GROUP = ("content_enc", "motion_enc")
 GEN_GROUP = ("g_c", "g_t", "fusion")
 LOGIT_LIMIT = 15.0
-OPT_NAMES = ("opt_d", "opt_enc", "opt_gen")   # checkpoint key prefixes
+OPT_GROUPS = {"opt_d": D_GROUP, "opt_enc": ENC_GROUP, "opt_gen": GEN_GROUP}
+OPT_NAMES = tuple(OPT_GROUPS)   # checkpoint key prefixes
 
 
 def clips_to_tensor(clips: np.ndarray) -> Tensor:
@@ -80,26 +82,18 @@ def _sizes(cfg: RunConfig) -> dict:
     }
 
 
-def _restore_mlp(state: dict, name: str, widths) -> list[Tensor]:
-    """Component `name`'s parameters from a state_arrays() dict, each checked
-    against the shape init_mlp gives layer widths `widths`."""
-    shapes = [s for n_in, n_out in zip(widths, widths[1:])
-              for s in ((n_in, n_out), (n_out,))]
-    params = []
-    for i, shape in enumerate(shapes):
-        key = f"{name}.{i}"
+def _take(state: dict, entries, kind: str) -> list[np.ndarray]:
+    """The arrays of `state` named by `entries` [(name, shape), ...], each
+    checked and then adopted or copied (see `ModelBundle.init`).  All names
+    are looked up first, so a damaged name reports the array it removed."""
+    for key, _ in entries:
         if key not in state:
-            raise ConfigError(f"checkpoint is missing parameter {key}")
+            raise ConfigError(f"checkpoint is missing {kind} {key}")
+    for key, shape in entries:
         if state[key].shape != shape:
-            raise ConfigError(f"checkpoint parameter {key} has shape "
+            raise ConfigError(f"checkpoint {kind} {key} has shape "
                               f"{state[key].shape}, expected {shape}")
-        # adopted without a copy where the bundle may take the array
-        arr = np.require(state[key], np.float64, "CW")
-        ad._check_finite("tensor", arr)
-        param = Tensor._wrap(arr)
-        param.requires_grad = True
-        params.append(param)
-    return params
+    return [np.require(state[key], np.float64, "CW") for key, _ in entries]
 
 
 class ModelBundle:
@@ -116,6 +110,11 @@ class ModelBundle:
         """A fresh bundle drawn from the config seed or, given a
         state_arrays() dict, one restored from it without drawing anything.
 
+        Every parameter must be present with its shape.  An optimizer with
+        none of its arrays in `state` starts fresh; otherwise its `step` must
+        be present and, above 0, each `m{i}`/`v{i}` with the shape of the
+        group's parameter i.  A violation raises ConfigError naming the array.
+
         A restored bundle owns `state`'s arrays: each one that is writable,
         C-contiguous float64 (as `load_checkpoint` returns them) is adopted
         as it is, a parameter as the read-only data of its Tensor after the
@@ -124,23 +123,45 @@ class ModelBundle:
         such an array afterwards.  Any other array, such as the read-only
         views of another bundle's `state_arrays()`, is copied, so bundles
         restored from one live bundle train independently of it and of
-        each other.  A state without optimizer moments gives fresh ones."""
+        each other."""
         sizes = _sizes(cfg)
-        opts = [AdamState(cfg.lr, cfg.beta1, cfg.beta2, cfg.eps) for _ in OPT_NAMES]
+        opts = {name: AdamState(cfg.lr, cfg.beta1, cfg.beta2, cfg.eps)
+                for name in OPT_NAMES}
         if state is None:
             stream = RandomStream.from_seed(cfg.seed, "model-init")
             components = {name: init_mlp(stream.split(name), sizes[name],
                                          cfg.bias_init)
                           for name in COMPONENTS}
-            return cls(cfg, components, *opts)
-        components = {name: _restore_mlp(state, name, sizes[name])
-                      for name in COMPONENTS}
-        for opt_name, opt in zip(OPT_NAMES, opts):
-            moments = {k[len(opt_name) + 1:]: v for k, v in state.items()
-                       if k.startswith(opt_name + ".")}
-            if moments:
-                opt.load_state_arrays(moments)
-        return cls(cfg, components, *opts)
+            return cls(cfg, components, *opts.values())
+        # each component's W0, b0, W1, b1, ... as init_mlp draws them
+        shapes = {name: [s for n_in, n_out in zip(w, w[1:])
+                         for s in ((n_in, n_out), (n_out,))]
+                  for name, w in sizes.items()}
+        components = {}
+        for name in COMPONENTS:
+            components[name] = []
+            for arr in _take(state, [(f"{name}.{i}", shape) for i, shape
+                                     in enumerate(shapes[name])], "parameter"):
+                ad._check_finite("tensor", arr)
+                param = Tensor._wrap(arr)
+                param.requires_grad = True
+                components[name].append(param)
+        for opt_name, opt in opts.items():
+            if not any(key.startswith(opt_name + ".") for key in state):
+                continue        # fresh, as when loaded with skip=OPT_NAMES
+            step = float(_take(state, [(f"{opt_name}.step", (1,))],
+                               "optimizer array")[0][0])
+            if not (step >= 0 and step.is_integer()):
+                raise ConfigError(f"checkpoint {opt_name}.step holds {step}")
+            opt.step = int(step)
+            if opt.step:        # step 0 has not sized its moments yet
+                group = [shape for name in OPT_GROUPS[opt_name]
+                         for shape in shapes[name]]
+                moments = _take(state, [(f"{opt_name}.{mv}{i}", shape)
+                                        for i, shape in enumerate(group)
+                                        for mv in "mv"], "optimizer array")
+                opt.m, opt.v = moments[0::2], moments[1::2]
+        return cls(cfg, components, *opts.values())
 
     # -- parameter groups -----------------------------------------------------
     def params(self, group) -> list[Tensor]:
@@ -213,13 +234,14 @@ class ModelBundle:
         steps = ad.reshape(motion, (b, t - 1, d))
         start = ad.reshape(content, (b, 1, d))
         k = ref_index - 1
-        halves = []
-        if k > 0:       # frames k, k-1, ..., 0, then back into frame order
+        if k == 0:      # ref 1 (every clip-phase compose): the forward sum alone
+            raw = ad.cumsum(ad.concat([start, steps], axis=1), axis=1)
+        else:           # frames k, k-1, ..., 0, then back into frame order
             back = ad.cumsum(ad.concat([start, -steps[:, k - 1::-1, :]], axis=1),
                              axis=1)
-            halves.append(back[:, :0:-1, :])
-        halves.append(ad.cumsum(ad.concat([start, steps[:, k:, :]], axis=1), axis=1))
-        raw = ad.concat(halves, axis=1)
+            raw = ad.concat([back[:, :0:-1, :],
+                             ad.cumsum(ad.concat([start, steps[:, k:, :]], axis=1),
+                                       axis=1)], axis=1)
 
         if not cfg.disable_fusion:
             residual = apply_mlp(self.components["fusion"],
@@ -241,28 +263,26 @@ class ModelBundle:
 
     # -- checkpointing -----------------------------------------------------------
     def state_arrays(self) -> dict:
-        arrays = {}
-        for name in COMPONENTS:
-            for i, p in enumerate(self.components[name]):
-                arrays[f"{name}.{i}"] = p.data
-        for opt_name, opt in zip(OPT_NAMES, (self.opt_d, self.opt_enc,
-                                             self.opt_gen)):
-            for key, arr in opt.state_arrays().items():
-                arrays[f"{opt_name}.{key}"] = arr
+        """Every array by checkpoint name: the parameters by COMPONENTS, then
+        per optimizer step, m0, v0, m1, v1, ...  The moments are read-only
+        views of the live accumulators, which the next Adam step overwrites:
+        write them out or copy them before stepping again."""
+        arrays = {f"{name}.{i}": p.data for name in COMPONENTS
+                  for i, p in enumerate(self.components[name])}
+        for opt_name in OPT_NAMES:
+            opt = getattr(self, opt_name)
+            arrays[f"{opt_name}.step"] = np.array([float(opt.step)])
+            for i, pair in enumerate(zip(opt.m or (), opt.v or ())):
+                for mv, moment in zip("mv", pair):
+                    arrays[f"{opt_name}.{mv}{i}"] = view = moment.view()
+                    view.flags.writeable = False
         return arrays
 
     def save(self, path) -> None:
         save_checkpoint(path, self.cfg.to_dict(), self.state_arrays())
 
     @classmethod
-    def load(cls, path, cfg: RunConfig | None = None) -> "ModelBundle":
-        """Rebuild a bundle from a checkpoint.  With `cfg` given, its
-        architecture fields must agree with the stored config (schedule
-        fields may differ and the given cfg wins); otherwise the stored
-        config is used as-is."""
+    def load(cls, path) -> "ModelBundle":
+        """Rebuild a bundle, config included, from a checkpoint."""
         stored_cfg, arrays = load_checkpoint(path)
-        if cfg is None:
-            cfg = RunConfig.from_dict(stored_cfg)
-        else:
-            cfg.ensure_arch_matches(stored_cfg)
-        return cls.init(cfg, arrays)
+        return cls.init(RunConfig.from_dict(stored_cfg), arrays)

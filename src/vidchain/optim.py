@@ -24,12 +24,6 @@ __all__ = ["AdamState", "adam_step"]
 BLOCK = 32768
 
 
-def _read_only_view(arr: np.ndarray) -> np.ndarray:
-    view = arr.view()
-    view.setflags(write=False)
-    return view
-
-
 class AdamState:
     """Per-parameter first/second moment accumulators and a step counter."""
 
@@ -43,32 +37,10 @@ class AdamState:
         self.m: list[np.ndarray] | None = None
         self.v: list[np.ndarray] | None = None
 
-    def state_arrays(self) -> dict:
-        """Accumulators as named arrays (for checkpointing).
 
-        The moments are read-only views of the live accumulators, which the
-        next `adam_step` overwrites: write them out or copy them before
-        stepping again."""
-        out = {"step": np.array([float(self.step)])}
-        for i, (m, v) in enumerate(zip(self.m or [], self.v or [])):
-            out[f"m{i}"] = _read_only_view(m)
-            out[f"v{i}"] = _read_only_view(v)
-        return out
-
-    def load_state_arrays(self, arrays: dict) -> None:
-        """Take the step counter and the moments of a `state_arrays()` dict.
-        A writable, C-contiguous float64 moment becomes the accumulator
-        itself, which later steps update in place; any other is copied."""
-        self.step = int(arrays["step"][0])
-        n = len([k for k in arrays if k.startswith("m")])
-        # n == 0 means the optimizer had not taken a step yet: keep the
-        # accumulators unallocated so the next step lazily sizes them.
-        self.m = [np.require(arrays[f"m{i}"], np.float64, "CW")
-                  for i in range(n)] if n else None
-        self.v = [np.require(arrays[f"v{i}"], np.float64, "CW")
-                  for i in range(n)] if n else None
-
-
+# the finite check after each block reports a fault, so numpy's own
+# floating-point warnings would only repeat it on stderr
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def adam_step(state: AdamState, params, grads) -> list[Tensor]:
     """One bias-corrected Adam update; returns the new parameter Tensors."""
     params = list(params)

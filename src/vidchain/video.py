@@ -85,14 +85,12 @@ def reconstruct_from_reference(ref: np.ndarray, r: int, motion: np.ndarray) -> n
         raise ValueError(f"reference index {r} outside 1..{t_c}")
     if motion.shape[1:] != ref.shape:
         raise ValueError(f"motion shape {motion.shape} does not extend frame {ref.shape}")
-    k = r - 1
-    out = np.empty((t_c,) + ref.shape, dtype=np.result_type(ref, motion))
-    out[k] = ref
-    for i in range(k - 1, -1, -1):
-        out[i] = out[i + 1] - motion[i]
-    for i in range(k + 1, t_c):
-        out[i] = out[i - 1] + motion[i - 1]
-    return out
+    # two running sums outward from the reference; adding a negated diff is
+    # subtracting it, so each frame is bit-equal to a frame-by-frame walk
+    k, dtype = r - 1, np.result_type(ref, motion)
+    forward = np.cumsum(np.concatenate([ref[None], motion[k:]]), 0, dtype)
+    back = np.cumsum(np.concatenate([ref[None], -motion[:k][::-1]]), 0, dtype)
+    return np.concatenate([back[:0:-1], forward])
 
 
 def stitch(clips, r: int) -> LongVideo:

@@ -9,9 +9,12 @@ few recall steps, and prints one sha256 over every `state_arrays()` array
 (name, shape and bytes) and the `repr` of every step's loss reports.  Two
 more lines hash files written from the default variant's bundle: the
 checkpoint `save` writes, and a short `chain_generate` video written
-through `ContainerWriter` as `generate-long` writes it.  A refactor that
-claims to leave training or file I/O byte-identical prints the same lines
-before and after.  The script imports the package from the `src/` beside
+through `ContainerWriter` as `generate-long` writes it.  The last three
+prove the checkpoint restore byte-exact: the default variant's checkpoint
+after `ModelBundle.load` and a second `save` (equal to the `checkpoint`
+line), and an untrained bundle's checkpoint before and after the same
+reload (equal to each other).  A refactor that claims to leave training or
+file I/O byte-identical prints the same lines before and after.  The script imports the package from the `src/` beside
 it, so it measures the checkout it lives in.
 """
 
@@ -75,20 +78,36 @@ def digest(bundle, reports) -> str:
     return h.hexdigest()
 
 
+def _sha256(path) -> str:
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
+def checkpoint_digests(bundle, tmp: str, tag: str) -> dict:
+    """sha256 of the bundle's checkpoint, and of that checkpoint after a
+    `ModelBundle.load` and a second `save`."""
+    first, again = (os.path.join(tmp, f"{tag}{i}.ckpt") for i in (1, 2))
+    bundle.save(first)
+    ModelBundle.load(first).save(again)
+    return {tag: _sha256(first), f"{tag}_reload": _sha256(again)}
+
+
 def file_digests(bundle) -> dict:
-    """sha256 of the bundle's checkpoint and of a short chained video."""
+    """sha256 of the bundle's checkpoint and of a short chained video, then
+    the checkpoint digests of the trained bundle reloaded and of an
+    untrained one, whose optimizers hold step 0 and no moments."""
     with tempfile.TemporaryDirectory() as tmp:
-        ckpt, video = os.path.join(tmp, "m.ckpt"), os.path.join(tmp, "long.rcg")
-        bundle.save(ckpt)
+        video = os.path.join(tmp, "long.rcg")
+        ckpt = checkpoint_digests(bundle, tmp, "checkpoint")
         with ContainerWriter(video, bundle.cfg.frame_shape) as writer:
             chain_generate(bundle, CHAIN_CLIPS, mode=bundle.cfg.gen_mode,
                            sink=lambda block: writer.append(
                                block.astype(np.float32)))
-        out = {}
-        for name, path in (("checkpoint", ckpt), ("chain_container", video)):
-            with open(path, "rb") as fh:
-                out[name] = hashlib.sha256(fh.read()).hexdigest()
-        return out
+        untrained = checkpoint_digests(ModelBundle.init(bundle.cfg), tmp,
+                                       "untrained_checkpoint")
+        return {"checkpoint": ckpt["checkpoint"],
+                "chain_container": _sha256(video),
+                "checkpoint_reload": ckpt["checkpoint_reload"], **untrained}
 
 
 def main() -> int:

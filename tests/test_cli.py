@@ -3,10 +3,14 @@
 import json
 import os
 import shutil
+import struct
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import vidchain
 from vidchain.cli import main
 from vidchain.config import RunConfig
 from vidchain.container import (load_checkpoint, load_dataset, read_container,
@@ -175,13 +179,21 @@ def test_exit_codes(tiny_dataset, tmp_path, capsys):
     assert any("code=config" in l for l in lines)
 
 
-def test_exit_code_arch_conflict(tiny_dataset, tmp_path):
+def test_exit_code_arch_conflict(tiny_dataset, tmp_path, capsys):
     base = tmp_path / "b.ckpt"
     assert run(["train", "--data", tiny_dataset, "--out", base,
                 "--steps", "1", *TINY_FLAGS]) == 0
+    capsys.readouterr()
     assert run(["train-recall", "--data", tiny_dataset, "--init", base,
                 "--out", tmp_path / "r.ckpt", "--steps", "1",
                 "--hidden", "32"]) == 2
+    assert "conflicts" in _one_error_line(capsys, "config")
+    # schedule fields may differ from the stored ones, and the flags win
+    assert run(["train-recall", "--data", tiny_dataset, "--init", base,
+                "--out", tmp_path / "r.ckpt", "--steps", "2",
+                "--seed", "123"]) == 0
+    stored = load_checkpoint(tmp_path / "r.ckpt")[0]
+    assert stored["steps"] == 2 and stored["seed"] == 123
 
 
 def test_exit_code_data_format(tmp_path):
@@ -426,6 +438,89 @@ def test_damaged_checkpoint_parameter_is_config_error(tiny_dataset, tmp_path,
     assert run(["generate-long", "--ckpt", bad, "--out", tmp_path / "l.rcg",
                 "--clips", "2"]) == 2
     assert "g_t.2" in _one_error_line(capsys, "config")
+
+
+def _rename(arrays, name):
+    arrays[name.replace(".", ".x", 1)] = arrays.pop(name)
+
+
+def _set(arrays, name, value):
+    arrays[name] = value
+
+
+# damage to a trained checkpoint's optimizer arrays, and the array named
+_DAMAGED_MOMENTS = {
+    "renamed-moment": (lambda a: _rename(a, "opt_d.v2"), "opt_d.v2"),
+    "missing-step": (lambda a: a.pop("opt_enc.step"), "opt_enc.step"),
+    "step-not-a-count": (lambda a: _set(a, "opt_enc.step", np.array([np.inf])),
+                         "opt_enc.step"),
+    "wrong-shape-moment": (lambda a: _set(a, "opt_gen.m0", a["opt_gen.m0"][:-1]),
+                           "opt_gen.m0"),
+}
+
+
+@pytest.mark.parametrize("command", ["train-recall", "ablate"])
+@pytest.mark.parametrize("damage", list(_DAMAGED_MOMENTS))
+def test_damaged_optimizer_state_is_config_error(tiny_dataset, tmp_path, capsys,
+                                                 command, damage):
+    ckpt = tmp_path / "m.ckpt"
+    assert run(["train", "--data", tiny_dataset, "--out", ckpt,
+                "--steps", "1", *TINY_FLAGS]) == 0
+    capsys.readouterr()
+    cfg, arrays = load_checkpoint(ckpt)
+    edit, name = _DAMAGED_MOMENTS[damage]
+    edit(arrays)
+    assert any(k.startswith("opt_enc.m") for k in arrays)   # moments present
+    save_checkpoint(ckpt, cfg, arrays)
+    assert run([command, "--data", tiny_dataset, "--init", ckpt,
+                "--out", tmp_path / "out", "--steps", "1"]) == 2
+    line = _one_error_line(capsys, "config")
+    assert name in line.split(), line
+    assert not (tmp_path / "out").exists()
+
+
+def test_checkpoint_name_mutations_are_config_errors(tiny_dataset, tmp_path,
+                                                     capsys):
+    """Flipping the low bit of the last byte of any array name in a trained
+    checkpoint removes that array (a digit turns into its neighbour, which
+    it then shadows): train-recall --init names it in one config line."""
+    ckpt = tmp_path / "m.ckpt"
+    assert run(["train", "--data", tiny_dataset, "--out", ckpt,
+                "--steps", "1", *TINY_FLAGS]) == 0
+    capsys.readouterr()
+    blob = ckpt.read_bytes()
+    names = list(load_checkpoint(ckpt)[1])
+    assert len(names) == 28 + 3 + 2 * 28
+    bad = tmp_path / "bad.ckpt"
+    for name in names:
+        field = struct.pack("<I", len(name)) + name.encode()
+        at = blob.index(field) + len(field) - 1
+        assert blob.count(field) == 1
+        bad.write_bytes(blob[:at] + bytes([blob[at] ^ 1]) + blob[at + 1:])
+        assert run(["train-recall", "--data", tiny_dataset, "--init", bad,
+                    "--out", tmp_path / "r.ckpt", "--steps", "1"]) == 2, name
+        line = _one_error_line(capsys, "config")
+        assert "is missing" in line and line.endswith(f" {name}"), line
+
+
+def test_negative_second_moment_is_one_numeric_line(tiny_dataset, tmp_path):
+    """Adam's square root of a negative moment gives NaN; the finite check
+    reports it, and numpy prints no warning of its own."""
+    ckpt = tmp_path / "m.ckpt"
+    assert run(["train", "--data", tiny_dataset, "--out", ckpt,
+                "--steps", "1", *TINY_FLAGS]) == 0
+    cfg, arrays = load_checkpoint(ckpt)
+    arrays["opt_d.v0"][...] = -1.0
+    save_checkpoint(ckpt, cfg, arrays)
+    src = os.path.dirname(os.path.dirname(vidchain.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "vidchain.cli", "train-recall", "--data",
+         str(tiny_dataset), "--init", str(ckpt), "--out",
+         str(tmp_path / "r.ckpt"), "--steps", "1"],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 5
+    lines = proc.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error code=numeric "), lines
 
 
 def test_generate_long_loads_checkpoint_once(tiny_dataset, tmp_path, monkeypatch):

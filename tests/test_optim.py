@@ -94,18 +94,6 @@ def test_shape_mismatch_rejected():
         adam_step(state, [Tensor([0.0], requires_grad=True)], [np.zeros(2)])
 
 
-def test_state_roundtrip_through_arrays():
-    state = AdamState(lr=1e-3)
-    p = Tensor([1.0, 2.0], requires_grad=True)
-    (p,) = adam_step(state, [p], [np.array([0.1, -0.2])])
-    blobs = state.state_arrays()
-    clone = AdamState(lr=1e-3)
-    clone.load_state_arrays(blobs)
-    (a,) = adam_step(state, [p], [np.array([0.3, 0.4])])
-    (b,) = adam_step(clone, [p], [np.array([0.3, 0.4])])
-    assert np.array_equal(a.data, b.data)
-
-
 def test_in_place_update_equals_allocating_expressions_bit_for_bit():
     r = RandomStream.from_seed(8)
     # the last shape spans two blocks, the second one partial
@@ -124,17 +112,3 @@ def test_in_place_update_equals_allocating_expressions_bit_for_bit():
             assert np.array_equal(params[i].data, p)
             assert np.array_equal(state.m[i], m)
             assert np.array_equal(state.v[i], v)
-
-
-def test_state_arrays_are_read_only_views_of_live_moments():
-    state = AdamState()
-    (p,) = adam_step(state, [Tensor([1.0, 2.0], requires_grad=True)],
-                     [np.array([0.1, -0.2])])
-    blobs = state.state_arrays()
-    for key in ("m0", "v0"):
-        with pytest.raises(ValueError):
-            blobs[key][0] = 5.0
-    assert np.shares_memory(blobs["m0"], state.m[0])
-    before = blobs["m0"].copy()
-    adam_step(state, [p], [np.array([0.3, 0.4])])
-    assert not np.array_equal(blobs["m0"], before)   # the view is live

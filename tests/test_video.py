@@ -117,6 +117,37 @@ def test_reference_invariance_chain_consistency():
         assert np.array_equal(again, base)
 
 
+def _walk_from_reference(ref, r, motion):
+    """The frame-by-frame recursion: subtract diffs backward from the
+    reference, add them forward."""
+    out = np.empty((len(motion) + 1,) + ref.shape, np.result_type(ref, motion))
+    out[r - 1] = ref
+    for i in range(r - 2, -1, -1):
+        out[i] = out[i + 1] - motion[i]
+    for i in range(r, len(out)):
+        out[i] = out[i - 1] + motion[i - 1]
+    return out
+
+
+@pytest.mark.parametrize("ref_dtype,motion_dtype", [
+    (np.float32, np.float32), (np.float64, np.float64),
+    (np.float32, np.float64), (np.float64, np.float32)])
+def test_reference_running_sums_equal_the_walk_bit_for_bit(ref_dtype,
+                                                           motion_dtype):
+    # off the float32 grid, so every addition rounds
+    rng = np.random.default_rng(47)
+    for _ in range(40):
+        t_c = int(rng.integers(1, 10))
+        ref = rng.standard_normal((3, 2, 1)).astype(ref_dtype)
+        motion = (rng.standard_normal((t_c - 1, 3, 2, 1))
+                  * 10.0 ** rng.integers(-3, 4)).astype(motion_dtype)
+        for ridx in range(1, t_c + 1):
+            got = reconstruct_from_reference(ref, ridx, motion)
+            want = _walk_from_reference(ref, ridx, motion)
+            assert got.dtype == want.dtype
+            assert np.array_equal(got.view(np.uint8), want.view(np.uint8))
+
+
 def test_reference_index_out_of_range():
     motion = np.zeros((3, 2, 2, 1))
     for bad in (0, 5):
