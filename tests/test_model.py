@@ -353,6 +353,25 @@ def test_checkpoint_keeps_its_step_after_further_steps(tmp_path):
         assert np.array_equal(back[key], arr), key
 
 
+def test_checkpoint_load_rejects_conflicting_arch(tmp_path):
+    from vidchain.container import load_checkpoint
+    bundle = tiny_bundle()
+    path = tmp_path / "bundle.ckpt"
+    bundle.save(path)
+    stored, arrays = load_checkpoint(path)
+    wide = TINY.replace(hidden=32)
+    with pytest.raises(ConfigError, match="conflicts"):
+        wide.ensure_arch_matches(stored)
+    # the arrays themselves refuse a config of another shape
+    with pytest.raises(ConfigError):
+        ModelBundle.init(wide, arrays)
+    # schedule changes are fine and the passed config wins
+    cfg = TINY.replace(steps=7, seed=123)
+    cfg.ensure_arch_matches(stored)
+    got = ModelBundle.init(cfg, arrays)
+    assert got.cfg.steps == 7 and got.cfg.seed == 123
+
+
 def test_checkpoint_untrained_roundtrip_then_trainable(tmp_path):
     from vidchain.autodiff import GradTape, backward
     from vidchain.optim import adam_step
