@@ -220,15 +220,12 @@ def square(a) -> Tensor:
 
 def log(a) -> Tensor:
     a = _as_tensor(a)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.log(a.data)
-    return _emit("log", out, (a,), (lambda g: g / a.data,))
+    return _emit("log", np.log(a.data), (a,), (lambda g: g / a.data,))
 
 
 def exp(a) -> Tensor:
     a = _as_tensor(a)
-    with np.errstate(over="ignore"):
-        out = np.exp(a.data)
+    out = np.exp(a.data)
     return _emit("exp", out, (a,), (lambda g: g * out,))
 
 
@@ -378,26 +375,25 @@ def backward(loss: Tensor, params) -> list[np.ndarray]:
             live.add(id(rec.out))
 
     grads: dict[int, np.ndarray] = {id(loss): np.ones(loss.shape)}
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for rec in reversed(tape.records):
-            if id(rec.out) not in live:
+    for rec in reversed(tape.records):
+        if id(rec.out) not in live:
+            continue
+        g = grads.pop(id(rec.out), None)
+        if g is None:
+            continue
+        # only the VJPs of inputs that reach a requested parameter run
+        for t, vjp in zip(rec.inputs, rec.vjps):
+            key = id(t)
+            if key not in live:
                 continue
-            g = grads.pop(id(rec.out), None)
-            if g is None:
-                continue
-            # only the VJPs of inputs that reach a requested parameter run
-            for t, vjp in zip(rec.inputs, rec.vjps):
-                key = id(t)
-                if key not in live:
-                    continue
-                ig = vjp(g)
-                if not np.isfinite(ig).all():
-                    raise GradientError(
-                        f"non-finite gradient produced by primitive '{rec.op}'")
-                if key in grads:
-                    grads[key] = grads[key] + ig
-                else:
-                    grads[key] = np.asarray(ig, dtype=np.float64)
+            ig = vjp(g)
+            if not np.isfinite(ig).all():
+                raise GradientError(
+                    f"non-finite gradient produced by primitive '{rec.op}'")
+            if key in grads:
+                grads[key] = grads[key] + ig
+            else:
+                grads[key] = np.asarray(ig, dtype=np.float64)
 
     out = []
     for p in params:

@@ -268,8 +268,7 @@ def chain_generate(bundle: ModelBundle, n_clips: int, mode: str = "sampled",
                 z_x = np.zeros((1, cfg.z_content))
                 z_v = np.zeros((1, cfg.z_motion))
             else:
-                z_x = cstream.split("prior_x").normal((1, cfg.z_content))
-                z_v = cstream.split("prior_v").normal((1, cfg.z_motion))
+                z_x, z_v = bundle.prior_latents(1, cstream)
                 if mode == "seeded":
                     frozen_z_v = z_v
             ref = ref0

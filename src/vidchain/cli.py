@@ -13,6 +13,9 @@ Conventions
 * Exit codes: 0 success; 2 usage or configuration error; 3 missing or
   unusable file; 4 data/dimension error; 5 numeric failure.  Errors print
   exactly one line to stderr: ``error code=<kind> detail=<message>``.
+* numpy's floating-point warnings are off while a command runs: the
+  library's finite checks raise on every NaN or Inf, and `main` prints
+  that one line.
 """
 
 from __future__ import annotations
@@ -197,8 +200,7 @@ def cmd_generate(args) -> int:
     bundle = _load_bundle(args, args.ckpt, skip=OPT_NAMES)   # moments stay on disk
     cfg = bundle.cfg
     stream = RandomStream.from_seed(cfg.seed, "generate")
-    z_x = stream.split("prior_x").normal((args.count, cfg.z_content))
-    z_v = stream.split("prior_v").normal((args.count, cfg.z_motion))
+    z_x, z_v = bundle.prior_latents(args.count, stream)
     clips = bundle.compose(Tensor(z_x), Tensor(z_v))[1].data
     clips = clips.reshape((args.count, cfg.t_c) + cfg.frame_shape)
     write_container(_resolve_out(args.out), clips.astype(np.float32))
@@ -473,7 +475,11 @@ def main(argv=None) -> int:
     except SystemExit as exc:   # argparse usage error or --help
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        # every NaN or Inf the library forms is caught by a finite check and
+        # raised, which prints the one error line below; numpy's own
+        # floating-point warnings would only repeat it on stderr
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except ConfigError as exc:
         return _fail("config", 2, exc)
     except OSError as exc:      # missing, a directory, or otherwise unusable

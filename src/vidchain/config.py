@@ -127,11 +127,7 @@ class RunConfig:
             raise ConfigError(str(exc)) from None
 
     def replace(self, **changes) -> "RunConfig":
-        known = {f.name for f in dataclasses.fields(self)}
-        unknown = sorted(set(changes) - known)
-        if unknown:
-            raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
-        return dataclasses.replace(self, **changes)
+        return self.from_dict({**self.to_dict(), **changes})
 
     def ensure_arch_matches(self, stored: dict) -> None:
         """Refuse to pair this config with a checkpoint built under another

@@ -52,19 +52,18 @@ def make_shapes_video(length: int, label: int, stream: RandomStream,
     axis, direction = SHAPE_CLASSES[label % 4]
     limit = (width if axis == 1 else height) - square
     perp_limit = (height if axis == 1 else width) - square
-    # phase-locked start: begin at the border the motion leaves from
-    pos = 0 if direction > 0 else limit
+    # phase-locked start: begin at the border the motion leaves from, then
+    # bounce between 0 and limit, a triangle wave of period 2 * limit
+    start = 0 if direction > 0 else limit
+    t = np.arange(length)
+    pos = limit - np.abs(limit - (t + start) % (2 * limit))
     perp = int(stream.integers(0, perp_limit + 1, ()))
-    vel = direction
+    frames, cells = t[:, None], pos[:, None] + np.arange(square)
     video = np.full((length, height, width, 1), -1.0, dtype=np.float32)
-    for t in range(length):
-        y, x = (perp, pos) if axis == 1 else (pos, perp)
-        video[t, y:y + square, x:x + square, 0] = 1.0
-        nxt = pos + vel
-        if nxt < 0 or nxt > limit:
-            vel = -vel
-            nxt = pos + vel
-        pos = nxt
+    if axis == 1:
+        video[frames, perp:perp + square, cells, 0] = 1.0
+    else:
+        video[frames, cells, perp:perp + square, 0] = 1.0
     return video
 
 
@@ -150,10 +149,6 @@ def uniform_sample(video: np.ndarray, stream: RandomStream,
     length = len(video)
     if length < bins:
         raise ValueError(f"video of {length} frames is shorter than {bins} bins")
-    size = length // bins
-    indices = []
-    for b in range(bins):
-        lo = b * size
-        hi = (b + 1) * size if b < bins - 1 else length
-        indices.append(int(stream.integers(lo, hi, ())))
-    return video[np.array(indices)].copy()
+    lo = np.arange(bins) * (length // bins)
+    hi = np.append(lo[1:], length)
+    return video[stream.integers(lo, hi, (bins,))].copy()

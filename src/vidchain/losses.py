@@ -133,10 +133,8 @@ def _encode_generate(bundle: ModelBundle, x: Tensor, stream: RandomStream,
 
 
 def _prior_generate(bundle: ModelBundle, b: int, stream: RandomStream) -> Tensor:
-    cfg = bundle.cfg
-    z_x = Tensor(stream.split("prior_x").normal((b, cfg.z_content)))
-    z_v = Tensor(stream.split("prior_v").normal((b, cfg.z_motion)))
-    return bundle.compose(z_x, z_v)[1]
+    z_x, z_v = bundle.prior_latents(b, stream)
+    return bundle.compose(Tensor(z_x), Tensor(z_v))[1]
 
 
 def _frame_indices(b: int, t: int, stream: RandomStream) -> np.ndarray:

@@ -17,10 +17,12 @@ generator composes a clip by placing the content frame at a 1-based
 reference index and integrating differences backward and forward from it;
 ``compose`` then adds fusion residuals and clamps to the pixel range.
 
-A ``ModelBundle`` owns all seven parameter stacks plus three Adam states
-(discriminators share one, encoders one, generator one) and round-trips
-through a checkpoint file bit-exactly, config echo included.  It owns the
-checkpoint layout: every array's name and shape follow from the config.
+A ``ModelBundle`` owns all seven parameter stacks in ``components`` and
+three Adam states in ``opts``, keyed by the ``OPT_GROUPS`` names that pair
+each with its group (discriminators, encoders, generator).  It draws the
+prior latents, and round-trips through a checkpoint file bit-exactly,
+config echo included.  It owns the checkpoint layout: every array's name
+and shape follow from the config.
 """
 
 from __future__ import annotations
@@ -97,13 +99,10 @@ def _take(state: dict, entries, kind: str) -> list[np.ndarray]:
 
 
 class ModelBundle:
-    def __init__(self, cfg: RunConfig, components: dict,
-                 opt_d: AdamState, opt_enc: AdamState, opt_gen: AdamState):
+    def __init__(self, cfg: RunConfig, components: dict, opts: dict):
         self.cfg = cfg
         self.components = components
-        self.opt_d = opt_d
-        self.opt_enc = opt_enc
-        self.opt_gen = opt_gen
+        self.opts = opts
 
     @classmethod
     def init(cls, cfg: RunConfig, state: dict | None = None) -> "ModelBundle":
@@ -132,7 +131,7 @@ class ModelBundle:
             components = {name: init_mlp(stream.split(name), sizes[name],
                                          cfg.bias_init)
                           for name in COMPONENTS}
-            return cls(cfg, components, *opts.values())
+            return cls(cfg, components, opts)
         # each component's W0, b0, W1, b1, ... as init_mlp draws them
         shapes = {name: [s for n_in, n_out in zip(w, w[1:])
                          for s in ((n_in, n_out), (n_out,))]
@@ -161,7 +160,7 @@ class ModelBundle:
                                         for i, shape in enumerate(group)
                                         for mv in "mv"], "optimizer array")
                 opt.m, opt.v = moments[0::2], moments[1::2]
-        return cls(cfg, components, *opts.values())
+        return cls(cfg, components, opts)
 
     # -- parameter groups -----------------------------------------------------
     def params(self, group) -> list[Tensor]:
@@ -201,6 +200,12 @@ class ModelBundle:
                 self.motion_posterior(clip_diffs(clips)))
 
     # -- generator ------------------------------------------------------------
+    def prior_latents(self, b: int, stream: RandomStream):
+        """`b` content and motion latents drawn from the standard-normal
+        prior, as (b, z_content) and (b, z_motion) arrays."""
+        return (stream.split("prior_x").normal((b, self.cfg.z_content)),
+                stream.split("prior_v").normal((b, self.cfg.z_motion)))
+
     def compose(self, z_x: Tensor, z_v: Tensor, ref_index: int = 1):
         """Full generator pass from latents (B, z_content) and (B, z_motion),
         the content frame placed at 1-based `ref_index`.  Returns the raw
@@ -269,8 +274,7 @@ class ModelBundle:
         write them out or copy them before stepping again."""
         arrays = {f"{name}.{i}": p.data for name in COMPONENTS
                   for i, p in enumerate(self.components[name])}
-        for opt_name in OPT_NAMES:
-            opt = getattr(self, opt_name)
+        for opt_name, opt in self.opts.items():
             arrays[f"{opt_name}.step"] = np.array([float(opt.step)])
             for i, pair in enumerate(zip(opt.m or (), opt.v or ())):
                 for mv, moment in zip("mv", pair):

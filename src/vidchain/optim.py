@@ -5,10 +5,11 @@ returns fresh parameter Tensors.  The AdamState's step counter and its moment
 arrays are updated in place, and each new parameter array is wrapped as a
 Tensor without a copy.  The update runs over the flat view of each parameter
 in blocks of `BLOCK` elements: every block goes through the whole sequence of
-float64 expressions, and is checked for NaN/Inf, while it is still in cache.
-Each element meets the same operations in the same order as in one pass over
-the whole array, so blocking changes no bit.  Identical (state, params,
-grads) triples produce bit-identical results.
+float64 expressions, and is checked for NaN/Inf, while it is still in cache;
+a non-finite parameter raises NumericsError.  Each element meets the same
+operations in the same order as in one pass over the whole array, so
+blocking changes no bit.  Identical (state, params, grads) triples produce
+bit-identical results.
 """
 
 from __future__ import annotations
@@ -38,9 +39,6 @@ class AdamState:
         self.v: list[np.ndarray] | None = None
 
 
-# the finite check after each block reports a fault, so numpy's own
-# floating-point warnings would only repeat it on stderr
-@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def adam_step(state: AdamState, params, grads) -> list[Tensor]:
     """One bias-corrected Adam update; returns the new parameter Tensors."""
     params = list(params)

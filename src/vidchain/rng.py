@@ -52,8 +52,8 @@ class RandomStream:
     def uniform(self, shape=(), low: float = 0.0, high: float = 1.0) -> np.ndarray:
         return self._gen.uniform(low, high, size=shape)
 
-    def integers(self, low: int, high: int, shape=()) -> np.ndarray:
-        """Uniform integers in [low, high)."""
+    def integers(self, low, high, shape=()) -> np.ndarray:
+        """Uniform integers in [low, high); array bounds broadcast to shape."""
         return self._gen.integers(low, high, size=shape)
 
     def choice(self, n: int, size: int, replace: bool = True) -> np.ndarray:

@@ -25,7 +25,7 @@ from .chain import make_training_pairs
 from .config import RunConfig
 from .datasets import step_sample, uniform_sample
 from .losses import loss_d_image, loss_d_video, loss_enc, loss_enc_v, loss_gen
-from .model import D_GROUP, ENC_GROUP, GEN_GROUP, ModelBundle
+from .model import OPT_GROUPS, ModelBundle
 from .optim import adam_step
 from .rng import RandomStream
 
@@ -33,20 +33,23 @@ __all__ = ["train_step", "train_step_recall", "sample_batch", "train_loop",
            "train_loop_recall", "build_pairs"]
 
 
-def _update(bundle: ModelBundle, groups, losses: dict, batch,
+def _update(bundle: ModelBundle, opt_names, losses: dict, batch,
             stream: RandomStream) -> dict:
-    """One Adam update of each (group, optimizer) pair in `groups`, on the
-    totals of `losses` ({name: loss function}) summed in order.  Each loss
-    draws from stream.split(name); returns each loss's parts by name."""
+    """One Adam update of each optimizer in `opt_names` on the group that
+    OPT_GROUPS pairs it with, on the totals of `losses` ({name: loss
+    function}) summed in order.  Each loss draws from stream.split(name);
+    returns each loss's parts by name."""
+    groups = [OPT_GROUPS[name] for name in opt_names]
     with ad.GradTape():
         outs = {name: loss(bundle, batch, stream.split(name))
                 for name, loss in losses.items()}
         total = functools.reduce(operator.add, (o.total for o in outs.values()))
-        params = [bundle.params(group) for group, _ in groups]
+        params = [bundle.params(group) for group in groups]
         grads = backward(total, [p for group in params for p in group])
-    for (group, opt), group_params in zip(groups, params):
+    for name, group, group_params in zip(opt_names, groups, params):
         n = len(group_params)
-        bundle.set_params(group, adam_step(opt, group_params, grads[:n]))
+        bundle.set_params(group, adam_step(bundle.opts[name], group_params,
+                                           grads[:n]))
         grads = grads[n:]
     return {name: out.parts for name, out in outs.items()}
 
@@ -56,13 +59,11 @@ def train_step(bundle: ModelBundle, clips: np.ndarray,
     """One clip step: discriminators (image + video losses summed, one Adam
     update), then encoders, then generator."""
     enc_loss = loss_enc_v if bundle.cfg.loss_variant == "diff" else loss_enc
-    report = _update(bundle, [(D_GROUP, bundle.opt_d)],
+    report = _update(bundle, ["opt_d"],
                      {"d_image": loss_d_image, "d_video": loss_d_video},
                      clips, stream)
-    report.update(_update(bundle, [(ENC_GROUP, bundle.opt_enc)],
-                          {"enc": enc_loss}, clips, stream))
-    report.update(_update(bundle, [(GEN_GROUP, bundle.opt_gen)],
-                          {"gen": loss_gen}, clips, stream))
+    report.update(_update(bundle, ["opt_enc"], {"enc": enc_loss}, clips, stream))
+    report.update(_update(bundle, ["opt_gen"], {"gen": loss_gen}, clips, stream))
     return report
 
 
@@ -70,11 +71,10 @@ def train_step_recall(bundle: ModelBundle, pairs, stream: RandomStream) -> dict:
     """One recall step: discriminators (image + video, merged when cfg.mgv),
     then one joint update of encoders and generator on the recall objective."""
     d_video = chain.loss_d_video_merged if bundle.cfg.mgv else chain.loss_d_video_r1
-    report = _update(bundle, [(D_GROUP, bundle.opt_d)],
+    report = _update(bundle, ["opt_d"],
                      {"d_image": chain.loss_d_image_r, "d_video": d_video},
                      pairs, stream)
-    report.update(_update(bundle, [(ENC_GROUP, bundle.opt_enc),
-                                   (GEN_GROUP, bundle.opt_gen)],
+    report.update(_update(bundle, ["opt_enc", "opt_gen"],
                           {"rencg": chain.loss_rencg}, pairs, stream))
     return report
 

@@ -50,6 +50,9 @@ VARIANTS = {
     "disable_motion": {"disable_motion": True},
     "disable_fusion": {"disable_fusion": True},
     "disable_content": {"disable_content": True},
+    # every clip step samples frames uniformly; at STEPS steps the default
+    # fraction of 0.1 rounds to no uniform step at all
+    "uniform_fraction=1.0": {"uniform_fraction": 1.0},
 }
 
 

@@ -290,6 +290,33 @@ _DAMAGED = {
                  "data-format", id="manifest-field-not-integer"),
     pytest.param(["roundtrip-check", "--data", "NOT_UTF8"], None, 4,
                  "data-format", id="manifest-not-utf8"),
+    # a path that runs through a regular file: every open, and every
+    # directory an output needs, fails with an OSError
+    pytest.param(["train", "--data", "UNDER_FILE", "--out", "OUT", "--steps", "1"],
+                 None, 3, "missing-file", id="data-under-file"),
+    pytest.param(["train-recall", "--data", "DATA", "--init", "UNDER_FILE",
+                  "--out", "OUT", "--steps", "1"], None, 3, "missing-file",
+                 id="init-under-file"),
+    pytest.param(["generate-long", "--ckpt", "UNDER_FILE", "--out", "OUT",
+                  "--clips", "2"], None, 3, "missing-file", id="ckpt-under-file"),
+    pytest.param(_LONG + ["--config", "UNDER_FILE"], None, 3, "missing-file",
+                 id="config-under-file"),
+    pytest.param(["generate-long", "--ckpt", "CKPT", "--out", "UNDER_FILE",
+                  "--clips", "2"], None, 3, "missing-file",
+                 id="long-out-under-file"),
+    pytest.param(["generate", "--ckpt", "CKPT", "--out", "UNDER_FILE"], None, 3,
+                 "missing-file", id="generate-out-under-file"),
+    pytest.param(["train", "--data", "DATA", "--out", "UNDER_FILE", "--steps",
+                  "1", *TINY_FLAGS], None, 3, "missing-file",
+                 id="train-out-under-file"),
+    pytest.param(["eval", "--data", "DATA", "--reference", "DATA", "--report",
+                  "UNDER_FILE", "--seg-len", "4"], None, 3, "missing-file",
+                 id="report-out-under-file"),
+    pytest.param(["dataset-gen", "--out", "UNDER_FILE", "--count", "1"], None, 3,
+                 "missing-file", id="dataset-out-under-file"),
+    pytest.param(["ablate", "--data", "DATA", "--out", "UNDER_FILE", "--steps",
+                  "1", *TINY_FLAGS], None, 3, "missing-file",
+                 id="ablate-out-under-file"),
 ])
 def test_cli_error_contract(tiny_dataset, tmp_path, capsys, argv, config, code,
                             kind):
@@ -306,7 +333,8 @@ def test_cli_error_contract(tiny_dataset, tmp_path, capsys, argv, config, code,
         (work / "cfg.json").write_bytes(config)
     before = sorted(os.listdir(work))
     paths = {"CKPT": ckpt, "OUT": work / "out.rcg", "DIR": work / "dir",
-             "CFG": work / "cfg.json", "DATA": tiny_dataset}
+             "CFG": work / "cfg.json", "DATA": tiny_dataset,
+             "UNDER_FILE": work / "out.rcg" / "x"}
     if "FLOAT_CKPT" in argv:    # the same model, its hidden stored as 16.0
         stored, arrays = load_checkpoint(ckpt)
         paths["FLOAT_CKPT"] = tmp_path / "float.ckpt"
@@ -327,6 +355,8 @@ def test_cli_error_contract(tiny_dataset, tmp_path, capsys, argv, config, code,
         assert "hidden" in line
     if "NAN_PIXEL" in argv:
         assert "video_00000.rcg" in line and "non-finite" in line
+    if "UNDER_FILE" in argv:
+        assert "[Errno 20] Not a directory" in line or "[Errno 17] File exists" in line
     assert (work / "out.rcg").read_bytes() == b"previous"
     assert sorted(os.listdir(work)) == before
     assert os.listdir(work / "dir") == []
@@ -503,20 +533,33 @@ def test_checkpoint_name_mutations_are_config_errors(tiny_dataset, tmp_path,
         assert "is missing" in line and line.endswith(f" {name}"), line
 
 
-def test_negative_second_moment_is_one_numeric_line(tiny_dataset, tmp_path):
-    """Adam's square root of a negative moment gives NaN; the finite check
-    reports it, and numpy prints no warning of its own."""
+# damage that makes the first recall step form a NaN or Inf: Adam's square
+# root of a negative second moment, and a generator output bias whose square
+# overflows in the forward pass
+_NUMERIC_DAMAGE = {
+    "negative-v0": ("opt_d.v0", -1.0),
+    "huge-g_c-bias": ("g_c.3", 1e200),
+}
+
+
+@pytest.mark.parametrize("command", ["train-recall", "ablate"])
+@pytest.mark.parametrize("damage", list(_NUMERIC_DAMAGE))
+def test_negative_second_moment_is_one_numeric_line(tiny_dataset, tmp_path,
+                                                    command, damage):
+    """The finite checks report the NaN or Inf, and numpy prints no warning
+    of its own: exactly one stderr line, from a child process."""
     ckpt = tmp_path / "m.ckpt"
     assert run(["train", "--data", tiny_dataset, "--out", ckpt,
                 "--steps", "1", *TINY_FLAGS]) == 0
     cfg, arrays = load_checkpoint(ckpt)
-    arrays["opt_d.v0"][...] = -1.0
+    name, value = _NUMERIC_DAMAGE[damage]
+    arrays[name][...] = value
     save_checkpoint(ckpt, cfg, arrays)
     src = os.path.dirname(os.path.dirname(vidchain.__file__))
     proc = subprocess.run(
-        [sys.executable, "-m", "vidchain.cli", "train-recall", "--data",
+        [sys.executable, "-m", "vidchain.cli", command, "--data",
          str(tiny_dataset), "--init", str(ckpt), "--out",
-         str(tmp_path / "r.ckpt"), "--steps", "1"],
+         str(tmp_path / "out"), "--steps", "1"],
         capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src))
     assert proc.returncode == 5
     lines = proc.stderr.strip().splitlines()

@@ -84,6 +84,34 @@ def test_shapes_determinism_and_stream_sensitivity():
     assert c.shape == a.shape
 
 
+def _bouncing_square_loop(length, label, stream, height, width, square):
+    """The frame-by-frame bounce `make_shapes_video` computes in one pass."""
+    axis, direction = SHAPE_CLASSES[label % 4]
+    limit = (width if axis == 1 else height) - square
+    perp_limit = (height if axis == 1 else width) - square
+    pos, vel = (0 if direction > 0 else limit), direction
+    perp = int(stream.integers(0, perp_limit + 1, ()))
+    video = np.full((length, height, width, 1), -1.0, dtype=np.float32)
+    for t in range(length):
+        y, x = (perp, pos) if axis == 1 else (pos, perp)
+        video[t, y:y + square, x:x + square, 0] = 1.0
+        if not 0 <= pos + vel <= limit:
+            vel = -vel
+        pos += vel
+    return video
+
+
+@pytest.mark.parametrize("height,width,square",
+                         [(16, 16, 4), (5, 9, 4), (12, 7, 3), (20, 20, 1)])
+def test_shapes_video_matches_bounce_loop(height, width, square):
+    for label in range(8):
+        for length in (2, 3, 17, 48, 101):
+            dims = (height, width, square)
+            loop = _bouncing_square_loop(length, label, stream(f"b{label}"), *dims)
+            video = make_shapes_video(length, label, stream(f"b{label}"), *dims)
+            assert video.dtype == loop.dtype and np.array_equal(video, loop)
+
+
 def test_shapes_invalid_dims():
     with pytest.raises(ConfigError, match="dims"):
         make_shapes_video(1, 0, stream())
@@ -222,6 +250,19 @@ def test_uniform_sample_remainder_goes_to_last_bin():
         for b in range(15):
             assert 2 * b <= idx[b] < 2 * (b + 1)
         assert 30 <= idx[15] < 37
+
+
+def test_uniform_sample_matches_one_draw_per_bin():
+    """One vector draw gives the frames that a scalar draw per bin, in bin
+    order, gives from the same stream."""
+    for length in (16, 17, 37, 160, 4097, 70000):
+        video = np.arange(length)
+        for seed in range(5):
+            s = stream("per-bin", seed)
+            size = length // 16
+            scalar = [int(s.integers(b * size, (b + 1) * size if b < 15
+                                     else length, ())) for b in range(16)]
+            assert uniform_sample(video, stream("per-bin", seed)).tolist() == scalar
 
 
 def test_uniform_sample_deterministic_per_stream():

@@ -306,7 +306,7 @@ def _generator_step(bundle):
         clip = bundle.compose(z_x, z_v)[1]
         loss = ad.mean(clip * clip)
     grads = backward(loss, params)
-    bundle.set_params(GEN_GROUP, adam_step(bundle.opt_gen, params, grads))
+    bundle.set_params(GEN_GROUP, adam_step(bundle.opts["opt_gen"], params, grads))
 
 
 def _snapshot(bundle):
@@ -327,11 +327,11 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path, monkeypatch):
             assert np.array_equal(pa.data.view(np.uint64), pb.data.view(np.uint64))
         for pb in back.components[name]:
             assert pb.requires_grad
-    assert back.opt_gen.step == 1
-    for m1, m2 in zip(bundle.opt_gen.m + bundle.opt_gen.v,
-                      back.opt_gen.m + back.opt_gen.v, strict=True):
+    assert back.opts["opt_gen"].step == 1
+    mine, theirs = bundle.opts["opt_gen"], back.opts["opt_gen"]
+    for m1, m2 in zip(mine.m + mine.v, theirs.m + theirs.v, strict=True):
         assert np.array_equal(m1, m2)
-    assert back.opt_d.step == 0 and back.opt_d.m is None
+    assert back.opts["opt_d"].step == 0 and back.opts["opt_d"].m is None
 
 
 def test_checkpoint_keeps_its_step_after_further_steps(tmp_path):
@@ -346,7 +346,7 @@ def test_checkpoint_keeps_its_step_after_further_steps(tmp_path):
     bundle.save(path)
     for step in range(2, 4):
         train_step(bundle, random_clips(seed=step), RandomStream.from_seed(step))
-    assert not np.array_equal(bundle.opt_d.m[0], at_k["opt_d.m0"])
+    assert not np.array_equal(bundle.opts["opt_d"].m[0], at_k["opt_d.m0"])
     back = ModelBundle.load(path).state_arrays()
     assert back.keys() == at_k.keys()
     for key, arr in at_k.items():
@@ -384,8 +384,8 @@ def test_checkpoint_untrained_roundtrip_then_trainable(tmp_path):
         p = back.d_image_prob(Tensor(np.ones((2, 16))))
         loss = ad.mean(p)
     grads = backward(loss, params)
-    back.set_params(D_GROUP, adam_step(back.opt_d, params, grads))  # no error
-    assert back.opt_d.step == 1
+    back.set_params(D_GROUP, adam_step(back.opts["opt_d"], params, grads))  # no error
+    assert back.opts["opt_d"].step == 1
 
 
 @pytest.mark.parametrize("damage", ["missing", "wrong-shape"])
@@ -452,7 +452,7 @@ def test_state_roundtrip_through_arrays(tmp_path):
     assert _snapshot(clone) == _snapshot(source)
     for bundle in (source, clone):
         _generator_step(bundle)
-    assert clone.opt_gen.step == 2
+    assert clone.opts["opt_gen"].step == 2
     assert _snapshot(clone) == _snapshot(source)
 
 
@@ -462,7 +462,7 @@ def test_state_arrays_are_read_only_views_of_live_moments(tmp_path):
     for key in ("opt_gen.m0", "opt_gen.v0"):
         with pytest.raises(ValueError):
             state[key][0, 0] = 5.0
-    assert np.shares_memory(state["opt_gen.m0"], bundle.opt_gen.m[0])
+    assert np.shares_memory(state["opt_gen.m0"], bundle.opts["opt_gen"].m[0])
     before = state["opt_gen.m0"].copy()
     _generator_step(bundle)
     assert not np.array_equal(state["opt_gen.m0"], before)   # the view is live
