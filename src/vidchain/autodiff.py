@@ -7,19 +7,29 @@ requested parameter.  It replays only the records on a path from a requested
 parameter to the loss, and of those it runs only the VJPs of inputs on such a
 path: a discriminator update never forms the gradient of the discriminator's
 input, nor a generator update the weight gradients of the discriminator.
-Every primitive checks its output for NaN/Inf (an error state, not a value),
-and the backward pass checks every gradient it forms the same way, reporting
-the primitive responsible.
+A VJP's own state (concat's split offsets, clip's mask) is formed inside the
+VJP, so an untaped call or a pruned record never pays for it.
+
+Every Tensor is finite: NaN and Inf are an error state, not a value.  The
+constructor checks its data, and a primitive checks its output only where
+finite inputs can overflow or hit a pole: add, sub, mul, affine, square,
+log, exp, mean, sum and cumsum.  neg, tanh, sigmoid, clip, reshape, concat
+and slicing map finite inputs (clip's bounds included) to finite outputs,
+so they check nothing.  A failed check raises NumericsError naming the
+primitive.  The backward pass checks every gradient it forms the same way,
+reporting the primitive responsible.
 
 The primitive set is deliberately small: add, sub, mul, neg, affine, tanh,
 sigmoid, mean, sum, cumsum, square, log, exp, concat, slicing, clip, reshape.
 Enough to express the encoder/generator/discriminator stacks and every loss
-in the library.  Slicing takes basic or
-advanced indices, provided no position is selected twice.
+in the library.  Slicing takes basic or advanced indices; the gradient of an
+advanced index that selects a position twice raises GradientError.
 """
 
 from __future__ import annotations
 
+import builtins
+import math
 import threading
 
 import numpy as np
@@ -156,11 +166,24 @@ class GradTape:
 
 
 def _as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
+    if isinstance(x, Tensor):
+        return x
+    if isinstance(x, float) and math.isfinite(x):
+        # a finite Python constant (0.5 * t, 1.0 - p): a fresh 0-d array
+        # needs neither the constructor's copy nor its array check
+        return Tensor._wrap(np.array(x))
+    return Tensor(np.asarray(x, dtype=np.float64))
+
+
+# Primitives whose output is finite whenever their inputs are (see the module
+# docstring); every other primitive checks its output.
+_FINITE_PRESERVING = frozenset(
+    ("neg", "tanh", "sigmoid", "clip", "reshape", "concat", "slice"))
 
 
 def _emit(op: str, out_data: np.ndarray, inputs: tuple, vjps: tuple) -> Tensor:
-    _check_finite(op, out_data)
+    if op not in _FINITE_PRESERVING:
+        _check_finite(op, out_data)
     out = Tensor._wrap(out_data)
     tape = _active_tape()
     if tape is not None and any(tape._tracks(t) for t in inputs):
@@ -245,8 +268,8 @@ def sigmoid(a) -> Tensor:
 def clip(a, lo: float, hi: float) -> Tensor:
     a = _as_tensor(a)
     out = np.clip(a.data, lo, hi)
-    mask = (a.data >= lo) & (a.data <= hi)
-    return _emit("clip", out, (a,), (lambda g: g * mask,))
+    return _emit("clip", out, (a,),
+                 (lambda g: g * ((a.data >= lo) & (a.data <= hi)),))
 
 
 # -- linear algebra -----------------------------------------------------------
@@ -256,7 +279,8 @@ def affine(x, w, b) -> Tensor:
     x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
     if x.ndim != 2 or w.ndim != 2 or b.ndim != 1:
         raise GradientError("affine expects (B,in) @ (in,out) + (out,)")
-    out = x.data @ w.data + b.data
+    out = x.data @ w.data
+    out += b.data       # in place: the GEMM output is fresh
     return _emit("affine", out, (x, w, b),
                  (lambda g: g @ w.data.T, lambda g: x.data.T @ g,
                   lambda g: g.sum(axis=0)))
@@ -316,12 +340,26 @@ def concat(tensors, axis: int = 0) -> Tensor:
     if not ts:
         raise GradientError("concat of an empty sequence")
     out = np.concatenate([t.data for t in ts], axis=axis)
-    splits = np.cumsum([t.data.shape[axis] for t in ts])[:-1]
 
     def part(i):
-        return lambda g: np.ascontiguousarray(np.split(g, splits, axis=axis)[i])
+        def vjp(g):
+            start = builtins.sum(t.data.shape[axis] for t in ts[:i])
+            where = [slice(None)] * g.ndim
+            where[axis] = slice(start, start + ts[i].data.shape[axis])
+            return np.ascontiguousarray(g[tuple(where)])
+        return vjp
 
     return _emit("concat", out, ts, tuple(part(i) for i in range(len(ts))))
+
+
+def _selects_twice(idx, shape) -> bool:
+    """Whether `idx` selects some position of an array of `shape` more than
+    once; only an advanced (array or list) index can."""
+    parts = idx if isinstance(idx, tuple) else (idx,)
+    if not any(isinstance(p, (np.ndarray, list)) for p in parts):
+        return False
+    positions = np.arange(math.prod(shape)).reshape(shape)[idx]
+    return bool(np.bincount(positions.ravel()).max(initial=0) > 1)
 
 
 def _slice(a, idx) -> Tensor:
@@ -329,8 +367,11 @@ def _slice(a, idx) -> Tensor:
     out = a.data[idx]
 
     def vjp(g):
+        if _selects_twice(idx, a.data.shape):
+            raise GradientError("primitive 'slice' selects a position more "
+                                "than once, which its gradient cannot do")
         buf = np.zeros(a.data.shape)
-        buf[idx] = g  # each position selected at most once
+        buf[idx] = g
         return buf
 
     return _emit("slice", np.array(out), (a,), (vjp,))

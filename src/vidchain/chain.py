@@ -256,8 +256,8 @@ def chain_generate(bundle: ModelBundle, n_clips: int, mode: str = "sampled",
         sink = lambda block: collected.append(block.copy())
 
     tail: np.ndarray | None = None       # (olap, D) frames shared with next clip
-    carried_motion_mean: np.ndarray | None = None
-    frozen_z_v: np.ndarray | None = None
+    carried_motion_mean: Tensor | None = None
+    frozen_z_v: Tensor | None = None
     mismatches: list[float] = []
     emitted = 0
 
@@ -265,27 +265,27 @@ def chain_generate(bundle: ModelBundle, n_clips: int, mode: str = "sampled",
         cstream = stream.split(f"clip{j}")
         if j == 0:
             if mode == "mean":
-                z_x = np.zeros((1, cfg.z_content))
-                z_v = np.zeros((1, cfg.z_motion))
+                z_x = Tensor(np.zeros((1, cfg.z_content)))
+                z_v = Tensor(np.zeros((1, cfg.z_motion)))
             else:
-                z_x, z_v = bundle.prior_latents(1, cstream)
+                z_x, z_v = map(Tensor, bundle.prior_latents(1, cstream))
                 if mode == "seeded":
                     frozen_z_v = z_v
             ref = ref0
         else:
             q_x = bundle.content_posterior(Tensor(tail[carry - r - 1][None]))
             if mode == "sampled":
-                z_x = reparameterize(q_x, cstream.split("eps_x")).data
-                z_v = cstream.split("prior_v").normal((1, cfg.z_motion))
+                z_x = reparameterize(q_x, cstream.split("eps_x"))
+                z_v = Tensor(cstream.split("prior_v").normal((1, cfg.z_motion)))
             elif mode == "mean":
-                z_x = q_x.mu.data
+                z_x = q_x.mu
                 z_v = carried_motion_mean
             else:  # seeded
-                z_x = q_x.mu.data
+                z_x = q_x.mu
                 z_v = frozen_z_v
             ref = refj
 
-        clip = bundle.compose(Tensor(z_x), Tensor(z_v), ref_index=ref)[1]
+        clip = bundle.compose(z_x, z_v, ref_index=ref)[1]
         clip = clip.data[0]              # (t_c, D)
         budget.acquire(t_c)
 
@@ -303,7 +303,7 @@ def chain_generate(bundle: ModelBundle, n_clips: int, mode: str = "sampled",
             diffs = np.diff(clip, axis=0)            # (t_c - 1, D)
             budget.acquire(t_c - 1)
             q_v = bundle.motion_posterior(Tensor(diffs.reshape(1, -1)))
-            carried_motion_mean = q_v.mu.data
+            carried_motion_mean = q_v.mu
             budget.release(t_c - 1)
 
         if j < n_clips - 1:

@@ -4,7 +4,8 @@ Every stochastic operation in the library takes an explicit RandomStream so
 that whole runs are bit-reproducible from a single integer seed.  Streams are
 backed by the Philox counter-based generator; child streams are derived by
 hashing the parent key with a human-readable name, so the draw order of one
-stream never perturbs another.
+stream never perturbs another.  A stream builds its Philox generator on its
+first draw, so a stream that is only split never builds one.
 """
 
 from __future__ import annotations
@@ -32,8 +33,13 @@ class RandomStream:
         if len(key) != 16:
             raise ValueError("stream key must be 16 bytes")
         self.key = key
-        philox = np.random.Philox(key=np.frombuffer(key, dtype=np.uint64))
-        self._gen = np.random.Generator(philox)
+        self._gen = None
+
+    def _generator(self) -> np.random.Generator:
+        if self._gen is None:
+            philox = np.random.Philox(key=np.frombuffer(self.key, dtype=np.uint64))
+            self._gen = np.random.Generator(philox)
+        return self._gen
 
     @classmethod
     def from_seed(cls, seed: int, label: str = "root") -> "RandomStream":
@@ -47,17 +53,17 @@ class RandomStream:
     # -- draws ---------------------------------------------------------------
 
     def normal(self, shape=(), scale: float = 1.0) -> np.ndarray:
-        return self._gen.standard_normal(size=shape, dtype=np.float64) * scale
+        return self._generator().standard_normal(size=shape, dtype=np.float64) * scale
 
     def uniform(self, shape=(), low: float = 0.0, high: float = 1.0) -> np.ndarray:
-        return self._gen.uniform(low, high, size=shape)
+        return self._generator().uniform(low, high, size=shape)
 
     def integers(self, low, high, shape=()) -> np.ndarray:
         """Uniform integers in [low, high); array bounds broadcast to shape."""
-        return self._gen.integers(low, high, size=shape)
+        return self._generator().integers(low, high, size=shape)
 
     def choice(self, n: int, size: int, replace: bool = True) -> np.ndarray:
-        return self._gen.choice(n, size=size, replace=replace)
+        return self._generator().choice(n, size=size, replace=replace)
 
     def permutation(self, n: int) -> np.ndarray:
-        return self._gen.permutation(n)
+        return self._generator().permutation(n)

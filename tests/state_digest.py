@@ -13,9 +13,13 @@ through `ContainerWriter` as `generate-long` writes it.  The last three
 prove the checkpoint restore byte-exact: the default variant's checkpoint
 after `ModelBundle.load` and a second `save` (equal to the `checkpoint`
 line), and an untrained bundle's checkpoint before and after the same
-reload (equal to each other).  A refactor that claims to leave training or
-file I/O byte-identical prints the same lines before and after.  The script imports the package from the `src/` beside
-it, so it measures the checkout it lives in.
+reload (equal to each other).  Then the same chained video in the `mean`
+and `seeded` modes, and a `train_probe` fit on fixed features (its
+parameters and predicted probabilities), which runs `log`, `exp`, `sum` and
+Adam on small parameters.  A refactor that claims to leave training or file
+I/O byte-identical prints the same lines before and after.  The script
+imports the package from the `src/` beside it, so it measures the checkout
+it lives in.
 """
 
 import hashlib
@@ -32,6 +36,7 @@ from vidchain.chain import chain_generate  # noqa: E402
 from vidchain.config import RunConfig  # noqa: E402
 from vidchain.container import ContainerWriter  # noqa: E402
 from vidchain.datasets import make_shapes_video  # noqa: E402
+from vidchain.metrics import train_probe  # noqa: E402
 from vidchain.model import ModelBundle  # noqa: E402
 from vidchain.rng import RandomStream  # noqa: E402
 from vidchain.training import build_pairs, train_loop, train_loop_recall  # noqa: E402
@@ -41,6 +46,10 @@ STEPS = 4
 VIDEOS = 8
 VIDEO_FRAMES = 48
 CHAIN_CLIPS = 5
+PROBE_ROWS = 64
+PROBE_FEATURES = 12
+PROBE_CLASSES = 4
+PROBE_EPOCHS = 20
 
 VARIANTS = {
     "default": {},
@@ -95,6 +104,31 @@ def checkpoint_digests(bundle, tmp: str, tag: str) -> dict:
     return {tag: _sha256(first), f"{tag}_reload": _sha256(again)}
 
 
+def chain_digest(bundle, path: str, mode: str) -> str:
+    """sha256 of a short chained video in `mode`, written through
+    `ContainerWriter` as `generate-long` writes it."""
+    with ContainerWriter(path, bundle.cfg.frame_shape) as writer:
+        chain_generate(bundle, CHAIN_CLIPS, mode=mode,
+                       sink=lambda block: writer.append(block.astype(np.float32)))
+    return _sha256(path)
+
+
+def probe_digest() -> str:
+    """sha256 of a `train_probe` fit on fixed features: every parameter,
+    then the predicted class probabilities of the training rows."""
+    stream = RandomStream.from_seed(SEED, "state-digest-probe")
+    labels = np.arange(PROBE_ROWS) % PROBE_CLASSES
+    features = (stream.split("features").normal((PROBE_ROWS, PROBE_FEATURES))
+                + labels[:, None])
+    probe = train_probe(features, labels, stream.split("fit"),
+                        epochs=PROBE_EPOCHS)
+    h = hashlib.sha256()
+    for p in probe.params:
+        h.update(p.data.tobytes())
+    h.update(probe.predict_proba(features).tobytes())
+    return h.hexdigest()
+
+
 def file_digests(bundle) -> dict:
     """sha256 of the bundle's checkpoint and of a short chained video, then
     the checkpoint digests of the trained bundle reloaded and of an
@@ -102,15 +136,13 @@ def file_digests(bundle) -> dict:
     with tempfile.TemporaryDirectory() as tmp:
         video = os.path.join(tmp, "long.rcg")
         ckpt = checkpoint_digests(bundle, tmp, "checkpoint")
-        with ContainerWriter(video, bundle.cfg.frame_shape) as writer:
-            chain_generate(bundle, CHAIN_CLIPS, mode=bundle.cfg.gen_mode,
-                           sink=lambda block: writer.append(
-                               block.astype(np.float32)))
+        sampled = chain_digest(bundle, video, bundle.cfg.gen_mode)
         untrained = checkpoint_digests(ModelBundle.init(bundle.cfg), tmp,
                                        "untrained_checkpoint")
-        return {"checkpoint": ckpt["checkpoint"],
-                "chain_container": _sha256(video),
-                "checkpoint_reload": ckpt["checkpoint_reload"], **untrained}
+        return {"checkpoint": ckpt["checkpoint"], "chain_container": sampled,
+                "checkpoint_reload": ckpt["checkpoint_reload"], **untrained,
+                **{f"chain_container_{mode}": chain_digest(bundle, video, mode)
+                   for mode in ("mean", "seeded")}}
 
 
 def main() -> int:
@@ -123,6 +155,7 @@ def main() -> int:
             files = file_digests(bundle)
     for name, value in files.items():
         print(f"{name}\t{value}")
+    print(f"probe\t{probe_digest()}")
     return 0
 
 

@@ -141,6 +141,92 @@ def test_advanced_index_slice_gradient():
     check_primitive(lambda t: ad.sum(ad.mul(t[rows, cols], w)), x0)
 
 
+@pytest.mark.parametrize("idx", [np.array([0, 0]), [2, 0, 2],
+                                 (np.array([1, 1]), np.array([3, 3]))])
+def test_advanced_index_selecting_a_position_twice_has_no_gradient(idx):
+    x = Tensor(np.arange(12.0).reshape(3, 4), requires_grad=True)
+    with GradTape():
+        picked = x[idx]                   # the forward pass still selects
+        loss = ad.sum(picked)
+    assert np.array_equal(picked.data, x.data[idx])
+    with pytest.raises(GradientError, match="slice"):
+        backward(loss, [x])
+
+
+def test_advanced_index_selecting_distinct_positions_keeps_its_gradient():
+    x = Tensor(np.arange(12.0).reshape(3, 4), requires_grad=True)
+    with GradTape():
+        loss = ad.sum(x[np.array([0, 2, 1]), np.array([1, 1, 1])])
+    expected = np.zeros((3, 4))
+    expected[:, 1] = 1.0
+    assert np.array_equal(backward(loss, [x])[0], expected)
+
+
+# -- the finite invariant ---------------------------------------------------------
+
+BIG, TINY_SUBNORMAL = 1.7e308, 5e-324
+EXTREMES = np.array([[BIG, -BIG, TINY_SUBNORMAL, -TINY_SUBNORMAL],
+                     [-BIG, TINY_SUBNORMAL, BIG, 0.0],
+                     [1.0, -TINY_SUBNORMAL, -BIG, BIG]])
+
+# primitives that skip the output check: finite inputs give finite outputs
+FINITE_PRESERVING = {
+    "neg": ad.neg,
+    "tanh": ad.tanh,
+    "sigmoid": ad.sigmoid,
+    "clip": lambda t: ad.clip(t, -1.0, 1.0),
+    "clip-extreme-bounds": lambda t: ad.clip(t, -BIG, BIG),
+    "reshape": lambda t: ad.reshape(t, (4, 3)),
+    "concat": lambda t: ad.concat([t, ad.neg(t)], axis=1),
+    "slice": lambda t: t[1:, ::-2],
+    "slice-advanced": lambda t: t[np.array([2, 0]), np.array([3, 1])],
+}
+
+
+@pytest.mark.parametrize("name", sorted(FINITE_PRESERVING))
+def test_unchecked_primitives_keep_extreme_finite_inputs_finite(name):
+    x = Tensor(EXTREMES, requires_grad=True)
+    with np.errstate(under="ignore"):
+        with GradTape():
+            out = FINITE_PRESERVING[name](x)
+            loss = ad.sum(ad.mul(out, 0.0))
+        grad = backward(loss, [x])[0]
+    assert np.isfinite(out.data).all()
+    assert np.isfinite(grad).all()
+
+
+# primitives that check their output: each input is finite, the result is not
+OVERFLOWING = {
+    "add": lambda: ad.add(Tensor([BIG]), Tensor([BIG])),
+    "sub": lambda: ad.sub(Tensor([BIG]), Tensor([-BIG])),
+    "mul": lambda: ad.mul(Tensor([BIG]), 2.0),
+    "square": lambda: ad.square(Tensor([-BIG])),
+    "mean": lambda: ad.mean(Tensor([BIG, BIG])),
+    "sum": lambda: ad.sum(Tensor([BIG, BIG])),
+    "cumsum": lambda: ad.cumsum(Tensor([BIG, 1.0, BIG]), axis=0),
+    "affine": lambda: ad.affine(Tensor([[BIG, BIG]]), Tensor(np.ones((2, 1))),
+                                Tensor([0.0])),
+    "exp": lambda: ad.exp(Tensor([710.0])),
+    "log": lambda: ad.log(Tensor([0.0])),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OVERFLOWING))
+def test_checked_primitives_raise_on_overflow(name):
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        with pytest.raises(NumericsError, match=f"'{name}'"):
+            OVERFLOWING[name]()
+
+
+def test_python_float_constants():
+    x = Tensor([2.0, -4.0])
+    assert np.array_equal((0.5 * x).data, [1.0, -2.0])
+    assert np.array_equal((1.0 - x).data, [-1.0, 5.0])
+    for bad in (float("inf"), float("-inf"), float("nan")):
+        with pytest.raises(NumericsError, match="tensor"):
+            ad.mul(bad, x)
+
+
 # -- backward semantics ---------------------------------------------------------
 
 def test_polynomial_derivative():
