@@ -129,11 +129,13 @@ class _Rec:
         self.vjps = vjps  # vjps[i](g): the gradient for inputs[i]
 
 
-_state = threading.local()
+class _TapeState(threading.local):
+    # a class default: reading the tape of a thread that never entered one
+    # finds None without a failed attribute lookup
+    tape = None
 
 
-def _active_tape():
-    return getattr(_state, "tape", None)
+_state = _TapeState()
 
 
 class GradTape:
@@ -151,7 +153,7 @@ class GradTape:
         self._replayed = False
 
     def __enter__(self):
-        self._outer = _active_tape()
+        self._outer = _state.tape
         _state.tape = self
         return self
 
@@ -185,7 +187,7 @@ def _emit(op: str, out_data: np.ndarray, inputs: tuple, vjps: tuple) -> Tensor:
     if op not in _FINITE_PRESERVING:
         _check_finite(op, out_data)
     out = Tensor._wrap(out_data)
-    tape = _active_tape()
+    tape = _state.tape
     if tape is not None and any(tape._tracks(t) for t in inputs):
         tape.records.append(_Rec(op, inputs, out, vjps))
         out._tape = tape

@@ -393,6 +393,24 @@ def test_ops_outside_tape_are_not_recorded():
     assert len(tape.records) == 1 and z._tape is tape
 
 
+def test_tape_is_confined_to_its_thread():
+    import threading
+    x = Tensor([1.0], requires_grad=True)
+    seen = []
+
+    def other():
+        seen.append(ad.square(x)._tape)
+
+    with GradTape() as tape:
+        worker = threading.Thread(target=other)
+        worker.start()
+        worker.join(timeout=10)
+        z = ad.square(x)
+    assert not worker.is_alive()
+    assert seen == [None]
+    assert len(tape.records) == 1 and z._tape is tape
+
+
 def test_tape_released_on_exit_after_backward():
     x = Tensor([1.0, 2.0], requires_grad=True)
     with GradTape() as tape:
