@@ -354,14 +354,16 @@ def concat(tensors, axis: int = 0) -> Tensor:
     return _emit("concat", out, ts, tuple(part(i) for i in range(len(ts))))
 
 
-def _selects_twice(idx, shape) -> bool:
-    """Whether `idx` selects some position of an array of `shape` more than
-    once; only an advanced (array or list) index can."""
+def _selects_twice(idx, shape, selected: int) -> bool:
+    """Whether `idx`, which selects `selected` entries of an array of
+    `shape`, selects some position more than once; only an advanced (array
+    or list) index can."""
     parts = idx if isinstance(idx, tuple) else (idx,)
     if not any(isinstance(p, (np.ndarray, list)) for p in parts):
         return False
-    positions = np.arange(math.prod(shape)).reshape(shape)[idx]
-    return bool(np.bincount(positions.ravel()).max(initial=0) > 1)
+    hit = np.zeros(shape, dtype=bool)
+    hit[idx] = True
+    return np.count_nonzero(hit) < selected
 
 
 def _slice(a, idx) -> Tensor:
@@ -369,7 +371,7 @@ def _slice(a, idx) -> Tensor:
     out = a.data[idx]
 
     def vjp(g):
-        if _selects_twice(idx, a.data.shape):
+        if _selects_twice(idx, a.data.shape, g.size):
             raise GradientError("primitive 'slice' selects a position more "
                                 "than once, which its gradient cannot do")
         buf = np.zeros(a.data.shape)

@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 
@@ -394,7 +396,6 @@ def test_ops_outside_tape_are_not_recorded():
 
 
 def test_tape_is_confined_to_its_thread():
-    import threading
     x = Tensor([1.0], requires_grad=True)
     seen = []
 
