@@ -69,7 +69,8 @@ class Tensor:
 
     @classmethod
     def _wrap(cls, arr: np.ndarray) -> "Tensor":
-        # Internal fast path for op outputs: no copy, already finite-checked.
+        # Internal fast path, with no copy and no check: the caller owns
+        # `arr` and knows it to be finite (an op output, or a finite constant).
         t = object.__new__(cls)
         arr.setflags(write=False)
         t.data = arr
