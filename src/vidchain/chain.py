@@ -11,22 +11,28 @@ re-encode the first generated clip), so the graph carries a gradient through
 the chaining path to the generator; but ``loss_d_video_merged`` runs only in
 the discriminator update (``training.train_step_recall``): it trains D alone.
 
-Generation then runs the same chaining forever in fixed memory:
-``chain_generate`` keeps only the previous clip's overlap tail (the last
-``t_c - r`` frames) plus small latent state, emits each clip's first ``r``
-frames (the final clip fully), and accounts every frame-sized buffer it
-retains against a budget of two clips.
+One rule places the chain: a clip's frame ``chain_ref_frame(t_c, r)`` is
+carried into the next clip, which starts ``r`` frames later and so takes it
+as its reference frame at index ``ref = chain_ref_frame(t_c, r) - r``.  The
+first clip, and every recall loss, uses the mid-clip index ``t_c // 2``.
+
+Generation then runs the same chaining forever in fixed memory.  The chain
+is a Markov chain whose state between clips is two things: the overlap
+``tail`` (the previous clip's last ``t_c - r`` frames, of which
+``tail[ref - 1]`` is the carried frame) and the motion latent ``z_v``.
+``chain_generate`` emits each clip's first ``r`` frames (the final clip
+fully) and accounts every frame-sized buffer it retains against a budget of
+two clips.
 
 Latent modes:
 
 * ``sampled`` — first clip from prior draws; each next content code sampled
-  from the posterior of the carried reference frame, motion re-drawn from
-  the prior.
+  from the posterior of the carried frame, ``z_v`` re-drawn from the prior.
 * ``mean`` — zero latents for the first clip, posterior means afterwards
-  (content from the carried frame, motion from the previous clip's
+  (content from the carried frame, ``z_v`` from the previous clip's
   difference maps); fully deterministic, no random stream touched.
-* ``seeded`` — like ``mean`` for content, but the motion code is drawn once
-  for the first clip and then frozen, giving one consistent "motion style".
+* ``seeded`` — like ``mean`` for content, but ``z_v`` is the first clip's
+  prior draw, kept for the whole chain: one consistent "motion style".
 """
 
 from __future__ import annotations
@@ -102,8 +108,9 @@ def pairs_to_clips(pairs) -> np.ndarray:
 
 
 def _ref_index(t_c: int) -> int:
-    """The 1-based mid-clip reference index used by all recall losses."""
-    return max(1, t_c // 2)
+    """The 1-based mid-clip reference index used by all recall losses and by
+    the first clip of a chain."""
+    return t_c // 2
 
 
 # -- recall losses ----------------------------------------------------------------
@@ -150,7 +157,10 @@ def loss_d_video_r1(bundle: ModelBundle, pairs, stream: RandomStream) -> LossOut
 
 def chain_ref_frame(t_c: int, stride: int) -> int:
     """1-based index, within the previous clip, of the frame that becomes the
-    next clip's reference: ideally stride + t_c//2, clamped into the clip."""
+    next clip's reference: ideally stride + t_c//2, clamped into the clip.
+    The next clip starts `stride` frames later, so there the frame lands at
+    index ``chain_ref_frame(t_c, stride) - stride``, which is
+    min(t_c//2, t_c - stride)."""
     return min(stride + t_c // 2, t_c)
 
 
@@ -167,19 +177,19 @@ def merged_video_terms(bundle: ModelBundle, pairs, stream: RandomStream):
     r = bundle.cfg.r
     real = clips_to_tensor(np.stack([p.first for p in pairs]))
     t = real.shape[1]
-    ref = _ref_index(t)
 
     # first fake: rebuild the pair's first clip from its posterior
-    fake1 = _encode_generate(bundle, real, stream, ref)[3]
+    fake1 = _encode_generate(bundle, real, stream, _ref_index(t))[3]
 
     # second fake: chain from the first — re-encode fake1's carried frame
-    # and difference maps, then compose one stride later
+    # and difference maps, then compose one stride later with that frame
+    # at its new place
     carry = chain_ref_frame(t, r)
     q_x2 = bundle.content_posterior(fake1[:, carry - 1, :])
     q_v2 = bundle.motion_posterior(clip_diffs(fake1))
     z_x2 = reparameterize(q_x2, stream.split("eps2_x"))
     z_v2 = reparameterize(q_v2, stream.split("eps2_v"))
-    fake2 = bundle.compose(z_x2, z_v2, ref_index=min(ref, t - r))[1]
+    fake2 = bundle.compose(z_x2, z_v2, ref_index=carry - r)[1]
     return _critic_terms(bundle.d_video_prob, real, fake1, fake2)
 
 
@@ -247,73 +257,60 @@ def chain_generate(bundle: ModelBundle, n_clips: int, mode: str = "sampled",
         stream = RandomStream.from_seed(cfg.seed, "chain-generate")
 
     olap = t_c - r                       # tail length = shared frames per seam
-    ref0 = _ref_index(t_c)               # reference index for the first clip
-    refj = min(ref0, t_c - r)            # where the carried frame lands locally
-    carry = chain_ref_frame(t_c, r)      # 1-based index of the carried frame
+    ref = _ref_index(t_c)                # the first clip's reference index
     budget = FrameBudget()
     collected = [] if sink is None else None
     if sink is None:
         sink = lambda block: collected.append(block.copy())
 
+    # the chain's state between clips: the overlap tail and the motion latent
     tail: np.ndarray | None = None       # (olap, D) frames shared with next clip
-    carried_motion_mean: Tensor | None = None
-    frozen_z_v: Tensor | None = None
+    z_v: Tensor | None = None
     mismatches: list[float] = []
-    emitted = 0
 
     for j in range(n_clips):
         cstream = stream.split(f"clip{j}")
-        if j == 0:
+        if tail is None:
             if mode == "mean":
                 z_x = Tensor(np.zeros((1, cfg.z_content)))
                 z_v = Tensor(np.zeros((1, cfg.z_motion)))
             else:
                 z_x, z_v = map(Tensor, bundle.prior_latents(1, cstream))
-                if mode == "seeded":
-                    frozen_z_v = z_v
-            ref = ref0
         else:
-            q_x = bundle.content_posterior(Tensor(tail[carry - r - 1][None]))
+            # the carried frame is the one this clip places at `ref`
+            q_x = bundle.content_posterior(Tensor(tail[ref - 1][None]))
             if mode == "sampled":
                 z_x = reparameterize(q_x, cstream.split("eps_x"))
                 z_v = Tensor(cstream.split("prior_v").normal((1, cfg.z_motion)))
-            elif mode == "mean":
+            else:        # mean and seeded keep z_v as the last clip left it
                 z_x = q_x.mu
-                z_v = carried_motion_mean
-            else:  # seeded
-                z_x = q_x.mu
-                z_v = frozen_z_v
-            ref = refj
 
-        clip = bundle.compose(z_x, z_v, ref_index=ref)[1]
-        clip = clip.data[0]              # (t_c, D)
+        clip = bundle.compose(z_x, z_v, ref_index=ref)[1].data[0]  # (t_c, D)
         budget.acquire(t_c)
 
         if tail is not None:
             mismatches.append(float(np.abs(tail - clip[:olap]).mean()))
             budget.release(olap)
-            tail = None
 
-        block = clip[:r] if j < n_clips - 1 else clip
-        block = block.reshape((-1,) + cfg.frame_shape)
-        sink(block)
-        emitted += len(block)
+        last = j == n_clips - 1
+        sink((clip if last else clip[:r]).reshape((-1,) + cfg.frame_shape))
 
         if mode == "mean":
             diffs = np.diff(clip, axis=0)            # (t_c - 1, D)
             budget.acquire(t_c - 1)
-            q_v = bundle.motion_posterior(Tensor(diffs.reshape(1, -1)))
-            carried_motion_mean = q_v.mu
+            z_v = bundle.motion_posterior(Tensor(diffs.reshape(1, -1))).mu
             budget.release(t_c - 1)
 
-        if j < n_clips - 1:
+        if not last:
             tail = clip[r:].copy()
             budget.acquire(olap)
         budget.release(t_c)
+        ref = chain_ref_frame(t_c, r) - r
 
     video = (None if collected is None else
              LongVideo(np.concatenate(collected, axis=0), n_clips, r, t_c))
-    return ChainResult(video, emitted, n_clips, r, mismatches, budget.peak)
+    return ChainResult(video, (n_clips - 1) * r + t_c, n_clips, r, mismatches,
+                       budget.peak)
 
 
 def chain_overlap_mismatch(bundle: ModelBundle, n_clips: int,

@@ -47,7 +47,8 @@ def gaussian_kl(q: GaussianParams) -> Tensor:
 
     Closed form per coordinate: 0.5 * (mu^2 + exp(log_var) - log_var - 1).
     """
-    per_coord = ad.square(q.mu) + ad.exp(q.log_var) - q.log_var - 1.0
+    log_var = q.log_var
+    per_coord = ad.square(q.mu) + ad.exp(log_var) - log_var - 1.0
     per_dist = ad.sum(per_coord, axis=-1)
     return ad.mean(0.5 * per_dist)
 

@@ -236,12 +236,13 @@ class ModelBundle:
         # running sums.  The reference frame itself is taken from the forward
         # half, so its gradient meets the later frames' before the earlier
         # frames', the same float64 order as a frame-by-frame recursion.
-        steps = ad.reshape(motion, (b, t - 1, d))
-        start = ad.reshape(content, (b, 1, d))
         k = ref_index - 1
         if k == 0:      # ref 1 (every clip-phase compose): the forward sum alone
-            raw = ad.cumsum(ad.concat([start, steps], axis=1), axis=1)
+            raw = ad.cumsum(ad.reshape(ad.concat([content, motion], axis=1),
+                                       (b, t, d)), axis=1)
         else:           # frames k, k-1, ..., 0, then back into frame order
+            steps = ad.reshape(motion, (b, t - 1, d))
+            start = ad.reshape(content, (b, 1, d))
             back = ad.cumsum(ad.concat([start, -steps[:, k - 1::-1, :]], axis=1),
                              axis=1)
             raw = ad.concat([back[:, :0:-1, :],

@@ -14,12 +14,13 @@ prove the checkpoint restore byte-exact: the default variant's checkpoint
 after `ModelBundle.load` and a second `save` (equal to the `checkpoint`
 line), and an untrained bundle's checkpoint before and after the same
 reload (equal to each other).  Then the same chained video in the `mean`
-and `seeded` modes, and a `train_probe` fit on fixed features (its
-parameters and predicted probabilities), which runs `log`, `exp`, `sum` and
-Adam on small parameters.  A refactor that claims to leave training or file
-I/O byte-identical prints the same lines before and after.  The script
-imports the package from the `src/` beside it, so it measures the checkout
-it lives in.
+and `seeded` modes, the `sampled` and `mean` videos again at a stride
+override of `CHAIN_STRIDE` frames, and a `train_probe` fit on fixed
+features (its parameters and predicted probabilities), which runs `log`,
+`exp`, `sum` and Adam on small parameters.  A refactor that claims to
+leave training or file I/O byte-identical prints the same lines before and
+after.  The script imports the package from the `src/` beside it, so it
+measures the checkout it lives in.
 """
 
 import hashlib
@@ -46,6 +47,7 @@ STEPS = 4
 VIDEOS = 8
 VIDEO_FRAMES = 48
 CHAIN_CLIPS = 5
+CHAIN_STRIDE = 4       # a stride override; the default config's stride is 8
 PROBE_ROWS = 64
 PROBE_FEATURES = 12
 PROBE_CLASSES = 4
@@ -104,11 +106,12 @@ def checkpoint_digests(bundle, tmp: str, tag: str) -> dict:
     return {tag: _sha256(first), f"{tag}_reload": _sha256(again)}
 
 
-def chain_digest(bundle, path: str, mode: str) -> str:
-    """sha256 of a short chained video in `mode`, written through
-    `ContainerWriter` as `generate-long` writes it."""
+def chain_digest(bundle, path: str, mode: str, r: int | None = None) -> str:
+    """sha256 of a short chained video in `mode` at stride `r` (the config's
+    when None), written through `ContainerWriter` as `generate-long` writes
+    it."""
     with ContainerWriter(path, bundle.cfg.frame_shape) as writer:
-        chain_generate(bundle, CHAIN_CLIPS, mode=mode,
+        chain_generate(bundle, CHAIN_CLIPS, mode=mode, r=r,
                        sink=lambda block: writer.append(block.astype(np.float32)))
     return _sha256(path)
 
@@ -132,7 +135,8 @@ def probe_digest() -> str:
 def file_digests(bundle) -> dict:
     """sha256 of the bundle's checkpoint and of a short chained video, then
     the checkpoint digests of the trained bundle reloaded and of an
-    untrained one, whose optimizers hold step 0 and no moments."""
+    untrained one, whose optimizers hold step 0 and no moments, then the
+    chained videos of the other modes and strides."""
     with tempfile.TemporaryDirectory() as tmp:
         video = os.path.join(tmp, "long.rcg")
         ckpt = checkpoint_digests(bundle, tmp, "checkpoint")
@@ -142,7 +146,11 @@ def file_digests(bundle) -> dict:
         return {"checkpoint": ckpt["checkpoint"], "chain_container": sampled,
                 "checkpoint_reload": ckpt["checkpoint_reload"], **untrained,
                 **{f"chain_container_{mode}": chain_digest(bundle, video, mode)
-                   for mode in ("mean", "seeded")}}
+                   for mode in ("mean", "seeded")},
+                f"chain_container_r{CHAIN_STRIDE}": chain_digest(
+                    bundle, video, "sampled", CHAIN_STRIDE),
+                f"chain_container_mean_r{CHAIN_STRIDE}": chain_digest(
+                    bundle, video, "mean", CHAIN_STRIDE)}
 
 
 def main() -> int:

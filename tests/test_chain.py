@@ -335,6 +335,27 @@ def test_chain_stride_override():
     assert result.video.stride == 1
 
 
+@pytest.mark.parametrize("r", [None, 1, 3])
+@pytest.mark.parametrize("mode", ["sampled", "mean", "seeded"])
+def test_chain_is_a_markov_chain(mode, r):
+    """A clip depends only on the clips before it: a chain of n clips
+    emits, byte for byte, the first n * r frames of a chain of n + k, and
+    its seams are the first n - 1 of the longer chain's.  (The last clip's
+    remaining t_c - r frames are its overlap tail, which the longer chain
+    replaces with the next clip's head.)"""
+    bundle = tiny_bundle()
+    stride = TINY.r if r is None else r
+    n, k = 3, 4
+    short, long = (chain_generate(bundle, clips, mode=mode, r=r,
+                                  stream=stream("chain", seed=4))
+                   for clips in (n, n + k))
+    assert long.video.frames[:n * stride].tobytes() == \
+        short.video.frames[:n * stride].tobytes()
+    assert len(short.video.frames) == (n - 1) * stride + TINY.t_c
+    assert short.mismatches == long.mismatches[:n - 1]
+    assert len(long.mismatches) == n + k - 1
+
+
 def test_chain_rejects_bad_arguments():
     bundle = tiny_bundle()
     with pytest.raises(ValueError, match="n_clips"):

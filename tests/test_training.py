@@ -3,12 +3,14 @@
 import numpy as np
 import pytest
 
+from vidchain import training
 from vidchain.chain import ClipPair
 from vidchain.losses import loss_gen
 from vidchain.model import D_GROUP, ENC_GROUP, GEN_GROUP, ModelBundle
 from vidchain.rng import RandomStream
 from vidchain.training import (
     build_pairs, sample_batch, train_loop, train_loop_recall, train_step,
+    train_step_recall,
 )
 
 from test_losses import TINY, random_clips, stream, tiny_bundle
@@ -53,6 +55,25 @@ def test_train_step_deterministic():
         results.append([p.data.copy()
                         for p in bundle.params(D_GROUP + ENC_GROUP + GEN_GROUP)])
     assert all(np.array_equal(a, b) for a, b in zip(*results))
+
+
+def test_tape_records_per_step(monkeypatch):
+    """The graph size the benchmark reports as autodiff.tape_records: the
+    records on the tapes of one clip step and one recall step, summed over
+    their updates.  A change that shrinks the graph lowers these pins."""
+    backward = training.backward
+    counts = []
+
+    def counting_backward(loss, params):
+        counts.append(len(loss._tape.records))
+        return backward(loss, params)
+
+    monkeypatch.setattr(training, "backward", counting_backward)
+    train_step(tiny_bundle(), random_clips(), stream(seed=1))
+    clip_records, counts[:] = sum(counts), []
+    pairs, _ = build_pairs(tiny_videos(), TINY)
+    train_step_recall(tiny_bundle(), pairs[:TINY.batch], stream(seed=1))
+    assert (clip_records, sum(counts)) == (328, 286)
 
 
 def test_generator_loss_sees_updated_discriminators():
