@@ -42,6 +42,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autodiff import Tensor
+from .config import GEN_MODES
 from .gaussian import reparameterize, gaussian_kl
 from .losses import (
     LossOutput, _critic_terms, _encode_generate, _frame_indices, _output,
@@ -251,7 +252,7 @@ def chain_generate(bundle: ModelBundle, n_clips: int, mode: str = "sampled",
         raise ValueError(f"n_clips must be >= 1, got {n_clips}")
     if not 1 <= r < t_c:
         raise ValueError(f"need 1 <= r < t_c, got r={r}, t_c={t_c}")
-    if mode not in ("sampled", "mean", "seeded"):
+    if mode not in GEN_MODES:
         raise ValueError(f"unknown generation mode {mode!r}")
     if stream is None:
         stream = RandomStream.from_seed(cfg.seed, "chain-generate")
@@ -295,13 +296,12 @@ def chain_generate(bundle: ModelBundle, n_clips: int, mode: str = "sampled",
         last = j == n_clips - 1
         sink((clip if last else clip[:r]).reshape((-1,) + cfg.frame_shape))
 
-        if mode == "mean":
-            diffs = np.diff(clip, axis=0)            # (t_c - 1, D)
-            budget.acquire(t_c - 1)
-            z_v = bundle.motion_posterior(Tensor(diffs.reshape(1, -1))).mu
-            budget.release(t_c - 1)
-
         if not last:
+            if mode == "mean":
+                diffs = np.diff(clip, axis=0)        # (t_c - 1, D)
+                budget.acquire(t_c - 1)
+                z_v = bundle.motion_posterior(Tensor(diffs.reshape(1, -1))).mu
+                budget.release(t_c - 1)
             tail = clip[r:].copy()
             budget.acquire(olap)
         budget.release(t_c)

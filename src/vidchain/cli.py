@@ -10,6 +10,10 @@ Conventions
   (where a checkpoint is loaded) < --config file < individual flags.
 * The single honored environment variable is VIDCHAIN_OUT: when set,
   relative output paths are created under it.  Inputs are never remapped.
+* Every tab-separated file written (a dataset manifest, a metric report,
+  an ablation table) is a ``# `` line of column names, then one line of
+  tab-separated fields per row, floats as their shortest repr; it is
+  written atomically, by `container.write_table`.
 * Exit codes: 0 success; 2 usage or configuration error; 3 missing or
   unusable file; 4 data/dimension error; 5 numeric failure.  Errors print
   exactly one line to stderr: ``error code=<kind> detail=<message>``.
@@ -22,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -29,11 +34,11 @@ import sys
 import numpy as np
 
 from .autodiff import GradientError, NumericsError, Tensor
-from .chain import chain_generate, chain_overlap_mismatch
+from .chain import chain_generate
 from .config import ConfigError, RunConfig
 from .container import (ContainerError, ContainerWriter, ManifestError,
-                        atomic_write, load_checkpoint, load_dataset,
-                        read_container, write_container)
+                        load_checkpoint, load_dataset, read_container,
+                        write_container, write_table)
 from .datasets import gen_drift_dataset, gen_shapes_dataset
 from .metrics import (FeatureExtractor, fvd_ratio, inception_score,
                       segmentwise_scores, train_probe, write_metric_report)
@@ -47,6 +52,7 @@ OUT_ENV = "VIDCHAIN_OUT"
 
 ABLATE_CLIP_COUNTS = (3, 5, 7, 9, 11, 13, 15, 17)   # eight generated lengths
 ABLATE_OVERLAPS = (0, 2, 4, 8)                      # training-pair overlaps
+ABLATE_PROBE_CLIPS = 8                              # the overlap sweep's chain
 
 
 class _Parser(argparse.ArgumentParser):
@@ -148,26 +154,25 @@ def cmd_dataset_gen(args) -> int:
     return 0
 
 
-def _loss_report_rows(reports, keys):
-    rows = []
-    for step, report in enumerate(reports):
-        for metric, (section, part) in keys.items():
-            rows.append((metric, step, report[section][part]))
-    return rows
+def _save_trained(args, bundle: ModelBundle, reports, keys) -> dict:
+    """Save a trained bundle to --out and, with --report, write each step's
+    losses named by `keys` (metric -> (loss, part)); the last step's report."""
+    bundle.save(_resolve_out(args.out))
+    if args.report:
+        write_metric_report(_resolve_out(args.report), [
+            (metric, step, report[loss][part])
+            for step, report in enumerate(reports)
+            for metric, (loss, part) in keys.items()])
+    return reports[-1]
 
 
 def cmd_train(args) -> int:
     cfg = _training_config(_effective_config(args))
     videos, _ = _load_videos(args.data)
     bundle = ModelBundle.init(cfg)
-    reports = train_loop(bundle, videos)
-    out = _resolve_out(args.out)
-    bundle.save(out)
-    if args.report:
-        write_metric_report(_resolve_out(args.report), _loss_report_rows(
-            reports, {"enc_mse": ("enc", "mse"), "d_image": ("d_image", "total"),
-                      "d_video": ("d_video", "total"), "gen": ("gen", "total")}))
-    last = reports[-1]
+    last = _save_trained(args, bundle, train_loop(bundle, videos), {
+        "enc_mse": ("enc", "mse"), "d_image": ("d_image", "total"),
+        "d_video": ("d_video", "total"), "gen": ("gen", "total")})
     print(f"trained steps={cfg.steps} enc_mse={last['enc']['mse']:.6f} "
           f"d_image={last['d_image']['total']:.6f} out={args.out}")
     return 0
@@ -179,15 +184,9 @@ def cmd_train_recall(args) -> int:
     cfg = _training_config(bundle.cfg)
     videos, _ = _load_videos(args.data)
     pairs, skipped = build_pairs(videos, cfg)
-    reports = train_loop_recall(bundle, pairs)
-    out = _resolve_out(args.out)
-    bundle.save(out)
-    if args.report:
-        write_metric_report(_resolve_out(args.report), _loss_report_rows(
-            reports, {"rencg": ("rencg", "total"),
-                      "rencg_mse": ("rencg", "mse"),
-                      "d_video": ("d_video", "total")}))
-    last = reports[-1]
+    last = _save_trained(args, bundle, train_loop_recall(bundle, pairs), {
+        "rencg": ("rencg", "total"), "rencg_mse": ("rencg", "mse"),
+        "d_video": ("d_video", "total")})
     print(f"trained-recall steps={cfg.steps} pairs={len(pairs)} "
           f"skipped={len(skipped)} rencg={last['rencg']['total']:.6f} "
           f"out={args.out}")
@@ -309,11 +308,6 @@ def cmd_roundtrip_check(args) -> int:
     return 0
 
 
-def _mismatch_curve(bundle: ModelBundle, clip_counts, r: int) -> list[float]:
-    return [chain_overlap_mismatch(bundle, n, mode="mean", r=r)
-            for n in clip_counts]
-
-
 def cmd_ablate(args) -> int:
     # with --init, the variants take the checkpoint's stored config under the
     # --config file and flags, as the base bundle does
@@ -328,54 +322,42 @@ def cmd_ablate(args) -> int:
         train_loop(base, videos)
     base_state = base.state_arrays()
 
-    def recall_variant(**flags) -> ModelBundle:
-        vcfg = cfg.replace(**flags)
+    @functools.cache
+    def seams(ovi: bool, mgv: bool, r: int) -> list[float]:
+        """The seam mismatches of variant `cfg.replace(ovi=, mgv=, r=)`,
+        trained from the base state, over one `mean` chain of the most clips
+        at the config stride.  A shorter chain's seams are a prefix of it."""
+        vcfg = cfg.replace(ovi=ovi, mgv=mgv, r=r)
         bundle = ModelBundle.init(vcfg, base_state)
-        pairs, _ = build_pairs(videos, vcfg)
-        train_loop_recall(bundle, pairs)
-        return bundle
+        train_loop_recall(bundle, build_pairs(videos, vcfg)[0])
+        return chain_generate(bundle, max(ABLATE_CLIP_COUNTS), mode="mean",
+                              r=cfg.r, sink=lambda block: None).mismatches
 
-    variants = {
-        "ovi": recall_variant(ovi=True, mgv=False),
-        "mgv": recall_variant(ovi=False, mgv=True),
-        "recall": recall_variant(ovi=True, mgv=True),
-    }
-    # all variants are measured at the same generation stride so the sweep
-    # varies only the training-pair overlap
-    curves = {name: _mismatch_curve(b, ABLATE_CLIP_COUNTS, cfg.r)
-              for name, b in variants.items()}
-    lengths = [(n - 1) * cfg.r + cfg.t_c for n in ABLATE_CLIP_COUNTS]
-    t11 = ["# length\tovi\tmgv\trecall"]
-    for i, length in enumerate(lengths):
-        t11.append(f"{length}\t{curves['ovi'][i]!r}\t{curves['mgv'][i]!r}"
-                   f"\t{curves['recall'][i]!r}")
-    t11_path = os.path.join(out_dir, "table11.tsv")
-    with atomic_write(t11_path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(t11) + "\n")
+    def mismatch(ovi: bool, mgv: bool, r: int, n_clips: int) -> float:
+        return float(np.mean(seams(ovi, mgv, r)[:n_clips - 1]))
 
-    # overlap sweep: training-pair overlap o -> pair stride t_c - o;
-    # the o=0 and o=t_c//2 rows reuse the mgv/recall variants above
-    overlap_rows = ["# overlap\tstride\tmismatch"]
-    probe_n = 8
+    # every variant is measured at the config stride, so the sweep varies
+    # only the training
+    t11 = [((n - 1) * cfg.r + cfg.t_c, mismatch(True, False, cfg.r, n),
+            mismatch(False, True, cfg.r, n), mismatch(True, True, cfg.r, n))
+           for n in ABLATE_CLIP_COUNTS]
+    write_table(os.path.join(out_dir, "table11.tsv"),
+                ("length", "ovi", "mgv", "recall"), t11)
+
+    # overlap sweep: training-pair overlap o -> pair stride t_c - o; overlap
+    # 0 is the disjoint-pair (mgv) variant, and stride r the recall one
+    t10 = []
     for overlap in ABLATE_OVERLAPS:
         stride = cfg.t_c - overlap
-        if not 1 <= stride <= cfg.t_c:
-            continue        # overlap too large for this clip length
-        if overlap == 0:
-            bundle = variants["mgv"]
-        elif stride == cfg.r:
-            bundle = variants["recall"]
-        else:
-            bundle = recall_variant(ovi=True, mgv=True, r=stride)
-        value = chain_overlap_mismatch(bundle, probe_n, mode="mean", r=cfg.r)
-        overlap_rows.append(f"{overlap}\t{stride}\t{value!r}")
-    t10_path = os.path.join(out_dir, "table10.tsv")
-    with atomic_write(t10_path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(overlap_rows) + "\n")
+        if stride >= 1:          # the overlap fits in the clip
+            key = (True, True, stride) if overlap else (False, True, cfg.r)
+            t10.append((overlap, stride, mismatch(*key, ABLATE_PROBE_CLIPS)))
+    write_table(os.path.join(out_dir, "table10.tsv"),
+                ("overlap", "stride", "mismatch"), t10)
 
-    wins = sum(r < o for r, o in zip(curves["recall"], curves["ovi"]))
-    print(f"ablation lengths={len(lengths)} recall_beats_ovi={wins}/"
-          f"{len(lengths)} out={args.out}")
+    wins = sum(recall < ovi for _, ovi, _, recall in t11)
+    print(f"ablation lengths={len(t11)} recall_beats_ovi={wins}/{len(t11)} "
+          f"out={args.out}")
     return 0
 
 

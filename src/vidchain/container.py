@@ -40,7 +40,7 @@ __all__ = [
     "ContainerError", "ManifestError", "write_container", "read_container",
     "ContainerWriter", "save_checkpoint", "load_checkpoint",
     "ManifestRecord", "write_manifest", "read_manifest", "load_dataset",
-    "atomic_write",
+    "atomic_write", "write_table",
 ]
 
 MAGIC = b"RCG1"
@@ -280,11 +280,20 @@ class ManifestRecord:
     label: int     # class id, -1 for unlabeled
 
 
-def write_manifest(path, records) -> None:
+def write_table(path, columns, rows) -> None:
+    """Write a `# `-prefixed line of column names, then one tab-separated
+    line per row with each field formatted by `str`, through
+    `atomic_write`."""
+    lines = ["# " + "\t".join(columns)]
+    lines += ["\t".join(map(str, row)) for row in rows]
     with atomic_write(path, "w", encoding="utf-8") as fh:
-        fh.write("# path\tframes\theight\twidth\tchannels\tlabel\n")
-        for r in records:
-            fh.write(f"{r.path}\t{r.frames}\t{r.height}\t{r.width}\t{r.channels}\t{r.label}\n")
+        fh.write("\n".join(lines) + "\n")
+
+
+def write_manifest(path, records) -> None:
+    write_table(path, ("path", "frames", "height", "width", "channels", "label"),
+                ((r.path, r.frames, r.height, r.width, r.channels, r.label)
+                 for r in records))
 
 
 def read_manifest(path) -> list[ManifestRecord]:

@@ -32,7 +32,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor, backward
-from .container import atomic_write
+from .container import write_table
 from .layers import apply_mlp, init_mlp
 from .optim import AdamState, adam_step
 from .rng import RandomStream
@@ -66,8 +66,6 @@ class FeatureExtractor:
             raise ValueError("frame_dim and out_dim must be positive")
         self.clip_len = clip_len
         self.frame_dim = frame_dim
-        self.out_dim = out_dim
-        self.seed = seed
         in_dim = clip_len * frame_dim + (clip_len - 1) * frame_dim
         stream = RandomStream.from_seed(seed, "features")
         self.projection = stream.split("projection").normal(
@@ -262,8 +260,6 @@ class ProbeClassifier:
         stream = RandomStream.from_seed(seed, "probe-init")
         self.params = init_mlp(stream, (in_dim, hidden, n_classes),
                                bias_init=0.05)
-        self.in_dim = in_dim
-        self.n_classes = n_classes
 
     def log_probs(self, features: Tensor) -> Tensor:
         """Differentiable row-wise log of the class distribution."""
@@ -312,13 +308,10 @@ def train_probe(features: np.ndarray, labels: np.ndarray,
 # -- metric report files -----------------------------------------------------------
 
 def write_metric_report(path, rows) -> None:
-    """Write (metric, segment_index, value) rows as tab-separated text;
-    use a segment index of '-' for whole-run metrics."""
-    lines = ["# metric\tsegment\tvalue"]
-    for metric, segment, value in rows:
-        lines.append(f"{metric}\t{segment}\t{value!r}")
-    with atomic_write(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    """Write (metric, segment_index, value) rows as a table (see
+    `container.write_table`); use a segment index of '-' for whole-run
+    metrics."""
+    write_table(path, ("metric", "segment", "value"), rows)
 
 
 def read_metric_report(path) -> list:

@@ -17,13 +17,18 @@ reload (equal to each other).  Then the same chained video in the `mean`
 and `seeded` modes, the `sampled` and `mean` videos again at a stride
 override of `CHAIN_STRIDE` frames, and a `train_probe` fit on fixed
 features (its parameters and predicted probabilities), which runs `log`,
-`exp`, `sum` and Adam on small parameters.  A refactor that claims to
+`exp`, `sum` and Adam on small parameters.  The last line hashes the two
+tables of `vidchain ablate --init` on a tiny model that `vidchain train`
+trained on the same videos, written as a dataset; its overlap sweep trains
+one variant beyond the ovi, mgv and recall ones.  A refactor that claims to
 leave training or file I/O byte-identical prints the same lines before and
 after.  The script imports the package from the `src/` beside it, so it
 measures the checkout it lives in.
 """
 
+import contextlib
 import hashlib
+import io
 import os
 import sys
 import tempfile
@@ -34,8 +39,10 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
                                 os.pardir, "src"))
 
 from vidchain.chain import chain_generate  # noqa: E402
+from vidchain.cli import main as cli_main  # noqa: E402
 from vidchain.config import RunConfig  # noqa: E402
-from vidchain.container import ContainerWriter  # noqa: E402
+from vidchain.container import (ContainerWriter, ManifestRecord,  # noqa: E402
+                                write_container, write_manifest)
 from vidchain.datasets import make_shapes_video  # noqa: E402
 from vidchain.metrics import train_probe  # noqa: E402
 from vidchain.model import ModelBundle  # noqa: E402
@@ -52,6 +59,10 @@ PROBE_ROWS = 64
 PROBE_FEATURES = 12
 PROBE_CLASSES = 4
 PROBE_EPOCHS = 20
+# a tiny model at t_c 8, r 4: the overlap sweep's stride 6 is its own variant
+ABLATE_FLAGS = ["--t-c", "8", "--r", "4", "--z-content", "8", "--z-motion", "4",
+                "--hidden", "16", "--batch", "2", "--steps", "2",
+                "--seed", str(SEED)]
 
 VARIANTS = {
     "default": {},
@@ -132,6 +143,29 @@ def probe_digest() -> str:
     return h.hexdigest()
 
 
+def ablate_digest(data) -> str:
+    """sha256 of table10.tsv then table11.tsv from `vidchain ablate --init`
+    on a checkpoint `vidchain train` wrote; both read `data` as a dataset."""
+    with (tempfile.TemporaryDirectory() as tmp,
+          contextlib.redirect_stdout(io.StringIO())):
+        records = []
+        for i, video in enumerate(data):
+            name = f"video{i}.rcg"
+            write_container(os.path.join(tmp, name), video.astype(np.float32))
+            records.append(ManifestRecord(name, *video.shape, i % 4))
+        write_manifest(os.path.join(tmp, "manifest.tsv"), records)
+        ckpt, out = os.path.join(tmp, "base.ckpt"), os.path.join(tmp, "ablate")
+        for argv in (["train", "--data", tmp, "--out", ckpt, *ABLATE_FLAGS],
+                     ["ablate", "--data", tmp, "--init", ckpt, "--out", out]):
+            if cli_main(argv) != 0:
+                raise RuntimeError(f"vidchain {argv[0]} failed")
+        h = hashlib.sha256()
+        for name in ("table10.tsv", "table11.tsv"):
+            with open(os.path.join(out, name), "rb") as fh:
+                h.update(fh.read())
+        return h.hexdigest()
+
+
 def file_digests(bundle) -> dict:
     """sha256 of the bundle's checkpoint and of a short chained video, then
     the checkpoint digests of the trained bundle reloaded and of an
@@ -164,6 +198,7 @@ def main() -> int:
     for name, value in files.items():
         print(f"{name}\t{value}")
     print(f"probe\t{probe_digest()}")
+    print(f"ablate_tables\t{ablate_digest(data)}")
     return 0
 
 

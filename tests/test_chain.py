@@ -328,6 +328,14 @@ def test_chain_peak_frames_below_two_clips():
     assert chain_generate(bundle, 8).peak_frames == 2 * TINY.t_c - TINY.r
 
 
+def test_one_clip_chain_peaks_at_one_clip():
+    """A chain of one clip holds only that clip: nothing is carried to a
+    next clip, so no mode forms a tail or a motion posterior."""
+    bundle = tiny_bundle()
+    for mode in ("sampled", "mean", "seeded"):
+        assert chain_generate(bundle, 1, mode=mode).peak_frames == TINY.t_c, mode
+
+
 def test_chain_stride_override():
     bundle = tiny_bundle()
     result = chain_generate(bundle, 5, r=1)

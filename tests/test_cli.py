@@ -11,36 +11,41 @@ import numpy as np
 import pytest
 
 import vidchain
+from vidchain.chain import chain_overlap_mismatch
 from vidchain.cli import main
 from vidchain.config import RunConfig
 from vidchain.container import (load_checkpoint, load_dataset, read_container,
                                 save_checkpoint, write_container)
 from vidchain.metrics import read_metric_report
 from vidchain.model import OPT_NAMES, ModelBundle
-from vidchain.training import build_pairs, train_loop_recall
+from vidchain.training import build_pairs, train_loop, train_loop_recall
 
 TINY_FLAGS = ["--t-c", "4", "--r", "2", "--height", "4", "--width", "4",
               "--channels", "1", "--z-content", "8", "--z-motion", "4",
               "--hidden", "16", "--batch", "2"]
 
 
-@pytest.fixture()
-def tiny_dataset(tmp_path):
-    out = tmp_path / "data"
+def _write_dataset(out, frames):
+    """Six random 4x4x1 videos of `frames` frames, in two classes."""
     rng = np.random.default_rng(0)
     from vidchain.container import ContainerWriter, write_manifest, ManifestRecord
     records = []
     for i in range(6):
-        video = rng.uniform(-1, 1, (12, 4, 4, 1)).astype(np.float32)
+        video = rng.uniform(-1, 1, (frames, 4, 4, 1)).astype(np.float32)
         # snap to the float32 grid already; label two classes
         out.mkdir(exist_ok=True)
         name = f"video_{i:05d}.rcg"
         writer = ContainerWriter(out / name, (4, 4, 1))
         writer.append(video)
         writer.close()
-        records.append(ManifestRecord(name, 12, 4, 4, 1, i % 2))
+        records.append(ManifestRecord(name, frames, 4, 4, 1, i % 2))
     write_manifest(out / "manifest.tsv", records)
     return out
+
+
+@pytest.fixture()
+def tiny_dataset(tmp_path):
+    return _write_dataset(tmp_path / "data", 12)
 
 
 def run(args):
@@ -611,6 +616,56 @@ def test_ablate_report_structure(tiny_dataset, tmp_path):
     # overlaps of 4+ frames have no valid pair stride at clip length 4
     overlaps = [int(l.split("\t")[0]) for l in t10[1:]]
     assert overlaps == [0, 2]
+
+
+@pytest.mark.parametrize("t_c, r, frames", [(4, 2, 12), (8, 4, 24)])
+def test_ablate_values_match_their_definition(tmp_path, t_c, r, frames):
+    """Each table value is the mean seam mismatch of `mean` chains at the
+    config stride, generated by a variant trained from the same base state:
+    table 11 by the ovi, mgv and recall variants at each length, table 10
+    by the variant trained on pairs of each overlap (overlap 0: disjoint
+    pairs) at 8 clips.  At t_c 8 the sweep's stride 6 is a variant of its
+    own."""
+    data = _write_dataset(tmp_path / "data", frames)
+    flags = list(TINY_FLAGS)
+    flags[flags.index("--t-c") + 1], flags[flags.index("--r") + 1] = t_c, r
+    out = tmp_path / "abl"
+    assert run(["ablate", "--data", data, "--out", out,
+                "--steps", "2", "--seed", "3", *flags]) == 0
+
+    cfg = RunConfig(t_c=t_c, r=r, height=4, width=4, channels=1, z_content=8,
+                    z_motion=4, hidden=16, batch=2, steps=2, seed=3)
+    videos, _ = load_dataset(data / "manifest.tsv")
+    base = ModelBundle.init(cfg)
+    train_loop(base, videos)
+    state = base.state_arrays()
+
+    def mismatches(counts, **fields):
+        vcfg = cfg.replace(**fields)
+        bundle = ModelBundle.init(vcfg, state)
+        train_loop_recall(bundle, build_pairs(videos, vcfg)[0])
+        return [chain_overlap_mismatch(bundle, n, mode="mean", r=r)
+                for n in counts]
+
+    counts = (3, 5, 7, 9, 11, 13, 15, 17)
+    columns = [mismatches(counts, ovi=True, mgv=False),
+               mismatches(counts, ovi=False, mgv=True),
+               mismatches(counts, ovi=True, mgv=True)]
+    expected11 = [((n - 1) * r + t_c, *values)
+                  for n, *values in zip(counts, *columns)]
+    expected10 = [(o, t_c - o, mismatches((8,), ovi=o > 0, mgv=True,
+                                          r=t_c - o if o else r)[0])
+                  for o in (0, 2, 4, 8) if o < t_c]
+
+    def table(name, int_columns):
+        rows = [line.split("\t")
+                for line in (out / name).read_text().splitlines()[1:]]
+        return [(*map(int, row[:int_columns]), *map(float, row[int_columns:]))
+                for row in rows]
+
+    assert table("table11.tsv", 1) == expected11
+    assert table("table10.tsv", 2) == expected10
+    assert len(expected10) == (2 if t_c == 4 else 3)
 
 
 def test_ablate_init_takes_architecture_and_seed_from_checkpoint(tiny_dataset, tmp_path):

@@ -347,6 +347,16 @@ def test_metric_report_roundtrip(tmp_path):
     assert text.startswith("# metric\tsegment\tvalue\n")
 
 
+def test_metric_report_reads_back_numpy_scalar(tmp_path):
+    """A numpy float64 is written as its shortest repr, like a Python float,
+    so both read back exactly."""
+    path = tmp_path / "report.tsv"
+    value = 0.1 + 0.2
+    write_metric_report(path, [("a", "-", np.float64(value)), ("b", "-", value)])
+    assert read_metric_report(path) == [("a", "-", value), ("b", "-", value)]
+    assert path.read_text().count(repr(value)) == 2
+
+
 # -- probe on the shapes dataset -----------------------------------------------------
 
 def test_probe_recovers_shapes_direction_classes(tmp_path):
