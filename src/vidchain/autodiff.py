@@ -12,18 +12,19 @@ VJP, so an untaped call or a pruned record never pays for it.
 
 Every Tensor is finite: NaN and Inf are an error state, not a value.  The
 constructor checks its data, and a primitive checks its output only where
-finite inputs can overflow or hit a pole: add, sub, mul, affine, square,
-log, exp, mean, sum and cumsum.  neg, tanh, sigmoid, clip, reshape, concat
-and slicing map finite inputs (clip's bounds included) to finite outputs,
-so they check nothing.  A failed check raises NumericsError naming the
-primitive.  The backward pass checks every gradient it forms the same way,
-reporting the primitive responsible.
+finite inputs can overflow or hit a pole: add, sub, mul, affine, mlp2 (its
+hidden pre-activation too, which tanh would clamp to ±1), square, log, exp,
+mean, sum and cumsum.  neg, tanh, sigmoid, clip, reshape, concat and slicing
+map finite inputs (clip's bounds included) to finite outputs, so they check
+nothing.  A failed check raises NumericsError naming the primitive.  The
+backward pass checks every gradient it forms the same way, reporting the
+primitive responsible.
 
 The primitive set is deliberately small: add, sub, mul, neg, affine, tanh,
-sigmoid, mean, sum, cumsum, square, log, exp, concat, slicing, clip, reshape.
-Enough to express the encoder/generator/discriminator stacks and every loss
-in the library.  Slicing takes basic or advanced indices; the gradient of an
-advanced index that selects a position twice raises GradientError.
+mlp2, sigmoid, mean, sum, cumsum, square, log, exp, concat, slicing, clip,
+reshape; mlp2 is a whole two-layer stack in one record.  Slicing takes basic
+or advanced indices; the gradient of an advanced index that selects a
+position twice raises GradientError.
 """
 
 from __future__ import annotations
@@ -36,8 +37,8 @@ import numpy as np
 
 __all__ = [
     "Tensor", "GradTape", "backward", "NumericsError", "GradientError",
-    "add", "sub", "mul", "neg", "affine", "tanh", "sigmoid", "mean", "sum",
-    "cumsum", "square", "log", "exp", "concat", "clip", "reshape",
+    "add", "sub", "mul", "neg", "affine", "tanh", "mlp2", "sigmoid", "mean",
+    "sum", "cumsum", "square", "log", "exp", "concat", "clip", "reshape",
 ]
 
 
@@ -286,6 +287,30 @@ def affine(x, w, b) -> Tensor:
     out += b.data       # in place: the GEMM output is fresh
     return _emit("affine", out, (x, w, b),
                  (lambda g: g @ w.data.T, lambda g: x.data.T @ g,
+                  lambda g: g.sum(axis=0)))
+
+
+def mlp2(x, w0, b0, w1, b1) -> Tensor:
+    """affine(tanh(affine(x, w0, b0)), w1, b1) in one record, op for op."""
+    ts = x, w0, b0, w1, b1 = tuple(_as_tensor(t) for t in (x, w0, b0, w1, b1))
+    if tuple(t.ndim for t in ts) != (2, 2, 1, 2, 1):
+        raise GradientError("mlp2 expects (B,in) @ (in,h) + (h,) @ (h,out) + (out,)")
+    h = x.data @ w0.data
+    h += b0.data
+    _check_finite("mlp2", h)
+    np.tanh(h, out=h)       # the pre-activation has no other use
+    out = h @ w1.data
+    out += b1.data
+    memo = [None, None]     # g, and its gradient at the pre-activation
+
+    def pre(g):
+        if memo[0] is not g:
+            memo[:] = g, (g @ w1.data.T) * (1.0 - h * h)
+        return memo[1]
+
+    return _emit("mlp2", out, ts,
+                 (lambda g: pre(g) @ w0.data.T, lambda g: x.data.T @ pre(g),
+                  lambda g: pre(g).sum(axis=0), lambda g: h.T @ g,
                   lambda g: g.sum(axis=0)))
 
 

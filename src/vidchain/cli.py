@@ -232,6 +232,8 @@ def cmd_generate_long(args) -> int:
 def cmd_eval(args) -> int:
     generated, _ = _load_videos(args.data)
     reference, labels = _load_videos(args.reference)
+    if not reference:
+        raise ValueError("reference set is empty")
     frame_dim = int(np.prod(np.asarray(reference[0]).shape[1:]))
     extractor = FeatureExtractor(args.seg_len, frame_dim, seed=args.seed)
     scores = segmentwise_scores(generated, reference, extractor,

@@ -1,7 +1,8 @@
 """Dense layers over flattened frames: initialization and application.
 
-An MLP here is a flat list of trainable Tensors [W0, b0, W1, b1, ...] with
-tanh between layers and a linear final layer.  Weights draw from
+An MLP here is a two-layer stack, the flat list of trainable Tensors
+[W0, b0, W1, b1]: a tanh hidden layer and a linear output layer, which
+`apply_mlp` records as one `autodiff.mlp2` tape entry.  Weights draw from
 N(0, 1/n_in); biases draw from N(0, bias_init^2) — deliberately *not* zero,
 so an untrained model maps zero latents to a nonzero signal (a meaningful
 baseline for before/after-training comparisons).
@@ -19,7 +20,7 @@ __all__ = ["init_mlp", "apply_mlp"]
 
 
 def init_mlp(stream: RandomStream, sizes, bias_init: float) -> list[Tensor]:
-    """Trainable parameters for layer widths `sizes` = [n_in, ..., n_out]."""
+    """Trainable parameters for layer widths `sizes` = [n_in, n_hid, n_out]."""
     params: list[Tensor] = []
     for i in range(len(sizes) - 1):
         n_in, n_out = sizes[i], sizes[i + 1]
@@ -31,10 +32,5 @@ def init_mlp(stream: RandomStream, sizes, bias_init: float) -> list[Tensor]:
 
 
 def apply_mlp(params: list[Tensor], x: Tensor) -> Tensor:
-    """tanh-activated hidden layers, linear output; x is (batch, n_in)."""
-    n_layers = len(params) // 2
-    for i in range(n_layers):
-        x = ad.affine(x, params[2 * i], params[2 * i + 1])
-        if i < n_layers - 1:
-            x = ad.tanh(x)
-    return x
+    """The stack [W0, b0, W1, b1] on x, (batch, n_in), as one record."""
+    return ad.mlp2(x, *params)

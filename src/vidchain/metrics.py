@@ -168,7 +168,6 @@ class SegmentScores:
     """Per-segment-position Fréchet scores of a generated set."""
     scores: list            # one score per segment position
     average: float
-    group_sizes: list       # generated segments contributing per position
     excluded: list = field(default_factory=list)  # too-short video indices
 
 
@@ -207,13 +206,12 @@ def segmentwise_scores(generated, reference, extractor: FeatureExtractor,
     pooled = GaussianFit.from_samples(
         extractor.features(np.stack([s for g in ref_groups for s in g])))
 
-    scores, sizes = [], []
+    scores = []
     for j, group in enumerate(gen_groups):
         fit = GaussianFit.from_samples(extractor.features(np.stack(group)))
         target = ref_fits[j] if j < len(ref_fits) else pooled
         scores.append(frechet_distance(fit, target))
-        sizes.append(len(group))
-    return SegmentScores(scores, float(np.mean(scores)), sizes, excluded)
+    return SegmentScores(scores, float(np.mean(scores)), excluded)
 
 
 def fvd_ratio(score_short: float, score_long: float) -> float:

@@ -132,10 +132,9 @@ class ModelBundle:
                                          cfg.bias_init)
                           for name in COMPONENTS}
             return cls(cfg, components, opts)
-        # each component's W0, b0, W1, b1, ... as init_mlp draws them
-        shapes = {name: [s for n_in, n_out in zip(w, w[1:])
-                         for s in ((n_in, n_out), (n_out,))]
-                  for name, w in sizes.items()}
+        # each component's W0, b0, W1, b1 as init_mlp draws them
+        shapes = {name: [(i, h), (h,), (h, o), (o,)]
+                  for name, (i, h, o) in sizes.items()}
         components = {}
         for name in COMPONENTS:
             components[name] = []

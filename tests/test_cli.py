@@ -236,6 +236,8 @@ _DAMAGED = {
     "NOT_INT": lambda ds: _edit_manifest(ds, b"video_00001.rcg\t12",
                                          b"video_00001.rcg\tabc"),
     "NOT_UTF8": lambda ds: _edit_manifest(ds, b"video_00001", b"video_\xff0001"),
+    "HEADER_ONLY": lambda ds: (ds / "manifest.tsv").write_bytes(
+        (ds / "manifest.tsv").read_bytes().splitlines(keepends=True)[0]),
 }
 
 
@@ -289,6 +291,9 @@ _DAMAGED = {
     pytest.param(["eval", "--data", "NAN_PIXEL", "--reference", "DATA",
                   "--report", "OUT", "--seg-len", "4"], None, 4, "data-format",
                  id="eval-non-finite-pixel"),
+    pytest.param(["eval", "--data", "DATA", "--reference", "HEADER_ONLY",
+                  "--report", "OUT", "--seg-len", "4"], None, 4, "dimension",
+                 id="eval-empty-reference"),
     pytest.param(["roundtrip-check", "--data", "NAN_PIXEL", "--t-c", "4"], None,
                  4, "data-format", id="roundtrip-check-non-finite-pixel"),
     pytest.param(["roundtrip-check", "--data", "NOT_INT"], None, 4,
@@ -358,6 +363,8 @@ def test_cli_error_contract(tiny_dataset, tmp_path, capsys, argv, config, code,
         assert config[2:config.index(b'"', 2)].decode() in line    # names the field
     if "FLOAT_CKPT" in argv:
         assert "hidden" in line
+    if "HEADER_ONLY" in argv:
+        assert "reference set is empty" in line
     if "NAN_PIXEL" in argv:
         assert "video_00000.rcg" in line and "non-finite" in line
     if "UNDER_FILE" in argv:

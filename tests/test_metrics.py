@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from vidchain.metrics import (
-    FeatureExtractor, GaussianFit, ProbeClassifier, frechet_distance,
-    fvd_ratio, inception_score, read_metric_report, segmentwise_scores,
-    train_probe, write_metric_report,
+    FeatureExtractor, GaussianFit, ProbeClassifier, _segment_groups,
+    frechet_distance, fvd_ratio, inception_score, read_metric_report,
+    segmentwise_scores, train_probe, write_metric_report,
 )
 from vidchain.rng import RandomStream
 
@@ -162,7 +162,7 @@ def test_segmentwise_self_evaluation_is_zero():
     ex = extractor()
     out = segmentwise_scores(videos, videos, ex, seg_len=16)
     assert len(out.scores) == 3
-    assert out.group_sizes == [6, 6, 6]
+    assert [len(g) for g in _segment_groups(videos, 16)[0]] == [6, 6, 6]
     assert all(s < 1e-6 for s in out.scores)
     assert out.average < 1e-6
     assert out.excluded == []
@@ -178,7 +178,7 @@ def test_segmentwise_excludes_short_videos():
     videos = seg_videos(3, 48, seed=3) + [np.zeros((8, 2, 2, 1))]
     out = segmentwise_scores(videos, videos[:3], extractor(), seg_len=16)
     assert out.excluded == [3]
-    assert out.group_sizes == [3, 3, 3]
+    assert [len(g) for g in _segment_groups(videos, 16)[0]] == [3, 3, 3]
 
 
 def test_segmentwise_short_reference_falls_back_to_pool():

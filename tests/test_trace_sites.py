@@ -12,6 +12,8 @@ import os
 import subprocess
 import sys
 
+from vidchain.model import COMPONENTS
+
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
 
 _SCRIPT = """
@@ -39,17 +41,22 @@ tracer.phase = None
 print(json.dumps({key: calls for key, (calls, _, _) in tracer.stats.items()}))
 """
 
+# Each dense stack is one `mlp2` record, which the tracer does not patch,
+# so `apply_mlp`, labelled by component, is the only per-layer view of MLP
+# cost; a model that bound `mlp2` directly would leave it reading zero.
+MLP_SITES = [f"layers.apply_mlp.{name}" for name in COMPONENTS]
+
 EXPECTED = {
     "clip": ["training.sample_batch", "autodiff.backward.clip-d",
              "autodiff.backward.clip-enc", "autodiff.backward.clip-gen",
              "autodiff.tape_records.clip", "optim.adam_step",
              "losses.loss_d_image", "losses.loss_d_video", "losses.loss_enc",
-             "losses.loss_gen"],
+             "losses.loss_gen", *MLP_SITES],
     "pairs": ["chain.make_training_pairs"],
     "recall": ["autodiff.backward.recall-d", "autodiff.backward.recall-joint",
                "autodiff.tape_records.recall", "optim.adam_step",
                "chain.loss_d_image_r", "chain.loss_d_video_merged",
-               "chain.loss_rencg"],
+               "chain.loss_rencg", *MLP_SITES],
 }
 
 
