@@ -25,10 +25,13 @@ Conventions
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import functools
+import hashlib
 import json
 import os
+import pathlib
 import sys
 
 import numpy as np
@@ -38,10 +41,12 @@ from .chain import chain_generate
 from .config import ConfigError, RunConfig
 from .container import (ContainerError, ContainerWriter, ManifestError,
                         load_checkpoint, load_dataset, read_container,
-                        write_container, write_table)
+                        save_checkpoint, write_container, write_table)
 from .datasets import gen_drift_dataset, gen_shapes_dataset
-from .metrics import (FeatureExtractor, fvd_ratio, inception_score,
-                      segmentwise_scores, train_probe, write_metric_report)
+from .metrics import (FeatureExtractor, GaussianFit, ProbeClassifier,
+                      fvd_ratio, inception_score, reference_fits,
+                      score_segments, train_probe, write_metric_report)
+from .metrics import segmentwise_scores  # noqa: F401 (perfbench patches it here)
 from .model import OPT_NAMES, ModelBundle
 from .rng import RandomStream
 from .training import build_pairs, train_loop, train_loop_recall
@@ -131,8 +136,7 @@ def _load_videos(path: str):
     """A dataset directory (manifest) or a single container file -> list of
     (T, H, W, C) videos."""
     if os.path.isdir(path):
-        videos, labels = load_dataset(os.path.join(path, "manifest.tsv"))
-        return videos, labels
+        return load_dataset(os.path.join(path, "manifest.tsv"))
     arr = read_container(path).astype(np.float64)
     if arr.ndim == 4:
         return [arr], None
@@ -229,35 +233,89 @@ def cmd_generate_long(args) -> int:
     return 0
 
 
+def _sha256(parts) -> str:
+    """sha256 of (header, float64 array) pairs, each header as JSON."""
+    h = hashlib.sha256()
+    for header, arr in parts:
+        h.update(json.dumps(header).encode())
+        h.update(np.require(arr, "<f8", "C"))
+    return h.hexdigest()
+
+
+def _refstats_key(args, reference, labels) -> str:
+    """sha256 of all eval's reference side depends on: the package sources,
+    numpy's version and active CPU dispatch targets, a forced OpenBLAS
+    kernel, --seed, --seg-len, and each reference video's shape, bytes, label."""
+    sources = {p.name: p.read_text(encoding="utf-8")
+               for p in sorted(pathlib.Path(__file__).parent.glob("*.py"))}
+    umath = (np._core if hasattr(np, "_core") else np.core)._multiarray_umath
+    machine = [np.__version__, os.environ.get("OPENBLAS_CORETYPE"),
+               [t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t)]]
+    return _sha256([([sources, machine, args.seed, args.seg_len], [])]
+                   + [([v.shape, int(c)], v) for v, c in zip(reference, labels)])
+
+
+def _reference_stats(args, reference, labels, keep, extractor):
+    """`reference_fits` and, with --probe, the probe trained on the first
+    segment of each `keep` video.  A dataset directory keeps both in its
+    `refstats.rcgb` under the `_refstats_key` and a digest of the arrays;
+    a miss recomputes and replaces it, and a failed write costs only time."""
+    path = (os.path.join(args.reference, "refstats.rcgb")
+            if os.path.isdir(args.reference) else None)
+    key = path and _refstats_key(args, reference, labels)
+    try:
+        header, arrays = load_checkpoint(path) if path else ({}, {})
+    except (OSError, ContainerError):
+        header, arrays = {}, {}
+    if (header == {"key": key, "digest": _sha256(arrays.items())}
+            and (not args.probe or "probe.0" in arrays)):
+        fits = [GaussianFit(*m) for m in zip(arrays["means"], arrays["covs"])]
+        return fits, (ProbeClassifier.from_params(
+            arrays[f"probe.{i}"] for i in range(4)) if args.probe else None)
+    fits = reference_fits(reference, extractor, args.seg_len)
+    probe = None
+    if args.probe:
+        clips = np.stack([v[:args.seg_len] for k, v in zip(keep, reference) if k])
+        probe = train_probe(extractor.features(clips), labels[keep],
+                            RandomStream.from_seed(args.seed, "eval-probe"))
+    if path:
+        means, covs = map(np.stack, zip(*(fit.moments for fit in fits)))
+        arrays = {"means": means, "covs": covs, **{
+            f"probe.{i}": p.data for i, p in enumerate(probe.params if probe else ())}}
+        with contextlib.suppress(OSError):
+            save_checkpoint(path, {"key": key, "digest": _sha256(arrays.items())},
+                            arrays)
+    return fits, probe
+
+
 def cmd_eval(args) -> int:
+    if args.seg_len < 2:
+        raise ConfigError(f"eval needs --seg-len >= 2, got {args.seg_len}")
     generated, _ = _load_videos(args.data)
     reference, labels = _load_videos(args.reference)
     if not reference:
         raise ValueError("reference set is empty")
-    frame_dim = int(np.prod(np.asarray(reference[0]).shape[1:]))
-    extractor = FeatureExtractor(args.seg_len, frame_dim, seed=args.seed)
-    scores = segmentwise_scores(generated, reference, extractor,
-                                seg_len=args.seg_len)
-    rows = [("fid_segment", j, s) for j, s in enumerate(scores.scores)]
-    rows.append(("fid_average", "-", scores.average))
-    rows.append(("fvd_16f", "-", scores.scores[0]))
-    rows.append(("fvd_long", "-", scores.average))
-    if scores.average > 0:
-        rows.append(("fvd_ratio", "-",
-                     fvd_ratio(scores.scores[0], scores.average)))
+    keep = None
     if args.probe:
         if labels is None:
             raise ConfigError("--probe needs a labeled reference dataset")
-        labels = np.asarray(labels)
-        keep = labels >= 0
+        keep = (labels >= 0) & np.array([len(v) >= args.seg_len
+                                         for v in reference])
         if len(np.unique(labels[keep])) < 2:
-            raise ConfigError("--probe needs at least 2 reference classes")
-        ref_clips = np.stack([np.asarray(v)[:args.seg_len]
-                              for k, v in zip(keep, reference) if k])
-        probe = train_probe(extractor.features(ref_clips), labels[keep],
-                            RandomStream.from_seed(args.seed, "eval-probe"))
-        segments = [np.asarray(v)[j * args.seg_len:(j + 1) * args.seg_len]
-                    for v in generated
+            raise ConfigError(f"--probe needs at least 2 reference classes "
+                              f"among videos of {args.seg_len} frames or more")
+    frame_dim = int(np.prod(np.asarray(reference[0]).shape[1:]))
+    extractor = FeatureExtractor(args.seg_len, frame_dim, seed=args.seed)
+    fits, probe = _reference_stats(args, reference, labels, keep, extractor)
+    scores = score_segments(generated, fits, extractor, args.seg_len)
+    rows = [("fid_segment", j, s) for j, s in enumerate(scores.scores)]
+    rows += [("fid_average", "-", scores.average),
+             ("fvd_16f", "-", scores.scores[0]), ("fvd_long", "-", scores.average)]
+    if scores.average > 0:
+        rows.append(("fvd_ratio", "-",
+                     fvd_ratio(scores.scores[0], scores.average)))
+    if probe is not None:
+        segments = [v[j * args.seg_len:(j + 1) * args.seg_len] for v in generated
                     for j in range(len(v) // args.seg_len)]
         probs = probe.predict_proba(extractor.features(np.stack(segments)))
         value, inter, intra = inception_score(probs)

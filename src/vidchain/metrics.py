@@ -19,6 +19,8 @@ Conventions
   Reference sets of single-segment clips therefore score every position
   against one fixed reference fit (the degradation protocol), while
   evaluating a set against itself is exactly zero at every position.
+  `reference_fits` depends on the reference alone, so a caller may fit it
+  once and score many sets against it with `score_segments`.
 * The diversity score is exp(inter_entropy - intra_entropy), algebraically
   equal to exp(mean KL(p_i || mean p)); computing it from the entropy
   decomposition keeps the reported identity exact.
@@ -39,10 +41,10 @@ from .rng import RandomStream
 from .video import segment_nonoverlapping
 
 __all__ = [
-    "FeatureExtractor", "GaussianFit", "frechet_distance",
-    "SegmentScores", "segmentwise_scores", "fvd_ratio", "inception_score",
-    "ProbeClassifier", "train_probe", "write_metric_report",
-    "read_metric_report",
+    "FeatureExtractor", "GaussianFit", "frechet_distance", "SegmentScores",
+    "reference_fits", "score_segments", "segmentwise_scores", "fvd_ratio",
+    "inception_score", "ProbeClassifier", "train_probe",
+    "write_metric_report", "read_metric_report",
 ]
 
 PSD_TOL = 1e-8
@@ -109,18 +111,21 @@ def _symmetrize_psd(cov: np.ndarray, tol: float = PSD_TOL) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GaussianFit:
-    """Mean and symmetric PSD covariance of a feature cloud."""
+    """Mean and symmetric PSD covariance of a feature cloud; `moments` keeps
+    the unsymmetrized input, so `GaussianFit(*fit.moments)` is bit-exact."""
     mean: np.ndarray
     cov: np.ndarray
 
     def __post_init__(self):
         mean = np.asarray(self.mean, dtype=np.float64).reshape(-1)
-        cov = _symmetrize_psd(np.asarray(self.cov, dtype=np.float64))
+        given = np.asarray(self.cov, dtype=np.float64)
+        cov = _symmetrize_psd(given)
         if cov.shape[0] != mean.shape[0]:
             raise ValueError(f"mean dim {mean.shape[0]} vs covariance "
                              f"{cov.shape}")
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)
+        object.__setattr__(self, "moments", (mean, given))
 
     @property
     def dim(self) -> int:
@@ -188,30 +193,40 @@ def _segment_groups(videos, seg_len: int):
     return groups, excluded
 
 
+def reference_fits(reference, extractor: FeatureExtractor,
+                   seg_len: int = 16) -> list:
+    """The fit of each segment position of the reference set, then the fit
+    of all its segments pooled (see the module notes)."""
+    if len(reference) == 0:
+        raise ValueError("reference set is empty")
+    groups, _ = _segment_groups(reference, seg_len)
+    if not groups:
+        raise ValueError(f"no reference video reaches {seg_len} frames")
+    pooled = [s for g in groups for s in g]
+    return [GaussianFit.from_samples(extractor.features(np.stack(g)))
+            for g in groups + [pooled]]
+
+
+def score_segments(generated, fits: list, extractor: FeatureExtractor,
+                   seg_len: int = 16) -> SegmentScores:
+    """Fréchet score of each generated segment position against that
+    position's `reference_fits` entry; deeper positions take the pooled one."""
+    groups, excluded = _segment_groups(generated, seg_len)
+    if not groups:
+        raise ValueError(f"no generated video reaches {seg_len} frames")
+    scores = []
+    for j, group in enumerate(groups):
+        fit = GaussianFit.from_samples(extractor.features(np.stack(group)))
+        scores.append(frechet_distance(fit, fits[min(j, len(fits) - 1)]))
+    return SegmentScores(scores, float(np.mean(scores)), excluded)
+
+
 def segmentwise_scores(generated, reference, extractor: FeatureExtractor,
                        seg_len: int = 16) -> SegmentScores:
     """Fréchet score of each segment position of the generated set against
     the reference set (see the module notes for the reference pairing)."""
-    if len(reference) == 0:
-        raise ValueError("reference set is empty")
-    gen_groups, excluded = _segment_groups(generated, seg_len)
-    if not gen_groups:
-        raise ValueError(f"no generated video reaches {seg_len} frames")
-    ref_groups, _ = _segment_groups(reference, seg_len)
-    if not ref_groups:
-        raise ValueError(f"no reference video reaches {seg_len} frames")
-
-    ref_fits = [GaussianFit.from_samples(extractor.features(np.stack(g)))
-                for g in ref_groups]
-    pooled = GaussianFit.from_samples(
-        extractor.features(np.stack([s for g in ref_groups for s in g])))
-
-    scores = []
-    for j, group in enumerate(gen_groups):
-        fit = GaussianFit.from_samples(extractor.features(np.stack(group)))
-        target = ref_fits[j] if j < len(ref_fits) else pooled
-        scores.append(frechet_distance(fit, target))
-    return SegmentScores(scores, float(np.mean(scores)), excluded)
+    return score_segments(generated, reference_fits(reference, extractor,
+                                                    seg_len), extractor, seg_len)
 
 
 def fvd_ratio(score_short: float, score_long: float) -> float:
@@ -258,6 +273,13 @@ class ProbeClassifier:
         stream = RandomStream.from_seed(seed, "probe-init")
         self.params = init_mlp(stream, (in_dim, hidden, n_classes),
                                bias_init=0.05)
+
+    @classmethod
+    def from_params(cls, arrays) -> "ProbeClassifier":
+        """The probe whose `params` hold `arrays`, [W0, b0, W1, b1]."""
+        probe = cls.__new__(cls)
+        probe.params = [Tensor(a, requires_grad=True) for a in arrays]
+        return probe
 
     def log_probs(self, features: Tensor) -> Tensor:
         """Differentiable row-wise log of the class distribution."""

@@ -17,13 +17,17 @@ reload (equal to each other).  Then the same chained video in the `mean`
 and `seeded` modes, the `sampled` and `mean` videos again at a stride
 override of `CHAIN_STRIDE` frames, and a `train_probe` fit on fixed
 features (its parameters and predicted probabilities), which runs `log`,
-`exp`, `sum` and Adam on small parameters.  The last line hashes the two
+`exp`, `sum` and Adam on small parameters.  The next line hashes the two
 tables of `vidchain ablate --init` on a tiny model that `vidchain train`
 trained on the same videos, written as a dataset; its overlap sweep trains
-one variant beyond the ovi, mgv and recall ones.  A refactor that claims to
-leave training or file I/O byte-identical prints the same lines before and
-after.  The script imports the package from the `src/` beside it, so it
-measures the checkout it lives in.
+one variant beyond the ovi, mgv and recall ones.  The last line hashes the
+report of `vidchain eval --probe` of the same videos played backwards
+against that dataset, made cold; the script fails if a warm rerun, which
+reads the reference fits and the probe from the dataset's `refstats.rcgb`,
+writes other bytes.  A refactor that claims to leave training or file I/O
+byte-identical prints the same lines before and after.  The script imports
+the package from the `src/` beside it, so it measures the checkout it lives
+in.
 """
 
 import contextlib
@@ -143,17 +147,23 @@ def probe_digest() -> str:
     return h.hexdigest()
 
 
+def write_dataset(data, path: str) -> None:
+    """`data` as a dataset directory at `path`, labeled in 4 classes."""
+    os.makedirs(path, exist_ok=True)
+    records = []
+    for i, video in enumerate(data):
+        name = f"video{i}.rcg"
+        write_container(os.path.join(path, name), video.astype(np.float32))
+        records.append(ManifestRecord(name, *video.shape, i % 4))
+    write_manifest(os.path.join(path, "manifest.tsv"), records)
+
+
 def ablate_digest(data) -> str:
     """sha256 of table10.tsv then table11.tsv from `vidchain ablate --init`
     on a checkpoint `vidchain train` wrote; both read `data` as a dataset."""
     with (tempfile.TemporaryDirectory() as tmp,
           contextlib.redirect_stdout(io.StringIO())):
-        records = []
-        for i, video in enumerate(data):
-            name = f"video{i}.rcg"
-            write_container(os.path.join(tmp, name), video.astype(np.float32))
-            records.append(ManifestRecord(name, *video.shape, i % 4))
-        write_manifest(os.path.join(tmp, "manifest.tsv"), records)
+        write_dataset(data, tmp)
         ckpt, out = os.path.join(tmp, "base.ckpt"), os.path.join(tmp, "ablate")
         for argv in (["train", "--data", tmp, "--out", ckpt, *ABLATE_FLAGS],
                      ["ablate", "--data", tmp, "--init", ckpt, "--out", out]):
@@ -164,6 +174,30 @@ def ablate_digest(data) -> str:
             with open(os.path.join(out, name), "rb") as fh:
                 h.update(fh.read())
         return h.hexdigest()
+
+
+def eval_digest(data) -> str:
+    """sha256 of the report of `vidchain eval --probe` of `data` played
+    backwards, against `data` as a dataset, made with no `refstats.rcgb`;
+    a warm rerun must write the same bytes."""
+    with (tempfile.TemporaryDirectory() as tmp,
+          contextlib.redirect_stdout(io.StringIO())):
+        ref, gen = os.path.join(tmp, "data"), os.path.join(tmp, "gen.rcg")
+        write_dataset(data, ref)
+        write_container(gen, np.stack(data)[:, ::-1].astype(np.float32))
+        reports = []
+        for run in ("cold", "warm"):
+            report = os.path.join(tmp, f"{run}.tsv")
+            if cli_main(["eval", "--data", gen, "--reference", ref, "--report",
+                         report, "--probe", "--seed", str(SEED)]) != 0:
+                raise RuntimeError(f"{run} vidchain eval failed")
+            if not os.path.isfile(os.path.join(ref, "refstats.rcgb")):
+                raise RuntimeError("vidchain eval wrote no refstats.rcgb")
+            with open(report, "rb") as fh:
+                reports.append(fh.read())
+        if reports[0] != reports[1]:
+            raise RuntimeError("the warm eval report differs from the cold one")
+        return hashlib.sha256(reports[0]).hexdigest()
 
 
 def file_digests(bundle) -> dict:
@@ -199,6 +233,7 @@ def main() -> int:
         print(f"{name}\t{value}")
     print(f"probe\t{probe_digest()}")
     print(f"ablate_tables\t{ablate_digest(data)}")
+    print(f"eval_report\t{eval_digest(data)}")
     return 0
 
 

@@ -171,6 +171,29 @@ def test_eval_byte_reproducible(tiny_dataset, tmp_path):
     assert payloads[0] == payloads[1]
 
 
+def test_eval_probe_skips_labeled_videos_shorter_than_a_segment(tmp_path):
+    """Four 20-frame videos and one of 10 frames, at --seg-len 16: the probe
+    trains on the four, so the report equals one made without the fifth."""
+    from vidchain.container import ManifestRecord, write_manifest
+    rng = np.random.default_rng(1)
+    videos = [rng.uniform(-1, 1, (n, 4, 4, 1)).astype(np.float32)
+              for n in (20, 20, 20, 20, 10)]
+    for name, count in (("with_short", 5), ("without", 4)):
+        (tmp_path / name).mkdir()
+        for i, video in enumerate(videos[:count]):
+            write_container(tmp_path / name / f"v{i}.rcg", video)
+        write_manifest(tmp_path / name / "manifest.tsv", [
+            ManifestRecord(f"v{i}.rcg", len(v), 4, 4, 1, i % 2)
+            for i, v in enumerate(videos[:count])])
+    write_container(tmp_path / "gen.rcg", videos[0])
+    for name in ("with_short", "without"):
+        assert run(["eval", "--data", tmp_path / "gen.rcg", "--reference",
+                    tmp_path / name, "--report", tmp_path / f"{name}.tsv",
+                    "--seg-len", "16", "--probe"]) == 0
+    assert ((tmp_path / "with_short.tsv").read_bytes()
+            == (tmp_path / "without.tsv").read_bytes())
+
+
 def test_exit_codes(tiny_dataset, tmp_path, capsys):
     assert run(["train", "--data", tmp_path / "nope", "--out",
                 tmp_path / "x.ckpt"]) == 3
@@ -238,6 +261,8 @@ _DAMAGED = {
     "NOT_UTF8": lambda ds: _edit_manifest(ds, b"video_00001", b"video_\xff0001"),
     "HEADER_ONLY": lambda ds: (ds / "manifest.tsv").write_bytes(
         (ds / "manifest.tsv").read_bytes().splitlines(keepends=True)[0]),
+    "ONE_CLASS": lambda ds: (ds / "manifest.tsv").write_bytes(
+        (ds / "manifest.tsv").read_bytes().replace(b"\t1\n", b"\t0\n")),
 }
 
 
@@ -294,6 +319,20 @@ _DAMAGED = {
     pytest.param(["eval", "--data", "DATA", "--reference", "HEADER_ONLY",
                   "--report", "OUT", "--seg-len", "4"], None, 4, "dimension",
                  id="eval-empty-reference"),
+    # eval checks its flags before it reads a file, and --probe's labels
+    # before any scoring: at --seg-len 13 no video holds a segment
+    pytest.param(["eval", "--data", "MISSING", "--reference", "MISSING",
+                  "--report", "OUT", "--seg-len", "1"], None, 2, "config",
+                 id="eval-seg-len-one"),
+    pytest.param(["eval", "--data", "MISSING", "--reference", "MISSING",
+                  "--report", "OUT", "--seg-len", "-3"], None, 2, "config",
+                 id="eval-seg-len-negative"),
+    pytest.param(["eval", "--data", "DATA", "--reference", "VIDEO", "--report",
+                  "OUT", "--seg-len", "13", "--probe"], None, 2, "config",
+                 id="eval-probe-unlabeled-reference"),
+    pytest.param(["eval", "--data", "DATA", "--reference", "ONE_CLASS",
+                  "--report", "OUT", "--seg-len", "13", "--probe"], None, 2,
+                 "config", id="eval-probe-one-class"),
     pytest.param(["roundtrip-check", "--data", "NAN_PIXEL", "--t-c", "4"], None,
                  4, "data-format", id="roundtrip-check-non-finite-pixel"),
     pytest.param(["roundtrip-check", "--data", "NOT_INT"], None, 4,
@@ -344,6 +383,8 @@ def test_cli_error_contract(tiny_dataset, tmp_path, capsys, argv, config, code,
     before = sorted(os.listdir(work))
     paths = {"CKPT": ckpt, "OUT": work / "out.rcg", "DIR": work / "dir",
              "CFG": work / "cfg.json", "DATA": tiny_dataset,
+             "VIDEO": tiny_dataset / "video_00000.rcg",
+             "MISSING": work / "missing",
              "UNDER_FILE": work / "out.rcg" / "x"}
     if "FLOAT_CKPT" in argv:    # the same model, its hidden stored as 16.0
         stored, arrays = load_checkpoint(ckpt)
@@ -365,6 +406,12 @@ def test_cli_error_contract(tiny_dataset, tmp_path, capsys, argv, config, code,
         assert "hidden" in line
     if "HEADER_ONLY" in argv:
         assert "reference set is empty" in line
+    if "MISSING" in argv:   # refused before the missing files are opened
+        assert "--seg-len >= 2" in line
+    if "VIDEO" in argv:
+        assert "labeled reference" in line
+    if "ONE_CLASS" in argv:
+        assert "2 reference classes" in line
     if "NAN_PIXEL" in argv:
         assert "video_00000.rcg" in line and "non-finite" in line
     if "UNDER_FILE" in argv:
