@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import ctypes
 import dataclasses
 import functools
 import hashlib
@@ -45,7 +46,8 @@ from .container import (ContainerError, ContainerWriter, ManifestError,
 from .datasets import gen_drift_dataset, gen_shapes_dataset
 from .metrics import (FeatureExtractor, GaussianFit, ProbeClassifier,
                       fvd_ratio, inception_score, reference_fits,
-                      score_segments, train_probe, write_metric_report)
+                      score_segments, segment_features, train_probe,
+                      write_metric_report)
 from .metrics import segmentwise_scores  # noqa: F401 (perfbench patches it here)
 from .model import OPT_NAMES, ModelBundle
 from .rng import RandomStream
@@ -242,22 +244,34 @@ def _sha256(parts) -> str:
     return h.hexdigest()
 
 
+def numeric_domain() -> dict:
+    """What float64 bits depend on besides the sources: numpy's version and
+    CPU dispatch targets, and the OpenBLAS kernel, forced and picked."""
+    umath = (np._core if hasattr(np, "_core") else np.core)._multiarray_umath
+    core = None     # without numpy's bundled OpenBLAS or its core-name symbol
+    for lib in pathlib.Path(np.__file__).parent.parent.glob("numpy.libs/*openblas*"):
+        with contextlib.suppress(OSError, AttributeError):
+            get = ctypes.CDLL(str(lib)).scipy_openblas_get_corename64_
+            get.argtypes, get.restype = [], ctypes.c_char_p
+            core = get().decode()
+    return {"numpy": np.__version__, "coretype": os.environ.get("OPENBLAS_CORETYPE"),
+            "blas_core": core, "dispatch": [t for t in umath.__cpu_dispatch__
+                                            if umath.__cpu_features__.get(t)]}
+
+
 def _refstats_key(args, reference, labels) -> str:
     """sha256 of all eval's reference side depends on: the package sources,
-    numpy's version and active CPU dispatch targets, a forced OpenBLAS
-    kernel, --seed, --seg-len, and each reference video's shape, bytes, label."""
+    the `numeric_domain`, --seed, --seg-len, and each reference video's
+    shape, bytes and label."""
     sources = {p.name: p.read_text(encoding="utf-8")
                for p in sorted(pathlib.Path(__file__).parent.glob("*.py"))}
-    umath = (np._core if hasattr(np, "_core") else np.core)._multiarray_umath
-    machine = [np.__version__, os.environ.get("OPENBLAS_CORETYPE"),
-               [t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t)]]
-    return _sha256([([sources, machine, args.seed, args.seg_len], [])]
+    return _sha256([([sources, numeric_domain(), args.seed, args.seg_len], [])]
                    + [([v.shape, int(c)], v) for v, c in zip(reference, labels)])
 
 
-def _reference_stats(args, reference, labels, keep, extractor):
+def _reference_stats(args, reference, labels, extractor):
     """`reference_fits` and, with --probe, the probe trained on the first
-    segment of each `keep` video.  A dataset directory keeps both in its
+    segment of each labeled video.  A dataset directory keeps both in its
     `refstats.rcgb` under the `_refstats_key` and a digest of the arrays;
     a miss recomputes and replaces it, and a failed write costs only time."""
     path = (os.path.join(args.reference, "refstats.rcgb")
@@ -272,11 +286,12 @@ def _reference_stats(args, reference, labels, keep, extractor):
         fits = [GaussianFit(*m) for m in zip(arrays["means"], arrays["covs"])]
         return fits, (ProbeClassifier.from_params(
             arrays[f"probe.{i}"] for i in range(4)) if args.probe else None)
-    fits = reference_fits(reference, extractor, args.seg_len)
+    rows = segment_features(reference, extractor, args.seg_len, "reference")
+    fits = reference_fits(rows)
     probe = None
     if args.probe:
-        clips = np.stack([v[:args.seg_len] for k, v in zip(keep, reference) if k])
-        probe = train_probe(extractor.features(clips), labels[keep],
+        first = (rows.position == 0) & (labels[rows.video] >= 0)
+        probe = train_probe(rows.features[first], labels[rows.video[first]],
                             RandomStream.from_seed(args.seed, "eval-probe"))
     if path:
         means, covs = map(np.stack, zip(*(fit.moments for fit in fits)))
@@ -295,7 +310,6 @@ def cmd_eval(args) -> int:
     reference, labels = _load_videos(args.reference)
     if not reference:
         raise ValueError("reference set is empty")
-    keep = None
     if args.probe:
         if labels is None:
             raise ConfigError("--probe needs a labeled reference dataset")
@@ -306,8 +320,9 @@ def cmd_eval(args) -> int:
                               f"among videos of {args.seg_len} frames or more")
     frame_dim = int(np.prod(np.asarray(reference[0]).shape[1:]))
     extractor = FeatureExtractor(args.seg_len, frame_dim, seed=args.seed)
-    fits, probe = _reference_stats(args, reference, labels, keep, extractor)
-    scores = score_segments(generated, fits, extractor, args.seg_len)
+    fits, probe = _reference_stats(args, reference, labels, extractor)
+    segments = segment_features(generated, extractor, args.seg_len)
+    scores = score_segments(segments, fits)
     rows = [("fid_segment", j, s) for j, s in enumerate(scores.scores)]
     rows += [("fid_average", "-", scores.average),
              ("fvd_16f", "-", scores.scores[0]), ("fvd_long", "-", scores.average)]
@@ -315,9 +330,7 @@ def cmd_eval(args) -> int:
         rows.append(("fvd_ratio", "-",
                      fvd_ratio(scores.scores[0], scores.average)))
     if probe is not None:
-        segments = [v[j * args.seg_len:(j + 1) * args.seg_len] for v in generated
-                    for j in range(len(v) // args.seg_len)]
-        probs = probe.predict_proba(extractor.features(np.stack(segments)))
+        probs = probe.predict_proba(segments.features)
         value, inter, intra = inception_score(probs)
         rows += [("is", "-", value), ("inter_entropy", "-", inter),
                  ("intra_entropy", "-", intra)]

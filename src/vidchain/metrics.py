@@ -19,8 +19,10 @@ Conventions
   Reference sets of single-segment clips therefore score every position
   against one fixed reference fit (the degradation protocol), while
   evaluating a set against itself is exactly zero at every position.
-  `reference_fits` depends on the reference alone, so a caller may fit it
-  once and score many sets against it with `score_segments`.
+  `segment_features` cuts and featurizes a set once; `reference_fits` and
+  `score_segments` fit its rows by position.  The reference fits depend on
+  the reference alone, so a caller may fit them once and score many sets
+  against them.
 * The diversity score is exp(inter_entropy - intra_entropy), algebraically
   equal to exp(mean KL(p_i || mean p)); computing it from the entropy
   decomposition keeps the reported identity exact.
@@ -28,7 +30,8 @@ Conventions
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,9 +45,9 @@ from .video import segment_nonoverlapping
 
 __all__ = [
     "FeatureExtractor", "GaussianFit", "frechet_distance", "SegmentScores",
-    "reference_fits", "score_segments", "segmentwise_scores", "fvd_ratio",
-    "inception_score", "ProbeClassifier", "train_probe",
-    "write_metric_report", "read_metric_report",
+    "SegmentRows", "segment_features", "reference_fits", "score_segments",
+    "segmentwise_scores", "fvd_ratio", "inception_score", "ProbeClassifier",
+    "train_probe", "write_metric_report", "read_metric_report",
 ]
 
 PSD_TOL = 1e-8
@@ -168,65 +171,61 @@ def frechet_distance(a: GaussianFit, b: GaussianFit) -> float:
 
 # -- segment-wise long-video protocol -----------------------------------------------
 
-@dataclass
-class SegmentScores:
+class SegmentScores(NamedTuple):
     """Per-segment-position Fréchet scores of a generated set."""
     scores: list            # one score per segment position
     average: float
-    excluded: list = field(default_factory=list)  # too-short video indices
+    excluded: list          # too-short video indices
 
 
-def _segment_groups(videos, seg_len: int):
-    """Per-position lists of segments plus indices of too-short videos."""
-    groups: list[list[np.ndarray]] = []
-    excluded: list[int] = []
-    for i, video in enumerate(videos):
-        video = np.asarray(video, dtype=np.float64)
-        if video.shape[0] < seg_len:
-            excluded.append(i)
-            continue
-        segments = segment_nonoverlapping(video, seg_len)
-        while len(groups) < len(segments):
-            groups.append([])
-        for j, seg in enumerate(segments):
-            groups[j].append(np.asarray(seg))
-    return groups, excluded
+class SegmentRows(NamedTuple):
+    """`segment_features` of a video set: row k is segment `position[k]` of
+    video `video[k]`; `excluded` lists the videos shorter than a segment."""
+    features: np.ndarray
+    video: np.ndarray
+    position: np.ndarray
+    excluded: list
+
+    def position_fits(self) -> list:
+        """The fit of the rows at each segment position, shallowest first."""
+        return [GaussianFit.from_samples(self.features[self.position == j])
+                for j in range(self.position.max() + 1)]
 
 
-def reference_fits(reference, extractor: FeatureExtractor,
-                   seg_len: int = 16) -> list:
-    """The fit of each segment position of the reference set, then the fit
-    of all its segments pooled (see the module notes)."""
-    if len(reference) == 0:
-        raise ValueError("reference set is empty")
-    groups, _ = _segment_groups(reference, seg_len)
-    if not groups:
-        raise ValueError(f"no reference video reaches {seg_len} frames")
-    pooled = [s for g in groups for s in g]
-    return [GaussianFit.from_samples(extractor.features(np.stack(g)))
-            for g in groups + [pooled]]
+def segment_features(videos, extractor: FeatureExtractor, seg_len: int = 16,
+                     side: str = "generated") -> SegmentRows:
+    """Every non-overlapping segment of the set, featurized in one
+    `extractor.features` call, video-major; `side` names the set in errors."""
+    cut = {i: segment_nonoverlapping(np.asarray(v, dtype=np.float64), seg_len)
+           for i, v in enumerate(videos) if len(v) >= seg_len}
+    if not cut:
+        raise ValueError(f"no {side} video reaches {seg_len} frames")
+    return SegmentRows(extractor.features(np.concatenate(list(cut.values()))),
+                       np.concatenate([[i] * len(c) for i, c in cut.items()]),
+                       np.concatenate([np.arange(len(c)) for c in cut.values()]),
+                       [i for i in range(len(videos)) if i not in cut])
 
 
-def score_segments(generated, fits: list, extractor: FeatureExtractor,
-                   seg_len: int = 16) -> SegmentScores:
+def reference_fits(rows: SegmentRows) -> list:
+    """The fit of each segment position of the reference rows, then the fit
+    of all of them pooled (see the module notes)."""
+    return rows.position_fits() + [GaussianFit.from_samples(rows.features)]
+
+
+def score_segments(rows: SegmentRows, fits: list) -> SegmentScores:
     """Fréchet score of each generated segment position against that
     position's `reference_fits` entry; deeper positions take the pooled one."""
-    groups, excluded = _segment_groups(generated, seg_len)
-    if not groups:
-        raise ValueError(f"no generated video reaches {seg_len} frames")
-    scores = []
-    for j, group in enumerate(groups):
-        fit = GaussianFit.from_samples(extractor.features(np.stack(group)))
-        scores.append(frechet_distance(fit, fits[min(j, len(fits) - 1)]))
-    return SegmentScores(scores, float(np.mean(scores)), excluded)
+    scores = [frechet_distance(fit, fits[min(j, len(fits) - 1)])
+              for j, fit in enumerate(rows.position_fits())]
+    return SegmentScores(scores, float(np.mean(scores)), rows.excluded)
 
 
 def segmentwise_scores(generated, reference, extractor: FeatureExtractor,
                        seg_len: int = 16) -> SegmentScores:
     """Fréchet score of each segment position of the generated set against
     the reference set (see the module notes for the reference pairing)."""
-    return score_segments(generated, reference_fits(reference, extractor,
-                                                    seg_len), extractor, seg_len)
+    fits = reference_fits(segment_features(reference, extractor, seg_len, "reference"))
+    return score_segments(segment_features(generated, extractor, seg_len), fits)
 
 
 def fvd_ratio(score_short: float, score_long: float) -> float:

@@ -133,11 +133,11 @@ def segment_overlapping(video: np.ndarray, t_c: int, r: int) -> list[np.ndarray]
     return [video[k * r: k * r + t_c].copy() for k in range(n)]
 
 
-def segment_nonoverlapping(video: np.ndarray, seg_len: int = 16) -> list[np.ndarray]:
-    """Disjoint consecutive segments of seg_len frames; the remainder is dropped."""
+def segment_nonoverlapping(video: np.ndarray, seg_len: int = 16) -> np.ndarray:
+    """An (n, seg_len, ...) view of disjoint segments; leftover frames are dropped."""
     video = np.asarray(video)
     length = video.shape[0]
     if length < seg_len:
         raise ValueError(f"video of {length} frames is shorter than a segment ({seg_len})")
     n = length // seg_len
-    return [video[k * seg_len: (k + 1) * seg_len].copy() for k in range(n)]
+    return video[:n * seg_len].reshape((n, seg_len) + video.shape[1:])

@@ -4,7 +4,11 @@ Run it as a plain script, with no arguments:
 
     python tests/state_digest.py
 
-For each variant it trains a fresh bundle for a few clip steps and then a
+The first line, `domain`, names the numeric domain the digests hold in:
+the kernel OpenBLAS picked and numpy's active CPU dispatch targets, as
+`vidchain.cli.numeric_domain` reports them for the `eval` reference key.
+Another kernel or another set of targets may print other digests.  Then,
+for each variant it trains a fresh bundle for a few clip steps and then a
 few recall steps, and prints one sha256 over every `state_arrays()` array
 (name, shape and bytes) and the `repr` of every step's loss reports.  Two
 more lines hash files written from the default variant's bundle: the
@@ -43,7 +47,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
                                 os.pardir, "src"))
 
 from vidchain.chain import chain_generate  # noqa: E402
-from vidchain.cli import main as cli_main  # noqa: E402
+from vidchain.cli import main as cli_main, numeric_domain  # noqa: E402
 from vidchain.config import RunConfig  # noqa: E402
 from vidchain.container import (ContainerWriter, ManifestRecord,  # noqa: E402
                                 write_container, write_manifest)
@@ -223,6 +227,8 @@ def file_digests(bundle) -> dict:
 
 def main() -> int:
     data = videos()
+    domain = numeric_domain()
+    print(f"domain\t{domain['blas_core']} {' '.join(domain['dispatch'])}")
     files = {}
     for name, fields in VARIANTS.items():
         bundle, reports = trained(fields, data)

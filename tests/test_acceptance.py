@@ -39,6 +39,10 @@ from test_chain import tiny_pairs
 from test_losses import (TINY, directional_fd, random_clips, stream,
                          tiny_bundle, zero_discriminators)
 
+# the criteria train real models for minutes; `pytest -m "not slow"` skips
+# this file for a fast edit-test loop
+pytestmark = pytest.mark.slow
+
 LN2 = np.log(2.0)
 
 # ablation-harness run: recall-phase steps per variant, on the shared

@@ -4,7 +4,10 @@ change to what the fits and the probe depend on recomputes and rewrites the
 file, a damaged file is replaced, and an unwritable one costs only time."""
 
 import os
+import platform
 import shutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -13,6 +16,7 @@ from vidchain import cli
 from vidchain.container import (ManifestRecord, load_checkpoint,
                                 read_container, write_container,
                                 write_manifest)
+from vidchain.metrics import FeatureExtractor
 
 FRAMES = 12
 SEG = ["--seg-len", "4"]
@@ -130,6 +134,54 @@ def test_forced_blas_kernel_recomputes_the_file(data, generated, tmp_path,
     monkeypatch.setenv("OPENBLAS_CORETYPE", "Haswell")
     assert _eval(generated, data, report, "--probe")[0] == cold
     assert load_checkpoint(data / "refstats.rcgb")[0]["key"] != key
+
+
+@pytest.mark.skipif(
+    np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    != "scipy-openblas" or platform.machine() not in ("x86_64", "AMD64"),
+    reason="reads the kernel of numpy's bundled x86 OpenBLAS")
+def test_numeric_domain_reads_the_kernel_openblas_runs():
+    """A forced kernel is the one named, so the name is read from the
+    loaded library rather than from its build configuration."""
+    code = "from vidchain.cli import numeric_domain; print(numeric_domain()['blas_core'])"
+    env = {**os.environ, "OPENBLAS_CORETYPE": "Nehalem",
+           "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.split() == ["Nehalem"]
+
+
+def test_picked_blas_kernel_recomputes_the_file(data, generated, tmp_path,
+                                               monkeypatch):
+    """The kernel OpenBLAS picks for a CPU is part of the key, so a reference
+    directory copied to a machine where another kernel runs is refitted."""
+    report = tmp_path / "r.tsv"
+    cold = _eval(generated, data, report, "--probe")[0]
+    stats = data / "refstats.rcgb"
+    key = load_checkpoint(stats)[0]["key"]
+    domain = cli.numeric_domain()
+    assert domain["blas_core"] is None or domain["blas_core"].isidentifier()
+    monkeypatch.setattr(cli, "numeric_domain",
+                        lambda: {**domain, "blas_core": "SomeOtherCore"})
+    assert _eval(generated, data, report, "--probe")[0] == cold
+    assert load_checkpoint(stats)[0]["key"] != key
+
+
+@pytest.mark.parametrize("flags", [[], ["--probe"]], ids=["plain", "probe"])
+def test_one_features_pass_per_video_set(data, generated, tmp_path,
+                                         monkeypatch, flags):
+    """A cold eval featurizes the reference set once and the generated set
+    once; a warm one only the generated set."""
+    calls = []
+    features = FeatureExtractor.features
+    monkeypatch.setattr(FeatureExtractor, "features",
+                        lambda self, clips: calls.append(len(clips))
+                        or features(self, clips))
+    report = tmp_path / "r.tsv"
+    _eval(generated, data, report, *flags)
+    assert calls == [6 * 3, 3 * 4]          # reference rows, generated rows
+    _eval(generated, data, report, *flags)
+    assert calls[2:] == [3 * 4]
 
 
 def _truncate(blob):

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from vidchain.metrics import (
-    FeatureExtractor, GaussianFit, ProbeClassifier, _segment_groups,
-    frechet_distance, fvd_ratio, inception_score, read_metric_report,
+    FeatureExtractor, GaussianFit, ProbeClassifier, frechet_distance,
+    fvd_ratio, inception_score, read_metric_report, segment_features,
     segmentwise_scores, train_probe, write_metric_report,
 )
 from vidchain.rng import RandomStream
@@ -162,7 +162,6 @@ def test_segmentwise_self_evaluation_is_zero():
     ex = extractor()
     out = segmentwise_scores(videos, videos, ex, seg_len=16)
     assert len(out.scores) == 3
-    assert [len(g) for g in _segment_groups(videos, 16)[0]] == [6, 6, 6]
     assert all(s < 1e-6 for s in out.scores)
     assert out.average < 1e-6
     assert out.excluded == []
@@ -178,7 +177,38 @@ def test_segmentwise_excludes_short_videos():
     videos = seg_videos(3, 48, seed=3) + [np.zeros((8, 2, 2, 1))]
     out = segmentwise_scores(videos, videos[:3], extractor(), seg_len=16)
     assert out.excluded == [3]
-    assert [len(g) for g in _segment_groups(videos, 16)[0]] == [3, 3, 3]
+
+
+def test_segment_features_rows_are_video_major():
+    ex = extractor()
+    videos = [seg_videos(1, n, seed=n)[0] for n in (48, 8, 35, 16)]
+    rows = segment_features(videos, ex, seg_len=16)
+    assert rows.video.tolist() == [0, 0, 0, 2, 2, 3]
+    assert rows.position.tolist() == [0, 1, 2, 0, 1, 0]
+    assert rows.excluded == [1]
+    segments = [videos[i][j * 16:(j + 1) * 16]
+                for i, j in zip(rows.video, rows.position)]
+    assert np.array_equal(rows.features, ex.features(np.stack(segments)))
+
+
+def test_one_long_video_against_a_shallow_reference():
+    """Every generated position holds one row; positions past the
+    reference's depth score against the pooled fit."""
+    ex = extractor()
+    long = seg_videos(1, 16 * 9 + 5, seed=10)[0]    # 9 positions, 1 row each
+    reference = seg_videos(5, 48, seed=11)         # 3 positions
+    out = segmentwise_scores([long], reference, ex)
+    ref_segments = [[v[j * 16:(j + 1) * 16] for v in reference]
+                    for j in range(3)]
+    ref_fits = [GaussianFit.from_samples(ex.features(np.stack(g)))
+                for g in ref_segments + [sum(ref_segments, [])]]
+    want = []
+    for j in range(9):
+        fit = GaussianFit.from_samples(ex.features(long[None, j * 16:(j + 1) * 16]))
+        want.append(frechet_distance(fit, ref_fits[min(j, 3)]))
+    assert len(out.scores) == 9
+    np.testing.assert_allclose(out.scores, want, rtol=1e-12, atol=0)
+    assert out.average == pytest.approx(np.mean(want), rel=1e-12)
 
 
 def test_segmentwise_short_reference_falls_back_to_pool():
@@ -205,7 +235,9 @@ def test_segmentwise_error_paths():
     ex = extractor()
     with pytest.raises(ValueError, match="reference"):
         segmentwise_scores(seg_videos(2, 16, 0), [], ex)
-    with pytest.raises(ValueError, match="frames"):
+    with pytest.raises(ValueError, match="no reference video reaches 16 frames"):
+        segmentwise_scores(seg_videos(2, 16, 0), [np.zeros((4, 2, 2, 1))], ex)
+    with pytest.raises(ValueError, match="no generated video reaches 16 frames"):
         segmentwise_scores([np.zeros((4, 2, 2, 1))], seg_videos(2, 16, 0), ex)
 
 

@@ -253,6 +253,14 @@ def test_nonoverlapping_partition_property():
     assert np.array_equal(np.concatenate(segs), video[:32])
 
 
+def test_nonoverlapping_is_one_view_of_the_video():
+    video = np.arange(45 * 4, dtype=np.float64).reshape(45, 2, 2, 1)
+    segs = segment_nonoverlapping(video, 16)
+    assert segs.shape == (2, 16, 2, 2, 1)
+    assert np.shares_memory(segs, video)
+    assert np.array_equal(segs[1], video[16:32])
+
+
 def test_nonoverlapping_too_short():
     with pytest.raises(ValueError):
         segment_nonoverlapping(np.zeros((15, 1, 1, 1)), 16)
