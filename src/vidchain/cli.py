@@ -42,7 +42,8 @@ from .chain import chain_generate
 from .config import ConfigError, RunConfig
 from .container import (ContainerError, ContainerWriter, ManifestError,
                         load_checkpoint, load_dataset, read_container,
-                        save_checkpoint, write_container, write_table)
+                        read_manifest, save_checkpoint, write_container,
+                        write_table)
 from .datasets import gen_drift_dataset, gen_shapes_dataset
 from .metrics import (FeatureExtractor, GaussianFit, ProbeClassifier,
                       fvd_ratio, inception_score, reference_fits,
@@ -259,33 +260,55 @@ def numeric_domain() -> dict:
                                             if umath.__cpu_features__.get(t)]}
 
 
-def _refstats_key(args, reference, labels) -> str:
+def _refstats_key(args) -> tuple[str, list]:
     """sha256 of all eval's reference side depends on: the package sources,
-    the `numeric_domain`, --seed, --seg-len, and each reference video's
-    shape, bytes and label."""
+    the `numeric_domain`, --seed, --seg-len, and the reference dataset's
+    manifest and container files, byte for byte; and the manifest's records."""
+    manifest = pathlib.Path(args.reference, "manifest.tsv")
+    records = read_manifest(manifest)
     sources = {p.name: p.read_text(encoding="utf-8")
                for p in sorted(pathlib.Path(__file__).parent.glob("*.py"))}
-    return _sha256([([sources, numeric_domain(), args.seed, args.seg_len], [])]
-                   + [([v.shape, int(c)], v) for v, c in zip(reference, labels)])
+    h = hashlib.sha256(json.dumps(
+        [sources, numeric_domain(), args.seed, args.seg_len]).encode())
+    for name in [manifest.name] + [rec.path for rec in records]:
+        blob = (manifest.parent / name).read_bytes()
+        h.update(json.dumps([name, len(blob)]).encode())
+        h.update(blob)
+    return h.hexdigest(), records
 
 
-def _reference_stats(args, reference, labels, extractor):
-    """`reference_fits` and, with --probe, the probe trained on the first
-    segment of each labeled video.  A dataset directory keeps both in its
-    `refstats.rcgb` under the `_refstats_key` and a digest of the arrays;
-    a miss recomputes and replaces it, and a failed write costs only time."""
-    path = (os.path.join(args.reference, "refstats.rcgb")
-            if os.path.isdir(args.reference) else None)
-    key = path and _refstats_key(args, reference, labels)
-    try:
-        header, arrays = load_checkpoint(path) if path else ({}, {})
-    except (OSError, ContainerError):
-        header, arrays = {}, {}
-    if (header == {"key": key, "digest": _sha256(arrays.items())}
+def _reference_stats(args):
+    """The feature extractor, the `reference_fits` and, with --probe, the
+    probe trained on the first segment of each labeled reference video.  A
+    dataset directory keeps fits and probe in its `refstats.rcgb` under the
+    `_refstats_key` and an array digest: a hit reads the reference only to
+    hash it, a miss (or read error) loads it and replaces the file."""
+    key, header, arrays = None, {}, {}
+    path = os.path.join(args.reference, "refstats.rcgb")
+    if os.path.isdir(args.reference):
+        with contextlib.suppress(OSError, ContainerError, ManifestError):
+            key, records = _refstats_key(args)
+            header, arrays = load_checkpoint(path)
+    if (key and header == {"key": key, "digest": _sha256(arrays.items())}
             and (not args.probe or "probe.0" in arrays)):
-        fits = [GaussianFit(*m) for m in zip(arrays["means"], arrays["covs"])]
-        return fits, (ProbeClassifier.from_params(
-            arrays[f"probe.{i}"] for i in range(4)) if args.probe else None)
+        rec = records[0]
+        extractor = FeatureExtractor(args.seg_len, rec.height * rec.width * rec.channels,
+                                     seed=args.seed)
+        return extractor, GaussianFit(arrays["means"], arrays["covs"]), (
+            ProbeClassifier.from_params(arrays[f"probe.{i}"] for i in range(4))
+            if args.probe else None)
+    reference, labels = _load_videos(args.reference)
+    if not reference:
+        raise ValueError("reference set is empty")
+    if args.probe:
+        if labels is None:
+            raise ConfigError("--probe needs a labeled reference dataset")
+        keep = (labels >= 0) & np.array([len(v) >= args.seg_len for v in reference])
+        if len(set(labels[keep].tolist())) < 2:     # np.unique imports numpy.ma
+            raise ConfigError(f"--probe needs at least 2 reference classes "
+                              f"among videos of {args.seg_len} frames or more")
+    frame_dim = int(np.prod(np.asarray(reference[0]).shape[1:]))
+    extractor = FeatureExtractor(args.seg_len, frame_dim, seed=args.seed)
     rows = segment_features(reference, extractor, args.seg_len, "reference")
     fits = reference_fits(rows)
     probe = None
@@ -293,34 +316,20 @@ def _reference_stats(args, reference, labels, extractor):
         first = (rows.position == 0) & (labels[rows.video] >= 0)
         probe = train_probe(rows.features[first], labels[rows.video[first]],
                             RandomStream.from_seed(args.seed, "eval-probe"))
-    if path:
-        means, covs = map(np.stack, zip(*(fit.moments for fit in fits)))
+    if key:
+        means, covs = fits.moments
         arrays = {"means": means, "covs": covs, **{
             f"probe.{i}": p.data for i, p in enumerate(probe.params if probe else ())}}
         with contextlib.suppress(OSError):
-            save_checkpoint(path, {"key": key, "digest": _sha256(arrays.items())},
-                            arrays)
-    return fits, probe
+            save_checkpoint(path, {"key": key, "digest": _sha256(arrays.items())}, arrays)
+    return extractor, fits, probe
 
 
 def cmd_eval(args) -> int:
     if args.seg_len < 2:
         raise ConfigError(f"eval needs --seg-len >= 2, got {args.seg_len}")
     generated, _ = _load_videos(args.data)
-    reference, labels = _load_videos(args.reference)
-    if not reference:
-        raise ValueError("reference set is empty")
-    if args.probe:
-        if labels is None:
-            raise ConfigError("--probe needs a labeled reference dataset")
-        keep = (labels >= 0) & np.array([len(v) >= args.seg_len
-                                         for v in reference])
-        if len(np.unique(labels[keep])) < 2:
-            raise ConfigError(f"--probe needs at least 2 reference classes "
-                              f"among videos of {args.seg_len} frames or more")
-    frame_dim = int(np.prod(np.asarray(reference[0]).shape[1:]))
-    extractor = FeatureExtractor(args.seg_len, frame_dim, seed=args.seed)
-    fits, probe = _reference_stats(args, reference, labels, extractor)
+    extractor, fits, probe = _reference_stats(args)
     segments = segment_features(generated, extractor, args.seg_len)
     scores = score_segments(segments, fits)
     rows = [("fid_segment", j, s) for j, s in enumerate(scores.scores)]

@@ -36,7 +36,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor, backward
+from .autodiff import GradientError, Tensor
 from .container import write_table
 from .layers import apply_mlp, init_mlp
 from .optim import AdamState, adam_step
@@ -90,83 +90,99 @@ class FeatureExtractor:
         if flat.shape[2] != self.frame_dim:
             raise ValueError(f"expected {self.frame_dim} pixels per frame, "
                              f"got {flat.shape[2]}")
-        diffs = flat[:, 1:, :] - flat[:, :-1, :]
-        stacked = np.concatenate(
-            [flat.reshape(b, -1), diffs.reshape(b, -1)], axis=1)
-        return np.tanh(stacked @ self.projection + self.bias)
+        stacked = np.empty((b, 2 * t - 1, self.frame_dim))
+        stacked[:, :t] = flat
+        np.subtract(flat[:, 1:], flat[:, :-1], out=stacked[:, t:])
+        return np.tanh(stacked.reshape(b, -1) @ self.projection + self.bias)
 
 
 # -- Gaussian fits and the Fréchet distance ------------------------------------------
 
 def _symmetrize_psd(cov: np.ndarray, tol: float = PSD_TOL) -> np.ndarray:
     """Validate symmetry and near-PSD-ness; clip tiny negative eigenvalues."""
-    if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
+    if cov.ndim < 2 or cov.shape[-1] != cov.shape[-2]:
         raise ValueError(f"covariance must be square, got {cov.shape}")
-    if not np.allclose(cov, cov.T, atol=tol, rtol=0.0):
+    t = np.swapaxes(cov, -1, -2)
+    gap = np.abs(cov - t)
+    # np.allclose's verdict: NaN fails, and equal infinities (a NaN gap) pass
+    if not (gap.max() <= tol or ((gap <= tol) | (cov == t)).all()):
         raise ValueError("covariance is not symmetric")
-    sym = 0.5 * (cov + cov.T)
-    w, v = np.linalg.eigh(sym)
+    w, v = np.linalg.eigh(0.5 * (cov + t))
     if w.min() < -tol:
-        raise ValueError(f"covariance has eigenvalue {w.min():.3e} below "
-                         f"-{tol:g}")
-    return (v * np.clip(w, 0.0, None)) @ v.T
+        raise ValueError(f"covariance has eigenvalue {w.min():.3e} below -{tol:g}")
+    return (v * np.clip(w, 0.0, None)[..., None, :]) @ np.swapaxes(v, -1, -2)
+
+
+def _moments(samples, ridge: float = 1e-6) -> tuple:
+    """Mean and 1/N covariance plus ridge*I of an (N, F) sample matrix."""
+    x = np.asarray(samples, dtype=np.float64)
+    if x.ndim != 2 or x.shape[0] < 1:
+        raise ValueError(f"need an (N, F) sample matrix with N >= 1, "
+                         f"got shape {x.shape}")
+    mean = x.mean(axis=0)
+    centered = x - mean
+    return mean, (centered.T @ centered) / x.shape[0] + ridge * np.eye(x.shape[1])
 
 
 @dataclass(frozen=True)
 class GaussianFit:
-    """Mean and symmetric PSD covariance of a feature cloud; `moments` keeps
-    the unsymmetrized input, so `GaussianFit(*fit.moments)` is bit-exact."""
+    """Mean and symmetric PSD covariance of a feature cloud, or a stack of P
+    of them, mean (P, F) and cov (P, F, F), with the bits of P single fits;
+    `moments` keeps the input, so `GaussianFit(*fit.moments)` is bit-exact."""
     mean: np.ndarray
     cov: np.ndarray
 
     def __post_init__(self):
-        mean = np.asarray(self.mean, dtype=np.float64).reshape(-1)
         given = np.asarray(self.cov, dtype=np.float64)
+        mean = np.asarray(self.mean, dtype=np.float64).reshape(*given.shape[:-2], -1)
         cov = _symmetrize_psd(given)
-        if cov.shape[0] != mean.shape[0]:
-            raise ValueError(f"mean dim {mean.shape[0]} vs covariance "
-                             f"{cov.shape}")
+        if mean.shape != cov.shape[:-1]:
+            raise ValueError(f"mean dim {mean.shape[-1]} vs covariance {cov.shape}")
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)
         object.__setattr__(self, "moments", (mean, given))
 
     @property
     def dim(self) -> int:
-        return self.mean.shape[0]
+        return self.mean.shape[-1]
+
+    def __getitem__(self, index) -> "GaussianFit":
+        """The fits at `index` of a stack, taken without validating again."""
+        fit = object.__new__(GaussianFit)
+        fit.__dict__.update(mean=self.mean[index], cov=self.cov[index],
+                            moments=tuple(m[index] for m in self.moments))
+        return fit
 
     @classmethod
     def from_samples(cls, samples: np.ndarray, ridge: float = 1e-6) -> "GaussianFit":
         """1/N covariance estimate plus ridge*I (rank-safe at any N >= 1)."""
-        x = np.asarray(samples, dtype=np.float64)
-        if x.ndim != 2 or x.shape[0] < 1:
-            raise ValueError(f"need an (N, F) sample matrix with N >= 1, "
-                             f"got shape {x.shape}")
-        mean = x.mean(axis=0)
-        centered = x - mean
-        cov = (centered.T @ centered) / x.shape[0]
-        return cls(mean, cov + ridge * np.eye(x.shape[1]))
+        return cls(*_moments(samples, ridge))
 
 
-def frechet_distance(a: GaussianFit, b: GaussianFit) -> float:
+def frechet_distance(a: GaussianFit, b: GaussianFit):
     """||mean_a - mean_b||^2 + Tr(cov_a + cov_b - 2 (cov_a cov_b)^(1/2)),
     the cross term evaluated through the symmetric eigendecomposition of
-    cov_a^(1/2) cov_b cov_a^(1/2)."""
+    cov_a^(1/2) cov_b cov_a^(1/2).  Stacks of P fits give P distances."""
     if a.dim != b.dim:
         raise ValueError(f"fit dims differ: {a.dim} vs {b.dim}")
+    if a.mean.shape != b.mean.shape:
+        raise ValueError(f"fit stacks differ: {a.mean.shape} vs {b.mean.shape}")
     wa, va = np.linalg.eigh(a.cov)
-    root_a = (va * np.sqrt(np.clip(wa, 0.0, None))) @ va.T
+    root_a = (va * np.sqrt(np.clip(wa, 0.0, None))[..., None, :]) @ np.swapaxes(va, -1, -2)
     product = root_a @ b.cov @ root_a
-    wm = np.linalg.eigvalsh(0.5 * (product + product.T))
+    wm = np.linalg.eigvalsh(0.5 * (product + np.swapaxes(product, -1, -2)))
     if wm.min() < -PSD_TOL:
         raise ValueError(f"cross-covariance product has eigenvalue "
                          f"{wm.min():.3e} below -{PSD_TOL:g}")
-    delta = a.mean - b.mean
-    value = (float(delta @ delta) + float(np.trace(a.cov) + np.trace(b.cov))
-             - 2.0 * float(np.sum(np.sqrt(np.clip(wm, 0.0, None)))))
-    if value < -1e-6:
-        raise ValueError(f"distance evaluated to {value:.3e}; fits are "
+    delta, roots = a.mean - b.mean, np.sqrt(np.clip(wm, 0.0, None))
+    # each distance in the float64 order of a single pair
+    values = [float(delta[i] @ delta[i]) + float(np.trace(a.cov[i]) + np.trace(b.cov[i]))
+              - 2.0 * float(np.sum(roots[i])) for i in np.ndindex(delta.shape[:-1])]
+    if min(values) < -1e-6:
+        raise ValueError(f"distance evaluated to {min(values):.3e}; fits are "
                          "numerically inconsistent")
-    return max(value, 0.0)
+    values = [max(v, 0.0) for v in values]
+    return values[0] if delta.ndim == 1 else np.reshape(values, delta.shape[:-1])
 
 
 # -- segment-wise long-video protocol -----------------------------------------------
@@ -186,10 +202,11 @@ class SegmentRows(NamedTuple):
     position: np.ndarray
     excluded: list
 
-    def position_fits(self) -> list:
-        """The fit of the rows at each segment position, shallowest first."""
-        return [GaussianFit.from_samples(self.features[self.position == j])
-                for j in range(self.position.max() + 1)]
+    def fits(self, *extra) -> GaussianFit:
+        """The stacked `from_samples` fits of the rows at each segment
+        position, shallowest first, then of each `extra` sample matrix."""
+        groups = [self.features[self.position == j] for j in range(self.position.max() + 1)]
+        return GaussianFit(*map(np.stack, zip(*map(_moments, groups + list(extra)))))
 
 
 def segment_features(videos, extractor: FeatureExtractor, seg_len: int = 16,
@@ -206,17 +223,18 @@ def segment_features(videos, extractor: FeatureExtractor, seg_len: int = 16,
                        [i for i in range(len(videos)) if i not in cut])
 
 
-def reference_fits(rows: SegmentRows) -> list:
-    """The fit of each segment position of the reference rows, then the fit
+def reference_fits(rows: SegmentRows) -> GaussianFit:
+    """The stacked fit of each segment position of the reference rows, then
     of all of them pooled (see the module notes)."""
-    return rows.position_fits() + [GaussianFit.from_samples(rows.features)]
+    return rows.fits(rows.features)
 
 
-def score_segments(rows: SegmentRows, fits: list) -> SegmentScores:
+def score_segments(rows: SegmentRows, fits: GaussianFit) -> SegmentScores:
     """Fréchet score of each generated segment position against that
     position's `reference_fits` entry; deeper positions take the pooled one."""
-    scores = [frechet_distance(fit, fits[min(j, len(fits) - 1)])
-              for j, fit in enumerate(rows.position_fits())]
+    generated = rows.fits()
+    pairs = np.minimum(np.arange(len(generated.mean)), len(fits.mean) - 1)
+    scores = frechet_distance(generated, fits[pairs]).tolist()
     return SegmentScores(scores, float(np.mean(scores)), rows.excluded)
 
 
@@ -295,33 +313,56 @@ class ProbeClassifier:
 def train_probe(features: np.ndarray, labels: np.ndarray,
                 stream: RandomStream, *, hidden: int = 24, epochs: int = 60,
                 batch: int = 32, lr: float = 5e-3) -> ProbeClassifier:
-    """Fit a ProbeClassifier to labeled feature rows by cross-entropy."""
+    """Fit a ProbeClassifier to labeled feature rows by cross-entropy, in plain
+    numpy op for op as the tape's primitives and VJPs run, with Adam (which is
+    elementwise) on the parameters as one flat array: a taped fit's bits."""
     x = np.asarray(features, dtype=np.float64)
     y = np.asarray(labels)
     if x.ndim != 2 or len(x) != len(y):
         raise ValueError("features must be (N, F) with one label per row")
-    classes = np.unique(y)
+    classes = sorted(set(y.tolist()))     # np.unique would import numpy.ma
     if len(classes) < 2:
         raise ValueError(f"need at least 2 classes, got {len(classes)}")
+    ad._check_finite("tensor", x)
     class_index = {int(c): i for i, c in enumerate(classes)}
     onehot = np.zeros((len(y), len(classes)))
     onehot[np.arange(len(y)), [class_index[int(v)] for v in y]] = 1.0
 
     probe = ProbeClassifier(x.shape[1], len(classes),
                             hidden=hidden, seed=int(stream.integers(0, 2**31, ())))
+    flat = Tensor(np.concatenate([p.data.ravel() for p in probe.params]),
+                  requires_grad=True)
+    ends = np.cumsum([p.size for p in probe.params])
     opt = AdamState(lr=lr)
-    n = len(x)
+
+    def unflat():
+        return [flat.data[end - p.size:end].reshape(p.shape)
+                for p, end in zip(probe.params, ends)]
+
     for epoch in range(epochs):
-        order = stream.split(f"epoch{epoch}").permutation(n)
-        for lo in range(0, n, batch):
+        order = stream.split(f"epoch{epoch}").permutation(len(x))
+        for lo in range(0, len(x), batch):
             rows = order[lo:lo + batch]
-            with ad.GradTape():
-                logp = probe.log_probs(Tensor(x[rows]))
-                loss = ad.mean(ad.sum(ad.mul(Tensor(-onehot[rows]), logp),
-                                      axis=1))
-                grads = backward(loss, probe.params)
-            probe.params = adam_step(opt, probe.params, grads)
-    return probe
+            xb = x[rows]
+            w0, b0, w1, b1 = unflat()
+            h = xb @ w0 + b0                            # mlp2
+            ad._check_finite("mlp2", h)
+            np.tanh(h, out=h)
+            logits = h @ w1 + b1
+            ad._check_finite("mlp2", logits)
+            shifted = logits - np.max(logits, axis=1, keepdims=True)
+            e = np.exp(shifted)
+            total = e.sum(axis=(1,), keepdims=True)
+            # VJPs of mean, sum, mul, sub, log, sum, exp, sub in `backward`'s order
+            g_logp = (1.0 / len(rows)) * -onehot[rows]
+            g = g_logp + (-g_logp).sum(axis=(1,), keepdims=True) / total * e
+            pre = (g @ w1.T) * (1.0 - h * h)
+            grad = np.concatenate([(xb.T @ pre).ravel(), pre.sum(axis=0),
+                                   (h.T @ g).ravel(), g.sum(axis=0)])
+            if not np.isfinite(grad).all():
+                raise GradientError("non-finite gradient in the probe fit")
+            flat, = adam_step(opt, [flat], [grad])
+    return ProbeClassifier.from_params(unflat())
 
 
 # -- metric report files -----------------------------------------------------------

@@ -252,10 +252,34 @@ def _nan_pixel(dataset):
     write_container(dataset / "video_00000.rcg", video)
 
 
+def _cut_video(dataset):
+    path = dataset / "video_00001.rcg"
+    path.write_bytes(path.read_bytes()[:-100])
+
+
+def _with_stats(damage):
+    """`damage` after a cold `eval --probe` against the dataset wrote a
+    valid `refstats.rcgb` into it."""
+    def damage_after_eval(dataset):
+        assert main(["eval", "--data", str(dataset / "video_00000.rcg"),
+                     "--reference", str(dataset), "--report",
+                     str(dataset / "r.tsv"), "--seg-len", "4", "--probe"]) == 0
+        assert (dataset / "refstats.rcgb").exists()
+        damage(dataset)
+    return damage_after_eval
+
+
+def _no_video(dataset):
+    (dataset / "video_00001.rcg").unlink()
+
+
 # copies of the test dataset, each damaged in one way
 _DAMAGED = {
     "NAN_PIXEL": _nan_pixel,
-    "NO_VIDEO": lambda ds: (ds / "video_00001.rcg").unlink(),
+    "NO_VIDEO": _no_video,
+    "CUT_VIDEO": _cut_video,
+    "STATS_NO_VIDEO": _with_stats(_no_video),
+    "STATS_CUT_VIDEO": _with_stats(_cut_video),
     "NOT_INT": lambda ds: _edit_manifest(ds, b"video_00001.rcg\t12",
                                          b"video_00001.rcg\tabc"),
     "NOT_UTF8": lambda ds: _edit_manifest(ds, b"video_00001", b"video_\xff0001"),
@@ -316,6 +340,16 @@ _DAMAGED = {
     pytest.param(["eval", "--data", "NAN_PIXEL", "--reference", "DATA",
                   "--report", "OUT", "--seg-len", "4"], None, 4, "data-format",
                  id="eval-non-finite-pixel"),
+    # a reference with a missing or a truncated container fails as it loads,
+    # whether or not its directory holds a valid refstats.rcgb
+    *(pytest.param(["eval", "--data", "DATA", "--reference", ref, "--report",
+                    "OUT", "--seg-len", "4", *flags], None, code, kind,
+                   id=f"eval-{ref.lower().replace('_', '-')}{'-probe' * len(flags)}")
+      for ref, code, kind in (("NO_VIDEO", 3, "missing-file"),
+                              ("STATS_NO_VIDEO", 3, "missing-file"),
+                              ("CUT_VIDEO", 4, "data-format"),
+                              ("STATS_CUT_VIDEO", 4, "data-format"))
+      for flags in ([], ["--probe"])),
     pytest.param(["eval", "--data", "DATA", "--reference", "HEADER_ONLY",
                   "--report", "OUT", "--seg-len", "4"], None, 4, "dimension",
                  id="eval-empty-reference"),
@@ -412,6 +446,10 @@ def test_cli_error_contract(tiny_dataset, tmp_path, capsys, argv, config, code,
         assert "labeled reference" in line
     if "ONE_CLASS" in argv:
         assert "2 reference classes" in line
+    if {"NO_VIDEO", "CUT_VIDEO", "STATS_NO_VIDEO", "STATS_CUT_VIDEO"} & set(argv):
+        assert "video_00001.rcg" in line
+    if "CUT_VIDEO" in argv or "STATS_CUT_VIDEO" in argv:
+        assert "payload is" in line
     if "NAN_PIXEL" in argv:
         assert "video_00000.rcg" in line and "non-finite" in line
     if "UNDER_FILE" in argv:

@@ -1,7 +1,8 @@
 """`eval`'s reference statistics file, `refstats.rcgb` in the reference
-dataset directory: a warm run reports the same bytes as a cold one, any
-change to what the fits and the probe depend on recomputes and rewrites the
-file, a damaged file is replaced, and an unwritable one costs only time."""
+dataset directory: a warm run reports the same bytes as a cold one and reads
+the reference only to hash it, any change to what the fits and the probe
+depend on recomputes and rewrites the file, a damaged file is replaced, and
+an unwritable one costs only time."""
 
 import os
 import platform
@@ -12,7 +13,7 @@ import sys
 import numpy as np
 import pytest
 
-from vidchain import cli
+from vidchain import cli, container
 from vidchain.container import (ManifestRecord, load_checkpoint,
                                 read_container, write_container,
                                 write_manifest)
@@ -80,6 +81,36 @@ def test_warm_report_equals_cold(data, generated, tmp_path, capsys,
     assert stats.read_bytes() == written
 
 
+@pytest.mark.parametrize("flags", [[], ["--probe"]], ids=["plain", "probe"])
+def test_warm_eval_decodes_no_reference_container(data, generated, tmp_path,
+                                                  monkeypatch, flags):
+    report = tmp_path / "r.tsv"
+    cold = _eval(generated, data, report, *flags)
+    def refuse(*args, **kwargs):
+        raise AssertionError("a warm eval decoded the reference")
+    monkeypatch.setattr(cli, "load_dataset", refuse)
+    monkeypatch.setattr(container, "read_container", refuse)
+    assert _eval(generated, data, report, *flags) == cold
+
+
+def test_eval_never_imports_numpy_ma(data, generated, tmp_path):
+    """`np.unique` imports numpy.ma, 15-20 ms a process; eval counts
+    classes without it, cold and warm."""
+    code = (
+        "import sys\n"
+        "from vidchain.cli import main\n"
+        "argv = sys.argv[1:]\n"
+        "assert main(argv) == 0 and main(argv) == 0\n"
+        "print('numpy.ma' in sys.modules)\n")
+    argv = ["eval", "--data", str(generated), "--reference", str(data),
+            "--report", str(tmp_path / "r.tsv"), "--probe", *SEG]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", code, *argv], env=env,
+                         check=True, capture_output=True, text=True).stdout
+    assert out.split()[-1] == "False"
+    assert (data / "refstats.rcgb").exists()
+
+
 def test_probe_run_adds_the_probe_to_a_file_without_one(data, generated,
                                                          tmp_path):
     report = tmp_path / "r.tsv"
@@ -102,12 +133,30 @@ def _swap_label(ref):
         b"video_00002.rcg\t12\t4\t4\t1\t0", b"video_00002.rcg\t12\t4\t4\t1\t1"))
 
 
+def _flip_container_byte(ref):
+    """The lowest mantissa byte of the last float32 of one container."""
+    path = ref / "video_00004.rcg"
+    blob = bytearray(path.read_bytes())
+    blob[-4] ^= 0x01
+    path.write_bytes(bytes(blob))
+
+
+def _add_video(ref):
+    rng = np.random.default_rng(5)
+    write_container(ref / "video_00006.rcg",
+                    rng.uniform(-1, 1, (FRAMES, 4, 4, 1)).astype(np.float32))
+    with open(ref / "manifest.tsv", "a", encoding="utf-8") as fh:
+        fh.write(f"video_00006.rcg\t{FRAMES}\t4\t4\t1\t1\n")
+
+
 @pytest.mark.parametrize("change,flags", [
     (_set_pixel, []),
+    (_flip_container_byte, []),
     (_swap_label, []),
+    (_add_video, []),
     (None, ["--seed", "9"]),
     (None, ["--seg-len", "3"]),     # the later flag wins
-], ids=["pixel", "label", "seed", "seg-len"])
+], ids=["pixel", "container-byte", "label", "added-video", "seed", "seg-len"])
 def test_changed_inputs_recompute_the_file(data, generated, tmp_path, change,
                                            flags):
     report = tmp_path / "r.tsv"

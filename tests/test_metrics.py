@@ -4,11 +4,15 @@ independent oracles, segment-wise protocol, diversity score, probe."""
 import numpy as np
 import pytest
 
+from vidchain import autodiff as ad
+from vidchain.autodiff import NumericsError, Tensor, backward
 from vidchain.metrics import (
     FeatureExtractor, GaussianFit, ProbeClassifier, frechet_distance,
-    fvd_ratio, inception_score, read_metric_report, segment_features,
+    SegmentRows, fvd_ratio, inception_score, read_metric_report,
+    segment_features,
     segmentwise_scores, train_probe, write_metric_report,
 )
+from vidchain.optim import AdamState, adam_step
 from vidchain.rng import RandomStream
 
 LN4 = np.log(4.0)
@@ -93,6 +97,116 @@ def test_fit_rejects_bad_inputs():
 def test_fit_clips_tiny_negative_eigenvalues():
     fit = GaussianFit(np.zeros(1), np.array([[-1e-9]]))
     assert fit.cov[0, 0] == 0.0
+
+
+@pytest.mark.parametrize("cov", [
+    [[1.0, 1e-9], [0.0, 1.0]],              # asymmetric within the tolerance
+    [[1.0, 2e-8], [0.0, 1.0]],
+    [[1.0, np.nan], [np.nan, 1.0]],
+    [[np.nan, 0.0], [0.0, 1.0]],
+    [[np.inf, 0.0], [0.0, 1.0]],            # equal infinities are symmetric
+    [[1.0, np.inf], [-np.inf, 1.0]],
+], ids=["within-tol", "beyond-tol", "nan-pair", "nan-diagonal", "inf-diagonal",
+        "inf-opposite"])
+def test_fit_symmetry_verdict_is_allclose(cov):
+    cov = np.array(cov)
+    symmetric = np.allclose(cov, cov.T, atol=1e-8, rtol=0.0)
+    with np.errstate(invalid="ignore"):
+        try:
+            GaussianFit(np.zeros(2), cov)
+            verdict = True
+        except ValueError as exc:
+            verdict = "not symmetric" not in str(exc)
+    assert verdict == symmetric
+
+
+def random_stack(p, dim, seed):
+    """P random (mean, cov) pairs, stacked."""
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((p, dim, dim))
+    return rng.standard_normal((p, dim)), a @ np.swapaxes(a, 1, 2) + np.eye(dim)
+
+
+def test_fit_moments_round_trip():
+    for fit in (random_fit(seed=8), GaussianFit(*random_stack(5, 4, seed=9))):
+        again = GaussianFit(*fit.moments)
+        for x, y in zip((fit.mean, fit.cov, *fit.moments),
+                        (again.mean, again.cov, *again.moments)):
+            assert x.tobytes() == y.tobytes()
+
+
+def oracle_cov(cov):
+    """One covariance symmetrized as single fits first did it: an oracle."""
+    w, v = np.linalg.eigh(0.5 * (cov + cov.T))
+    return (v * np.clip(w, 0.0, None)) @ v.T
+
+
+def oracle_frechet(mean_a, cov_a, mean_b, cov_b):
+    """The Fréchet distance of one pair of symmetrized fits as first
+    written, one matrix at a time: an oracle."""
+    wa, va = np.linalg.eigh(cov_a)
+    root_a = (va * np.sqrt(np.clip(wa, 0.0, None))) @ va.T
+    product = root_a @ cov_b @ root_a
+    wm = np.linalg.eigvalsh(0.5 * (product + product.T))
+    delta = mean_a - mean_b
+    value = (float(delta @ delta) + float(np.trace(cov_a) + np.trace(cov_b))
+             - 2.0 * float(np.sum(np.sqrt(np.clip(wm, 0.0, None)))))
+    return max(value, 0.0)
+
+
+def test_stacked_fits_score_like_single_ones():
+    (ma, ca), (mb, cb) = random_stack(7, 6, seed=10), random_stack(7, 6, seed=11)
+    a, b = GaussianFit(ma, ca), GaussianFit(mb, cb)
+    singles = [(GaussianFit(ma[p], ca[p]), GaussianFit(mb[p], cb[p]))
+               for p in range(7)]
+    for p, (sa, sb) in enumerate(singles):
+        assert a.cov[p].tobytes() == sa.cov.tobytes() == oracle_cov(ca[p]).tobytes()
+        assert a[p].cov.tobytes() == sa.cov.tobytes()
+    scores = frechet_distance(a, b)
+    assert scores.shape == (7,)
+    assert scores.tolist() == [frechet_distance(sa, sb) for sa, sb in singles]
+    assert scores.tolist() == [
+        oracle_frechet(ma[p], oracle_cov(ca[p]), mb[p], oracle_cov(cb[p]))
+        for p in range(7)]
+    assert isinstance(frechet_distance(*singles[0]), float)
+    # a stack taken by index scores like the same fits stacked directly
+    index = np.array([6, 0, 0, 3])
+    assert (frechet_distance(a[index], b[index]).tolist()
+            == [frechet_distance(*singles[i]) for i in index])
+
+
+def test_position_fits_stack_like_from_samples():
+    rng = np.random.default_rng(12)
+    groups = [rng.standard_normal((n, 5)) for n in (1, 4, 9)]
+    rows = SegmentRows(np.concatenate(groups), np.zeros(14, int),
+                       np.repeat([0, 1, 2], [1, 4, 9]), [])
+    extra = rng.standard_normal((6, 5))
+    stacked = rows.fits(extra)
+    assert stacked.mean.shape == (4, 5)
+    for p, group in enumerate(groups + [extra]):
+        single = GaussianFit.from_samples(group)
+        for x, y in zip((stacked.mean[p], stacked.cov[p], *(m[p] for m in stacked.moments)),
+                        (single.mean, single.cov, *single.moments)):
+            assert x.tobytes() == y.tobytes()
+
+
+def test_stacked_fit_errors_name_the_fault():
+    mean, cov = random_stack(4, 3, seed=13)
+    asymmetric = cov.copy()
+    asymmetric[2, 0, 1] += 1e-3
+    with pytest.raises(ValueError, match="covariance is not symmetric"):
+        GaussianFit(mean, asymmetric)
+    negative = cov.copy()
+    negative[1] = -np.eye(3)
+    with pytest.raises(ValueError, match="covariance has eigenvalue -1.000e"):
+        GaussianFit(mean, negative)
+    with pytest.raises(ValueError, match="mean dim 2 vs covariance"):
+        GaussianFit(mean[:, :2], cov)
+    other = GaussianFit(*random_stack(4, 2, seed=14))
+    with pytest.raises(ValueError, match="fit dims differ: 3 vs 2"):
+        frechet_distance(GaussianFit(mean, cov), other)
+    with pytest.raises(ValueError, match="fit stacks differ"):
+        frechet_distance(GaussianFit(mean, cov), GaussianFit(mean[:3], cov[:3]))
 
 
 # -- Fréchet distance --------------------------------------------------------------
@@ -357,6 +471,69 @@ def test_probe_label_permutation_hits_chance():
     probe = train_probe(feats[:160], shuffled[:160],
                         RandomStream.from_seed(1, "perm"), epochs=30)
     assert accuracy(probe, feats[160:], labels[160:]) < 0.5
+
+
+def taped_train_probe(features, labels, stream, *, hidden=24, epochs=60,
+                      batch=32, lr=5e-3):
+    """The probe fit recorded on the autodiff tape, step by step: the oracle
+    `train_probe` must match bit for bit."""
+    x = np.asarray(features, dtype=np.float64)
+    y = np.asarray(labels)
+    classes = np.unique(y)
+    class_index = {int(c): i for i, c in enumerate(classes)}
+    onehot = np.zeros((len(y), len(classes)))
+    onehot[np.arange(len(y)), [class_index[int(v)] for v in y]] = 1.0
+    probe = ProbeClassifier(x.shape[1], len(classes),
+                            hidden=hidden, seed=int(stream.integers(0, 2**31, ())))
+    opt = AdamState(lr=lr)
+    n = len(x)
+    for epoch in range(epochs):
+        order = stream.split(f"epoch{epoch}").permutation(n)
+        for lo in range(0, n, batch):
+            rows = order[lo:lo + batch]
+            with ad.GradTape():
+                logp = probe.log_probs(Tensor(x[rows]))
+                loss = ad.mean(ad.sum(ad.mul(Tensor(-onehot[rows]), logp),
+                                      axis=1))
+                grads = backward(loss, probe.params)
+            probe.params = adam_step(opt, probe.params, grads)
+    return probe
+
+
+@pytest.mark.parametrize("rows,dim,labels,batch", [
+    (64, 12, (0, 1, 2, 3), 32),         # the state digest's fit
+    (50, 7, (0, 1), 16),                # a last batch of 2
+    (37, 5, (-1, 2, 5, 7, 11), 8),      # 5 classes, a last batch of 5
+    (33, 32, (4, 9, 6), 32),            # a last batch of 1
+    (20, 3, (1, 0), 64),                # one short batch an epoch
+], ids=["digest", "two-classes", "five-classes", "one-row-tail", "one-batch"])
+def test_probe_fit_matches_the_taped_oracle(rows, dim, labels, batch):
+    stream = RandomStream.from_seed(rows, "probe-oracle")
+    y = np.array(labels)[np.arange(rows) % len(labels)]
+    x = (stream.split("x").normal((rows, dim))
+         + np.arange(len(labels))[np.arange(rows) % len(labels), None])
+    kwargs = dict(hidden=9, epochs=6, batch=batch, lr=2e-2)
+    fit = train_probe(x, y, RandomStream.from_seed(1, "fit"), **kwargs)
+    oracle = taped_train_probe(x, y, RandomStream.from_seed(1, "fit"), **kwargs)
+    for p, q in zip(fit.params, oracle.params):
+        assert p.shape == q.shape and p.data.tobytes() == q.data.tobytes()
+    assert fit.predict_proba(x).tobytes() == oracle.predict_proba(x).tobytes()
+
+
+def test_probe_default_fit_matches_the_taped_oracle():
+    feats, labels = blob_data(n_per_class=20)
+    fit = train_probe(feats, labels, RandomStream.from_seed(2, "p"))
+    oracle = taped_train_probe(feats, labels, RandomStream.from_seed(2, "p"))
+    assert all(p.data.tobytes() == q.data.tobytes()
+               for p, q in zip(fit.params, oracle.params))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_probe_rejects_non_finite_features(bad):
+    feats, labels = blob_data(n_per_class=10)
+    feats[17, 3] = bad
+    with pytest.raises(NumericsError):
+        train_probe(feats, labels, RandomStream.from_seed(0, "x"), epochs=2)
 
 
 def test_probe_rejects_single_class():

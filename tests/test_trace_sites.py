@@ -3,8 +3,9 @@
 `perfbench/layertrace.py` replaces names where the package looks them up.
 A refactor that binds one of them early (a table built at import, a name
 imported under another module) leaves the wrapper uncalled, and that stage
-of the traced benchmark reads zero.  This runs one tiny step of each phase
-under the installed tracer, in a child process so the patches stay there.
+of the traced benchmark reads zero.  This runs one tiny step of each
+training phase, then a cold and a warm `eval --probe`, under the installed
+tracer, in a child process so the patches stay there.
 """
 
 import json
@@ -37,6 +38,24 @@ tracer.phase = "pairs"
 pairs, _ = build_pairs(videos, cfg)
 tracer.phase = "recall"
 train_loop_recall(ModelBundle.init(cfg), pairs)
+
+import contextlib, io, os, tempfile
+from vidchain.cli import main
+from vidchain.container import ManifestRecord, write_container, write_manifest
+with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
+    records = []
+    for i in range(4):
+        name = f"video_{i}.rcg"
+        write_container(os.path.join(tmp, name),
+                        rng.uniform(-1, 1, (12, 4, 4, 1)).astype(np.float32))
+        records.append(ManifestRecord(name, 12, 4, 4, 1, i % 2))
+    write_manifest(os.path.join(tmp, "manifest.tsv"), records)
+    argv = ["eval", "--data", os.path.join(tmp, "video_0.rcg"), "--reference",
+            tmp, "--report", os.path.join(tmp, "r.tsv"), "--seg-len", "4",
+            "--probe"]
+    for phase in ("eval-cold", "eval-warm"):
+        tracer.phase = phase
+        assert main(argv) == 0
 tracer.phase = None
 print(json.dumps({key: calls for key, (calls, _, _) in tracer.stats.items()}))
 """
@@ -45,6 +64,13 @@ print(json.dumps({key: calls for key, (calls, _, _) in tracer.stats.items()}))
 # so `apply_mlp`, labelled by component, is the only per-layer view of MLP
 # cost; a model that bound `mlp2` directly would leave it reading zero.
 MLP_SITES = [f"layers.apply_mlp.{name}" for name in COMPONENTS]
+
+# Both evals call these; only the cold one trains the probe.  The tracer's
+# `metrics.segmentwise_scores` site reads zero on every eval: `eval` calls
+# `reference_fits` and `score_segments` instead (a known gap of the tracer).
+EVAL_SITES = ["metrics.features", "metrics.frechet_distance",
+              "video.segment_nonoverlapping", "container.load_checkpoint",
+              "container.read_container"]
 
 EXPECTED = {
     "clip": ["training.sample_batch", "autodiff.backward.clip-d",
@@ -57,6 +83,9 @@ EXPECTED = {
                "autodiff.tape_records.recall", "optim.adam_step",
                "chain.loss_d_image_r", "chain.loss_d_video_merged",
                "chain.loss_rencg", *MLP_SITES],
+    "eval-cold": ["metrics.train_probe", "optim.adam_step",
+                  "container.load_dataset", *EVAL_SITES],
+    "eval-warm": EVAL_SITES,
 }
 
 
@@ -71,3 +100,8 @@ def test_every_patched_training_name_is_called():
     assert not missing, missing
     # one Adam step per group: 3 in a clip step, 3 in a recall step
     assert calls["clip|optim.adam_step"] == calls["recall|optim.adam_step"] == 3
+    # a warm eval trains nothing and decodes no reference container
+    assert not {f"eval-warm|{name}" for name in (
+        "metrics.train_probe", "optim.adam_step", "container.load_dataset")} & set(calls)
+    # the probe fit: one Adam step a batch, 4 rows in one batch, 60 epochs
+    assert calls["eval-cold|optim.adam_step"] == 60
