@@ -42,8 +42,9 @@ def main():
         labels = [rec.label for rec in records]
         print("class balance:", {k: labels.count(k) for k in sorted(set(labels))})
 
+        # videos load at their stored float32; arithmetic starts in float64
         videos, _ = load_dataset(os.path.join(shapes_dir, "manifest.tsv"))
-        video = videos[0]
+        video = videos[0].astype(np.float64)
         print(f"\nframe 0 of video 0 ({video.shape[1]}x{video.shape[2]}):")
         print(ascii_frame(video[0]))
 
@@ -57,7 +58,7 @@ def main():
             os.path.join(drift_dir, "manifest.tsv"))
         print(f"\ndrift labels are all unlabeled (-1): "
               f"{set(drift_labels.tolist())}")
-        steps = np.abs(np.diff(drift_videos[0], axis=0)).mean()
+        steps = np.abs(np.diff(drift_videos[0].astype(np.float64), axis=0)).mean()
         print(f"drift mean |frame diff| = {steps:.4f} (smooth by construction)")
 
         # the two training-clip samplers

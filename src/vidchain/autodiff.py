@@ -446,6 +446,11 @@ def backward(loss: Tensor, params) -> list[np.ndarray]:
             live.add(id(rec.out))
 
     grads: dict[int, np.ndarray] = {id(loss): np.ones(loss.shape)}
+    # Keys whose gradient is a sum allocated here, which nothing else holds:
+    # later contributions add into it in place.  A VJP may return its
+    # upstream gradient or a view of it (`add`, `reshape`, `_unbroadcast`),
+    # so an array a VJP returned is never written to.
+    owned: set[int] = set()
     for rec in reversed(tape.records):
         if id(rec.out) not in live:
             continue
@@ -461,8 +466,11 @@ def backward(loss: Tensor, params) -> list[np.ndarray]:
             if not np.isfinite(ig).all():
                 raise GradientError(
                     f"non-finite gradient produced by primitive '{rec.op}'")
-            if key in grads:
+            if key in owned:
+                np.add(grads[key], ig, out=grads[key])
+            elif key in grads:
                 grads[key] = grads[key] + ig
+                owned.add(key)
             else:
                 grads[key] = np.asarray(ig, dtype=np.float64)
 

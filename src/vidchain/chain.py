@@ -48,7 +48,7 @@ from .losses import (
     LossOutput, _critic_terms, _encode_generate, _frame_indices, _output,
     _push_real, clip_recon, gather_frames, pixel_mse, ref_frame_recon,
 )
-from .model import ModelBundle, clip_diffs, clips_to_tensor
+from .model import GEN_GROUP, ModelBundle, clip_diffs, clips_to_tensor
 from .rng import RandomStream
 from .video import LongVideo
 
@@ -60,7 +60,8 @@ __all__ = [
     "ClipPair", "make_training_pairs", "pairs_to_clips",
     "loss_rencg", "loss_d_image_r", "loss_d_video_r1", "loss_d_video_merged",
     "merged_video_terms",
-    "FrameBudget", "ChainResult", "chain_generate", "chain_overlap_mismatch",
+    "FrameBudget", "ChainResult", "chain_components", "chain_generate",
+    "chain_overlap_mismatch",
 ]
 
 
@@ -234,6 +235,13 @@ class ChainResult:
     @property
     def mean_mismatch(self) -> float:
         return float(np.mean(self.mismatches)) if self.mismatches else 0.0
+
+
+def chain_components(mode: str) -> tuple[str, ...]:
+    """The model components `chain_generate` calls in `mode`: the content
+    encoder and the three generator streams, and in `mean` mode the motion
+    encoder too.  It never calls a discriminator."""
+    return ("content_enc",) + ("motion_enc",) * (mode == "mean") + GEN_GROUP
 
 
 def chain_generate(bundle: ModelBundle, n_clips: int, mode: str = "sampled",

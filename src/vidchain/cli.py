@@ -38,7 +38,7 @@ import sys
 import numpy as np
 
 from .autodiff import GradientError, NumericsError, Tensor
-from .chain import chain_generate
+from .chain import chain_components, chain_generate
 from .config import ConfigError, RunConfig
 from .container import (ContainerError, ContainerWriter, ManifestError,
                         load_checkpoint, load_dataset, read_container,
@@ -50,7 +50,7 @@ from .metrics import (FeatureExtractor, GaussianFit, ProbeClassifier,
                       score_segments, segment_features, train_probe,
                       write_metric_report)
 from .metrics import segmentwise_scores  # noqa: F401 (perfbench patches it here)
-from .model import OPT_NAMES, ModelBundle
+from .model import COMPONENTS, GEN_GROUP, OPT_NAMES, ModelBundle
 from .rng import RandomStream
 from .training import build_pairs, train_loop, train_loop_recall
 from .video import (decompose, reconstruct, reconstruct_from_reference,
@@ -118,15 +118,27 @@ def _effective_config(args, stored: dict | None = None) -> RunConfig:
     return RunConfig.from_dict(merged)
 
 
-def _load_bundle(args, path: str, skip: tuple[str, ...] = ()) -> ModelBundle:
+def _load_bundle(args, path: str, runs=None) -> ModelBundle:
     """A bundle from one read of a checkpoint: its stored config under the
-    command's --config file and flags, with the architecture fields checked
-    against the stored ones.  Arrays under the `skip` name prefixes stay on
-    disk (see `load_checkpoint`)."""
-    stored, arrays = load_checkpoint(path, skip)
-    cfg = _effective_config(args, stored)
-    cfg.ensure_arch_matches(stored)
-    return ModelBundle.init(cfg, arrays)
+    command's --config file and flags, resolved, and checked against the
+    stored architecture fields, as soon as the config is read.  With `runs`,
+    a function of that config naming the components the command calls, the
+    bundle holds just those: the other stacks and the Adam moments stay on
+    disk (see `load_checkpoint`).  Without it, the bundle holds everything."""
+    held = {}
+
+    def skip(stored: dict) -> tuple[str, ...]:
+        cfg = held["cfg"] = _effective_config(args, stored)
+        cfg.ensure_arch_matches(stored)
+        if runs is None:
+            held["names"] = COMPONENTS
+            return ()
+        names = held["names"] = runs(cfg)
+        return OPT_NAMES + tuple(f"{name}." for name in COMPONENTS
+                                 if name not in names)
+
+    _, arrays = load_checkpoint(path, skip)
+    return ModelBundle.init(held["cfg"], arrays, held["names"])
 
 
 def _training_config(cfg: RunConfig) -> RunConfig:
@@ -137,10 +149,10 @@ def _training_config(cfg: RunConfig) -> RunConfig:
 
 def _load_videos(path: str):
     """A dataset directory (manifest) or a single container file -> list of
-    (T, H, W, C) videos."""
+    (T, H, W, C) videos, each at its container's dtype."""
     if os.path.isdir(path):
         return load_dataset(os.path.join(path, "manifest.tsv"))
-    arr = read_container(path).astype(np.float64)
+    arr = read_container(path)      # at its stored width, as `load_dataset`
     if arr.ndim == 4:
         return [arr], None
     if arr.ndim == 5:
@@ -203,7 +215,7 @@ def cmd_train_recall(args) -> int:
 def cmd_generate(args) -> int:
     if args.count < 1:
         raise ConfigError(f"generate needs --count >= 1, got {args.count}")
-    bundle = _load_bundle(args, args.ckpt, skip=OPT_NAMES)   # moments stay on disk
+    bundle = _load_bundle(args, args.ckpt, runs=lambda cfg: GEN_GROUP)
     cfg = bundle.cfg
     stream = RandomStream.from_seed(cfg.seed, "generate")
     z_x, z_v = bundle.prior_latents(args.count, stream)
@@ -217,11 +229,16 @@ def cmd_generate(args) -> int:
 def cmd_generate_long(args) -> int:
     if args.clips < 1:
         raise ConfigError(f"generate-long needs --clips >= 1, got {args.clips}")
-    bundle = _load_bundle(args, args.ckpt, skip=OPT_NAMES)   # moments stay on disk
+    bundle = _load_bundle(args, args.ckpt,
+                          runs=lambda cfg: chain_components(cfg.gen_mode))
     cfg = bundle.cfg
+    stride = cfg.r if args.stride is None else args.stride
+    if not 1 <= stride < cfg.t_c:
+        raise ConfigError(f"generate-long needs 1 <= --stride < t_c={cfg.t_c}, "
+                          f"got {stride}")
     with ContainerWriter(_resolve_out(args.out), cfg.frame_shape) as writer:
         result = chain_generate(
-            bundle, args.clips, mode=cfg.gen_mode, r=args.stride,
+            bundle, args.clips, mode=cfg.gen_mode, r=stride,
             sink=lambda block: writer.append(block.astype(np.float32)))
     if args.report:
         rows = [("seam_mismatch", j, m) for j, m in enumerate(result.mismatches)]
@@ -353,6 +370,10 @@ def cmd_eval(args) -> int:
 
 
 def cmd_roundtrip_check(args) -> int:
+    if args.t_c < 2:
+        raise ConfigError(f"roundtrip-check needs --t-c >= 2, got {args.t_c}")
+    if args.limit < 1:
+        raise ConfigError(f"roundtrip-check needs --limit >= 1, got {args.limit}")
     videos, _ = _load_videos(args.data)
     videos = videos[:args.limit]
     t_c = args.t_c
@@ -365,7 +386,7 @@ def cmd_roundtrip_check(args) -> int:
 
     ok_round = ok_ref = ok_stitch = True
     for video in videos:
-        video = np.asarray(video)
+        video = np.asarray(video, dtype=np.float64)   # the algebra is exact in float64
         if len(video) < t_c:
             raise ConfigError(f"videos of {len(video)} frames are shorter "
                               f"than t_c={t_c}")
@@ -394,7 +415,7 @@ def cmd_ablate(args) -> int:
     # with --init, the variants take the checkpoint's stored config under the
     # --config file and flags, as the base bundle does
     base = _load_bundle(args, args.init) if args.init else None
-    cfg = base.cfg if base is not None else _effective_config(args)
+    cfg = _training_config(base.cfg if base is not None else _effective_config(args))
     videos, _ = _load_videos(args.data)
     out_dir = _resolve_out(args.out)
     os.makedirs(out_dir, exist_ok=True)

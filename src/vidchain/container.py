@@ -217,7 +217,11 @@ def _read_text(fh, length: int, file_size: int) -> str:
     return fh.read(min(length, file_size - fh.tell())).decode("utf-8")
 
 
-def load_checkpoint(path, skip: tuple[str, ...] = ()) -> tuple[dict, dict]:
+def _corrupt(path, exc: Exception) -> ContainerError:
+    return ContainerError(f"{path}: truncated or corrupt checkpoint ({exc})")
+
+
+def load_checkpoint(path, skip=()) -> tuple[dict, dict]:
     """The stored config and the named arrays of a checkpoint.
 
     Each array is read from the file once, straight into a fresh, writable,
@@ -225,8 +229,10 @@ def load_checkpoint(path, skip: tuple[str, ...] = ()) -> tuple[dict, dict]:
     it, and `ModelBundle.init` adopts such arrays without copying them.  An
     array whose name starts with one of the `skip` prefixes stays on disk:
     its header is read and checked, its payload is seeked past, and it is
-    left out of the returned dict.  Any malformed, truncated or overlong
-    file raises `ContainerError`."""
+    left out of the returned dict.  `skip` may also be a function of the
+    stored config, called once that is read and before any array is, that
+    returns the prefixes; what it raises propagates.  Any malformed,
+    truncated or overlong file raises `ContainerError`."""
     with open(path, "rb") as fh:
         file_size = os.fstat(fh.fileno()).st_size
         magic = fh.read(4)
@@ -241,8 +247,13 @@ def load_checkpoint(path, skip: tuple[str, ...] = ()) -> tuple[dict, dict]:
                 raise ContainerError(f"{path}: unsupported checkpoint version {version}")
             cfg_len = _unpack(fh, "<I")
             config = json.loads(_read_text(fh, cfg_len, file_size))
-            if not isinstance(config, dict):
-                raise ContainerError(f"{path}: stored config is not a JSON object")
+        except (struct.error, ValueError) as exc:
+            raise _corrupt(path, exc) from None
+        if not isinstance(config, dict):
+            raise ContainerError(f"{path}: stored config is not a JSON object")
+        if callable(skip):
+            skip = tuple(skip(config))
+        try:
             count = _unpack(fh, "<I")
             arrays = {}
             pos = fh.tell()
@@ -261,8 +272,7 @@ def load_checkpoint(path, skip: tuple[str, ...] = ()) -> tuple[dict, dict]:
                     arrays[name] = arr
                 pos += blob_len
         except (struct.error, ValueError) as exc:
-            raise ContainerError(f"{path}: truncated or corrupt checkpoint "
-                                 f"({exc})") from None
+            raise _corrupt(path, exc) from None
     if pos != file_size:
         raise ContainerError(f"{path}: {file_size - pos} trailing bytes")
     return config, arrays
@@ -322,8 +332,12 @@ def read_manifest(path) -> list[ManifestRecord]:
 
 
 def load_dataset(path) -> tuple[list[np.ndarray], np.ndarray]:
-    """Videos (float64 (L,H,W,C) arrays) and labels from a manifest.  Every
-    record's container must exist and match its declared dims."""
+    """Videos ((L,H,W,C) arrays) and labels from a manifest.  Every record's
+    container must exist and match its declared dims.  Each video is held
+    at its container's dtype, float32 for every set `dataset-gen` writes:
+    arithmetic widens to float64 where it starts (`clips_to_tensor`,
+    `segment_features`), and float32 to float64 is exact, so the width
+    held changes no result."""
     records = read_manifest(path)
     base = os.path.dirname(os.path.abspath(path))
     videos = []
@@ -333,6 +347,6 @@ def load_dataset(path) -> tuple[list[np.ndarray], np.ndarray]:
         if arr.shape != declared:
             raise ManifestError(
                 f"{rec.path}: container shape {arr.shape} != declared {declared}")
-        videos.append(arr.astype(np.float64))
+        videos.append(arr)
     labels = np.array([rec.label for rec in records], dtype=np.int64)
     return videos, labels

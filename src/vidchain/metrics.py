@@ -212,12 +212,15 @@ class SegmentRows(NamedTuple):
 def segment_features(videos, extractor: FeatureExtractor, seg_len: int = 16,
                      side: str = "generated") -> SegmentRows:
     """Every non-overlapping segment of the set, featurized in one
-    `extractor.features` call, video-major; `side` names the set in errors."""
-    cut = {i: segment_nonoverlapping(np.asarray(v, dtype=np.float64), seg_len)
+    `extractor.features` call, video-major; `side` names the set in errors.
+    The segments are views of the videos as held, widened to float64 as they
+    are concatenated: the one float64 copy of the set this makes."""
+    cut = {i: segment_nonoverlapping(v, seg_len)
            for i, v in enumerate(videos) if len(v) >= seg_len}
     if not cut:
         raise ValueError(f"no {side} video reaches {seg_len} frames")
-    return SegmentRows(extractor.features(np.concatenate(list(cut.values()))),
+    segments = np.concatenate(list(cut.values()), dtype=np.float64)
+    return SegmentRows(extractor.features(segments),
                        np.concatenate([[i] * len(c) for i, c in cut.items()]),
                        np.concatenate([np.arange(len(c)) for c in cut.values()]),
                        [i for i in range(len(videos)) if i not in cut])

@@ -17,12 +17,13 @@ generator composes a clip by placing the content frame at a 1-based
 reference index and integrating differences backward and forward from it;
 ``compose`` then adds fusion residuals and clamps to the pixel range.
 
-A ``ModelBundle`` owns all seven parameter stacks in ``components`` and
-three Adam states in ``opts``, keyed by the ``OPT_GROUPS`` names that pair
-each with its group (discriminators, encoders, generator).  It draws the
-prior latents, and round-trips through a checkpoint file bit-exactly,
-config echo included.  It owns the checkpoint layout: every array's name
-and shape follow from the config.
+A ``ModelBundle`` owns its parameter stacks in ``components`` (all seven,
+or those a generation command calls) and three Adam states in ``opts``,
+keyed by the ``OPT_GROUPS`` names that pair each with its group
+(discriminators, encoders, generator).  It draws the prior latents, and
+round-trips through a checkpoint file bit-exactly, config echo included.
+It owns the checkpoint layout: every array's name and shape follow from
+the config.
 """
 
 from __future__ import annotations
@@ -105,14 +106,20 @@ class ModelBundle:
         self.opts = opts
 
     @classmethod
-    def init(cls, cfg: RunConfig, state: dict | None = None) -> "ModelBundle":
+    def init(cls, cfg: RunConfig, state: dict | None = None,
+             components=COMPONENTS) -> "ModelBundle":
         """A fresh bundle drawn from the config seed or, given a
         state_arrays() dict, one restored from it without drawing anything.
+        It holds the `components` named, in COMPONENTS order: all seven by
+        default, which training needs, or fewer for a bundle that only
+        generates.  Each stack draws from its own named stream, so a fresh
+        stack is the same whichever others are drawn beside it.
 
-        Every parameter must be present with its shape.  An optimizer with
-        none of its arrays in `state` starts fresh; otherwise its `step` must
-        be present and, above 0, each `m{i}`/`v{i}` with the shape of the
-        group's parameter i.  A violation raises ConfigError naming the array.
+        Every parameter of each named component must be present with its
+        shape.  An optimizer with none of its arrays in `state` starts fresh;
+        otherwise its `step` must be present and, above 0, each `m{i}`/`v{i}`
+        with the shape of the group's parameter i.  A violation raises
+        ConfigError naming the array.
 
         A restored bundle owns `state`'s arrays: each one that is writable,
         C-contiguous float64 (as `load_checkpoint` returns them) is adopted
@@ -126,24 +133,24 @@ class ModelBundle:
         sizes = _sizes(cfg)
         opts = {name: AdamState(cfg.lr, cfg.beta1, cfg.beta2, cfg.eps)
                 for name in OPT_NAMES}
+        names = [name for name in COMPONENTS if name in components]
         if state is None:
             stream = RandomStream.from_seed(cfg.seed, "model-init")
-            components = {name: init_mlp(stream.split(name), sizes[name],
-                                         cfg.bias_init)
-                          for name in COMPONENTS}
-            return cls(cfg, components, opts)
+            return cls(cfg, {name: init_mlp(stream.split(name), sizes[name],
+                                            cfg.bias_init)
+                             for name in names}, opts)
         # each component's W0, b0, W1, b1 as init_mlp draws them
         shapes = {name: [(i, h), (h,), (h, o), (o,)]
                   for name, (i, h, o) in sizes.items()}
-        components = {}
-        for name in COMPONENTS:
-            components[name] = []
+        stacks = {}
+        for name in names:
+            stacks[name] = []
             for arr in _take(state, [(f"{name}.{i}", shape) for i, shape
                                      in enumerate(shapes[name])], "parameter"):
                 ad._check_finite("tensor", arr)
                 param = Tensor._wrap(arr)
                 param.requires_grad = True
-                components[name].append(param)
+                stacks[name].append(param)
         for opt_name, opt in opts.items():
             if not any(key.startswith(opt_name + ".") for key in state):
                 continue        # fresh, as when loaded with skip=OPT_NAMES
@@ -159,7 +166,7 @@ class ModelBundle:
                                         for i, shape in enumerate(group)
                                         for mv in "mv"], "optimizer array")
                 opt.m, opt.v = moments[0::2], moments[1::2]
-        return cls(cfg, components, opts)
+        return cls(cfg, stacks, opts)
 
     # -- parameter groups -----------------------------------------------------
     def params(self, group) -> list[Tensor]:
@@ -268,12 +275,13 @@ class ModelBundle:
 
     # -- checkpointing -----------------------------------------------------------
     def state_arrays(self) -> dict:
-        """Every array by checkpoint name: the parameters by COMPONENTS, then
-        per optimizer step, m0, v0, m1, v1, ...  The moments are read-only
-        views of the live accumulators, which the next Adam step overwrites:
-        write them out or copy them before stepping again."""
-        arrays = {f"{name}.{i}": p.data for name in COMPONENTS
-                  for i, p in enumerate(self.components[name])}
+        """Every array by checkpoint name: the parameters of each held
+        component in COMPONENTS order, then per optimizer step, m0, v0, m1,
+        v1, ...  The moments are read-only views of the live accumulators,
+        which the next Adam step overwrites: write them out or copy them
+        before stepping again."""
+        arrays = {f"{name}.{i}": p.data for name, params in self.components.items()
+                  for i, p in enumerate(params)}
         for opt_name, opt in self.opts.items():
             arrays[f"{opt_name}.step"] = np.array([float(opt.step)])
             for i, pair in enumerate(zip(opt.m or (), opt.v or ())):

@@ -24,14 +24,17 @@ features (its parameters and predicted probabilities), which runs `log`,
 `exp`, `sum` and Adam on small parameters.  The next line hashes the two
 tables of `vidchain ablate --init` on a tiny model that `vidchain train`
 trained on the same videos, written as a dataset; its overlap sweep trains
-one variant beyond the ovi, mgv and recall ones.  The last line hashes the
+one variant beyond the ovi, mgv and recall ones.  The next line hashes the
 report of `vidchain eval --probe` of the same videos played backwards
 against that dataset, made cold; the script fails if a warm rerun, which
 reads the reference fits and the probe from the dataset's `refstats.rcgb`,
-writes other bytes.  A refactor that claims to leave training or file I/O
-byte-identical prints the same lines before and after.  The script imports
-the package from the `src/` beside it, so it measures the checkout it lives
-in.
+writes other bytes.  The last line hashes the container that
+`vidchain generate-long` writes from the default variant's saved checkpoint:
+the command's own path, which restores only the stacks its chain calls, so
+it equals the `chain_container` line.  A refactor that claims to leave
+training or file I/O byte-identical prints the same lines before and after.
+The script imports the package from the `src/` beside it, so it measures
+the checkout it lives in.
 """
 
 import contextlib
@@ -204,6 +207,19 @@ def eval_digest(data) -> str:
         return hashlib.sha256(reports[0]).hexdigest()
 
 
+def generate_long_digest(bundle) -> str:
+    """sha256 of the container `vidchain generate-long` writes, over
+    CHAIN_CLIPS clips, from the bundle's saved checkpoint."""
+    with (tempfile.TemporaryDirectory() as tmp,
+          contextlib.redirect_stdout(io.StringIO())):
+        ckpt, video = os.path.join(tmp, "cli.ckpt"), os.path.join(tmp, "long.rcg")
+        bundle.save(ckpt)
+        if cli_main(["generate-long", "--ckpt", ckpt, "--out", video,
+                     "--clips", str(CHAIN_CLIPS)]) != 0:
+            raise RuntimeError("vidchain generate-long failed")
+        return _sha256(video)
+
+
 def file_digests(bundle) -> dict:
     """sha256 of the bundle's checkpoint and of a short chained video, then
     the checkpoint digests of the trained bundle reloaded and of an
@@ -229,17 +245,18 @@ def main() -> int:
     data = videos()
     domain = numeric_domain()
     print(f"domain\t{domain['blas_core']} {' '.join(domain['dispatch'])}")
-    files = {}
+    files, default = {}, None
     for name, fields in VARIANTS.items():
         bundle, reports = trained(fields, data)
         print(f"{name}\t{digest(bundle, reports)}")
         if not fields:
-            files = file_digests(bundle)
+            files, default = file_digests(bundle), bundle
     for name, value in files.items():
         print(f"{name}\t{value}")
     print(f"probe\t{probe_digest()}")
     print(f"ablate_tables\t{ablate_digest(data)}")
     print(f"eval_report\t{eval_digest(data)}")
+    print(f"generate_long_cli\t{generate_long_digest(default)}")
     return 0
 
 

@@ -311,6 +311,21 @@ def test_gradient_accumulates_across_multiple_uses():
     assert np.allclose(g, [4.0, -8.0])
 
 
+def test_gradient_accumulation_never_writes_into_a_returned_gradient():
+    # t = u + v hands its upstream gradient to u and to v as one array; u's
+    # later contributions, from w1 and w2, must not land in v's gradient.
+    # With the third, u's sum is added into in place.
+    x = Tensor([1.0, -2.0], requires_grad=True)
+    c, d, e = np.array([3.0, 5.0]), np.array([7.0, 11.0]), np.array([13.0, 17.0])
+    with GradTape():
+        u, v = ad.mul(x, 2.0), ad.mul(x, 3.0)
+        w1, w2 = ad.mul(u, d), ad.mul(u, e)
+        t = ad.add(u, v)
+        loss = ad.add(ad.add(ad.sum(ad.mul(t, c)), ad.sum(w1)), ad.sum(w2))
+    g = backward(loss, [x])[0]
+    assert np.array_equal(g, 2.0 * (c + e + d) + 3.0 * c)
+
+
 def test_non_scalar_loss_rejected():
     x = Tensor([1.0, 2.0], requires_grad=True)
     with GradTape():

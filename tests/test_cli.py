@@ -325,6 +325,15 @@ _DAMAGED = {
                  None, 2, "config", id="count-negative"),
     pytest.param(["generate-long", "--ckpt", "CKPT", "--out", "OUT", "--clips", "0"],
                  None, 2, "config", id="clips-zero"),
+    # the generation stride takes the bound the config's r does: 1 <= r < t_c
+    *(pytest.param(_LONG + ["--stride", stride], None, 2, "config",
+                   id=f"long-stride-{stride}") for stride in ("0", "4")),
+    *(pytest.param(["roundtrip-check", "--data", "DATA", *flags], None, 2,
+                   "config", id=f"roundtrip-check{'-'.join(flags)}")
+      for flags in (["--t-c", "1"], ["--t-c", "0"], ["--limit", "-1"],
+                    ["--limit", "0"])),
+    pytest.param(["ablate", "--data", "DATA", "--out", "DIR", "--steps", "0",
+                  *TINY_FLAGS], None, 2, "config", id="ablate-steps-zero"),
     pytest.param(["roundtrip-check", "--data", "DIR"], None, 3, "missing-file",
                  id="dataset-without-manifest"),
     pytest.param(["roundtrip-check", "--data", "NO_VIDEO"], None, 3,
@@ -454,6 +463,10 @@ def test_cli_error_contract(tiny_dataset, tmp_path, capsys, argv, config, code,
         assert "video_00000.rcg" in line and "non-finite" in line
     if "UNDER_FILE" in argv:
         assert "[Errno 20] Not a directory" in line or "[Errno 17] File exists" in line
+    if "--stride" in argv or (argv[0] == "roundtrip-check" and kind == "config"):
+        assert argv[-2] in line                 # names the flag
+    if argv[0] == "ablate" and kind == "config":
+        assert "steps >= 1" in line
     assert (work / "out.rcg").read_bytes() == b"previous"
     assert sorted(os.listdir(work)) == before
     assert os.listdir(work / "dir") == []
@@ -671,19 +684,60 @@ def test_generate_long_loads_checkpoint_once(tiny_dataset, tmp_path, monkeypatch
 
     def counted(path, skip=()):
         stored, arrays = load_checkpoint(path, skip)
-        calls.append((skip, sorted(arrays)))
+        calls.append(sorted(arrays))
         return stored, arrays
 
     for module in ("vidchain.cli", "vidchain.model"):
         monkeypatch.setattr(f"{module}.load_checkpoint", counted)
-    assert run(["generate-long", "--ckpt", ckpt, "--out", tmp_path / "l.rcg",
-                "--clips", "3"]) == 0
-    assert len(calls) == 1
-    # generation leaves the optimizer moments on disk
-    skip, names = calls[0]
-    assert skip == OPT_NAMES
-    assert names and not any(n.startswith("opt_") for n in names)
-    assert set(names) < set(load_checkpoint(ckpt)[1])
+    # generation leaves the optimizer moments, the discriminators and the
+    # stacks its mode never calls on disk
+    for mode, components in (("sampled", ("content_enc", "g_c", "g_t", "fusion")),
+                             ("mean", ("content_enc", "motion_enc", "g_c", "g_t",
+                                       "fusion"))):
+        calls.clear()
+        assert run(["generate-long", "--ckpt", ckpt, "--out", tmp_path / "l.rcg",
+                    "--clips", "3", "--gen-mode", mode]) == 0
+        assert calls == [sorted(f"{name}.{i}" for name in components
+                                for i in range(4))]
+
+
+def _without(ckpt, path, prefixes):
+    """A copy of checkpoint `ckpt` at `path` without the arrays whose names
+    start with one of `prefixes`."""
+    stored, arrays = load_checkpoint(ckpt)
+    save_checkpoint(path, stored, {k: v for k, v in arrays.items()
+                                   if not k.startswith(prefixes)})
+    return path
+
+
+def test_generation_needs_only_the_stacks_it_calls(tiny_dataset, tmp_path, capsys):
+    """`generate` and `generate-long` write the same bytes from a checkpoint
+    without the discriminators and the motion encoder as from the full one;
+    a command that calls a missing stack refuses the file, naming it."""
+    ckpt = tmp_path / "m.ckpt"
+    assert run(["train", "--data", tiny_dataset, "--out", ckpt,
+                "--steps", "2", *TINY_FLAGS]) == 0
+    no_d = _without(ckpt, tmp_path / "no_d.ckpt", ("d_image.", "d_video."))
+    lean = _without(ckpt, tmp_path / "lean.ckpt",
+                    ("d_image.", "d_video.", "motion_enc."))
+    commands = (["generate", "--count", "3"],
+                ["generate-long", "--clips", "4"],
+                ["generate-long", "--clips", "4", "--gen-mode", "seeded"])
+    for command, *flags in commands:
+        outs = []
+        for path in (ckpt, no_d, lean):
+            out = tmp_path / f"{path.stem}.rcg"
+            assert run([command, "--ckpt", path, "--out", out, *flags]) == 0
+            outs.append(out.read_bytes())
+        assert outs[1] == outs[0] and outs[2] == outs[0], command
+    capsys.readouterr()
+    assert run(["generate-long", "--ckpt", lean, "--out", tmp_path / "mean.rcg",
+                "--clips", "4", "--gen-mode", "mean"]) == 2
+    assert "motion_enc.0" in _one_error_line(capsys, "config")
+    assert run(["train-recall", "--data", tiny_dataset, "--init", no_d,
+                "--out", tmp_path / "r.ckpt", "--steps", "1"]) == 2
+    assert "d_image.0" in _one_error_line(capsys, "config")
+    assert not (tmp_path / "mean.rcg").exists() and not (tmp_path / "r.ckpt").exists()
 
 
 def test_output_dir_env_override(tiny_dataset, tmp_path, monkeypatch):

@@ -334,9 +334,14 @@ def test_manifest_missing_file():
         read_manifest("/nonexistent/index.tsv")
 
 
-def test_load_dataset_returns_float64_videos_and_labels(tmp_path):
+def test_load_dataset_returns_videos_at_stored_dtype_and_labels(tmp_path):
     manifest, _ = _write_small_dataset(tmp_path, n=4)
     videos, labels = load_dataset(manifest)
     assert len(videos) == 4
-    assert all(v.dtype == np.float64 and v.shape == (5, 4, 4, 1) for v in videos)
+    assert all(v.dtype == np.float32 and v.shape == (5, 4, 4, 1) for v in videos)
     assert labels.tolist() == [0, 1, 0, 1]
+    # a float64 container stays float64, every bit as written
+    wide = np.random.default_rng(5).standard_normal((5, 4, 4, 1))
+    write_container(tmp_path / "clip_001.rcg", wide)
+    video = load_dataset(manifest)[0][1]
+    assert video.dtype == np.float64 and video.tobytes() == wide.tobytes()

@@ -466,3 +466,26 @@ def test_state_arrays_are_read_only_views_of_live_moments(tmp_path):
     before = state["opt_gen.m0"].copy()
     _generator_step(bundle)
     assert not np.array_equal(state["opt_gen.m0"], before)   # the view is live
+
+
+def test_init_holds_only_the_named_components():
+    """A bundle of a few stacks, restored or fresh, holds those stacks as a
+    full bundle does, in COMPONENTS order, and checks each one complete."""
+    full = tiny_bundle()
+    state = {k: v.copy() for k, v in full.state_arrays().items()}
+    names = ("fusion", "content_enc", "g_c")
+    for lean in (ModelBundle.init(TINY, state, names),
+                 ModelBundle.init(TINY, components=names)):
+        assert list(lean.components) == ["content_enc", "g_c", "fusion"]
+        for name in names:
+            assert all(np.array_equal(a.data, b.data) for a, b
+                       in zip(lean.components[name], full.components[name], strict=True))
+        assert [k for k in lean.state_arrays() if not k.startswith("opt_")] == [
+            f"{name}.{i}" for name in lean.components for i in range(4)]
+    del state["d_image.0"]
+    ModelBundle.init(TINY, state, names)
+    with pytest.raises(ConfigError, match=r"d_image\.0"):
+        ModelBundle.init(TINY, state)
+    del state["g_c.3"]
+    with pytest.raises(ConfigError, match=r"g_c\.3"):
+        ModelBundle.init(TINY, state, names)
