@@ -45,10 +45,10 @@ from .autodiff import Tensor
 from .config import GEN_MODES
 from .gaussian import reparameterize, gaussian_kl
 from .losses import (
-    LossOutput, _critic_terms, _encode_generate, _frame_indices, _output,
-    _push_real, clip_recon, gather_frames, pixel_mse, ref_frame_recon,
+    LossOutput, _critic_loss, _critic_terms, _encode_generate, _fooling,
+    _image_prob, _output, clip_recon, pixel_mse, ref_frame_recon,
 )
-from .model import GEN_GROUP, ModelBundle, clip_diffs, clips_to_tensor
+from .model import GEN_GROUP, ModelBundle, clips_to_tensor
 from .rng import RandomStream
 from .video import LongVideo
 
@@ -123,16 +123,13 @@ def loss_rencg(bundle: ModelBundle, pairs, stream: RandomStream) -> LossOutput:
     built from that reference, both KL terms, and non-saturating adversarial
     terms from both discriminators."""
     x = clips_to_tensor(pairs_to_clips(pairs))
-    b, t = x.shape[0], x.shape[1]
-    ref = _ref_index(t)
+    ref = _ref_index(x.shape[1])
 
     q_x, q_v, raw, fake = _encode_generate(bundle, x, stream, ref)
     ref_term = ref_frame_recon(x, raw, ref)
     full_term = clip_recon(x, raw)
     kl_x, kl_v = gaussian_kl(q_x), gaussian_kl(q_v)
-    idx = _frame_indices(b, t, stream)
-    adv = (_push_real(bundle.d_video_prob(fake))
-           + _push_real(bundle.d_image_prob(gather_frames(fake, idx))))
+    adv = _fooling((bundle.d_video_prob, _image_prob(bundle, x, stream)), (fake,))
     return _output({"recon_ref": ref_term, "recon_full": full_term,
                     "kl_x": kl_x, "kl_v": kl_v, "adv": adv},
                    mse=pixel_mse(x, raw))
@@ -142,19 +139,15 @@ def loss_d_image_r(bundle: ModelBundle, pairs, stream: RandomStream) -> LossOutp
     """Two-term image-discriminator loss (no prior-sample term): real frames
     vs frames of clips rebuilt from encoded latents."""
     x = clips_to_tensor(pairs_to_clips(pairs))
-    fake = _encode_generate(bundle, x, stream, _ref_index(x.shape[1]))[3]
-    idx = _frame_indices(x.shape[0], x.shape[1], stream)
-    terms = _critic_terms(lambda c: bundle.d_image_prob(gather_frames(c, idx)),
-                          x, fake)
-    return _output(dict(zip(("real", "fake"), terms)))
+    return _critic_loss(bundle, x, stream, image=True,
+                        ref_index=_ref_index(x.shape[1]), prior=False)
 
 
 def loss_d_video_r1(bundle: ModelBundle, pairs, stream: RandomStream) -> LossOutput:
     """Two-term whole-clip discriminator loss (no prior-sample term)."""
     x = clips_to_tensor(pairs_to_clips(pairs))
-    fake = _encode_generate(bundle, x, stream, _ref_index(x.shape[1]))[3]
-    terms = _critic_terms(bundle.d_video_prob, x, fake)
-    return _output(dict(zip(("real", "fake"), terms)))
+    return _critic_loss(bundle, x, stream, image=False,
+                        ref_index=_ref_index(x.shape[1]), prior=False)
 
 
 def chain_ref_frame(t_c: int, stride: int) -> int:
@@ -187,8 +180,7 @@ def merged_video_terms(bundle: ModelBundle, pairs, stream: RandomStream):
     # and difference maps, then compose one stride later with that frame
     # at its new place
     carry = chain_ref_frame(t, r)
-    q_x2 = bundle.content_posterior(fake1[:, carry - 1, :])
-    q_v2 = bundle.motion_posterior(clip_diffs(fake1))
+    q_x2, q_v2 = bundle.encode_clips(fake1, ref_index=carry)
     z_x2 = reparameterize(q_x2, stream.split("eps2_x"))
     z_v2 = reparameterize(q_v2, stream.split("eps2_v"))
     fake2 = bundle.compose(z_x2, z_v2, ref_index=carry - r)[1]
@@ -284,7 +276,7 @@ def chain_generate(bundle: ModelBundle, n_clips: int, mode: str = "sampled",
                 z_x = Tensor(np.zeros((1, cfg.z_content)))
                 z_v = Tensor(np.zeros((1, cfg.z_motion)))
             else:
-                z_x, z_v = map(Tensor, bundle.prior_latents(1, cstream))
+                z_x, z_v = bundle.prior_latents(1, cstream)
         else:
             # the carried frame is the one this clip places at `ref`
             q_x = bundle.content_posterior(Tensor(tail[ref - 1][None]))

@@ -37,7 +37,7 @@ import sys
 
 import numpy as np
 
-from .autodiff import GradientError, NumericsError, Tensor
+from .autodiff import GradientError, NumericsError
 from .chain import chain_components, chain_generate
 from .config import ConfigError, RunConfig
 from .container import (ContainerError, ContainerWriter, ManifestError,
@@ -147,6 +147,14 @@ def _training_config(cfg: RunConfig) -> RunConfig:
     return cfg
 
 
+def _training_bundle(args) -> ModelBundle:
+    """The bundle a command trains: restored from --init (see `_load_bundle`)
+    or fresh from the effective config, which must train at least one step."""
+    bundle = _load_bundle(args, args.init) if args.init else None
+    cfg = _training_config(bundle.cfg if bundle else _effective_config(args))
+    return bundle or ModelBundle.init(cfg)
+
+
 def _load_videos(path: str):
     """A dataset directory (manifest) or a single container file -> list of
     (T, H, W, C) videos, each at its container's dtype."""
@@ -198,9 +206,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_train_recall(args) -> int:
-    bundle = (_load_bundle(args, args.init) if args.init
-              else ModelBundle.init(_effective_config(args)))
-    cfg = _training_config(bundle.cfg)
+    bundle = _training_bundle(args)
+    cfg = bundle.cfg
     videos, _ = _load_videos(args.data)
     pairs, skipped = build_pairs(videos, cfg)
     last = _save_trained(args, bundle, train_loop_recall(bundle, pairs), {
@@ -218,8 +225,7 @@ def cmd_generate(args) -> int:
     bundle = _load_bundle(args, args.ckpt, runs=lambda cfg: GEN_GROUP)
     cfg = bundle.cfg
     stream = RandomStream.from_seed(cfg.seed, "generate")
-    z_x, z_v = bundle.prior_latents(args.count, stream)
-    clips = bundle.compose(Tensor(z_x), Tensor(z_v))[1].data
+    clips = bundle.compose(*bundle.prior_latents(args.count, stream))[1].data
     clips = clips.reshape((args.count, cfg.t_c) + cfg.frame_shape)
     write_container(_resolve_out(args.out), clips.astype(np.float32))
     print(f"generated clips={args.count} t_c={cfg.t_c} out={args.out}")
@@ -414,14 +420,13 @@ def cmd_roundtrip_check(args) -> int:
 def cmd_ablate(args) -> int:
     # with --init, the variants take the checkpoint's stored config under the
     # --config file and flags, as the base bundle does
-    base = _load_bundle(args, args.init) if args.init else None
-    cfg = _training_config(base.cfg if base is not None else _effective_config(args))
+    base = _training_bundle(args)
+    cfg = base.cfg
     videos, _ = _load_videos(args.data)
     out_dir = _resolve_out(args.out)
     os.makedirs(out_dir, exist_ok=True)
 
-    if base is None:
-        base = ModelBundle.init(cfg)
+    if not args.init:
         train_loop(base, videos)
     base_state = base.state_arrays()
 

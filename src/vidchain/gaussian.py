@@ -1,9 +1,9 @@
 """Diagonal-Gaussian latent utilities: KL to the standard normal prior and
 the reparameterization trick.
 
-GaussianParams stores the raw log-variance and clamps it to [-10, 10] on the
-autodiff graph at every `log_var` access, so every downstream loss sees the
-clamp, recorded on whichever tape is active when it reads it.
+GaussianParams clamps its log-variance to [-10, 10] on the autodiff graph
+once, when it is built, so the clamp is one record on the tape active then,
+and every downstream loss reads that one clamped Tensor.
 """
 
 from __future__ import annotations
@@ -20,25 +20,20 @@ LOG_VAR_MAX = 10.0
 
 
 class GaussianParams:
-    """Mean and (clamped) log-variance of a diagonal Gaussian.
+    """Mean and clamped log-variance of a diagonal Gaussian.
 
     Accepts a trailing batch layout: (dim,) for one distribution or
-    (batch, dim) for a batch of them.  The clamp is applied lazily — on every
-    `log_var` access — so the clip participates in whichever tape is active
-    when the distribution is actually used.
+    (batch, dim) for a batch of them.  The clamp is applied at construction,
+    so build a posterior inside the tape of the loss that reads it.
     """
 
-    __slots__ = ("mu", "_raw_log_var")
+    __slots__ = ("mu", "log_var")
 
     def __init__(self, mu: Tensor, log_var: Tensor):
         if mu.shape != log_var.shape:
             raise ValueError(f"mu shape {mu.shape} != log_var shape {log_var.shape}")
         self.mu = mu
-        self._raw_log_var = log_var
-
-    @property
-    def log_var(self) -> Tensor:
-        return ad.clip(self._raw_log_var, LOG_VAR_MIN, LOG_VAR_MAX)
+        self.log_var = ad.clip(log_var, LOG_VAR_MIN, LOG_VAR_MAX)
 
 
 def gaussian_kl(q: GaussianParams) -> Tensor:
@@ -47,8 +42,7 @@ def gaussian_kl(q: GaussianParams) -> Tensor:
 
     Closed form per coordinate: 0.5 * (mu^2 + exp(log_var) - log_var - 1).
     """
-    log_var = q.log_var
-    per_coord = ad.square(q.mu) + ad.exp(log_var) - log_var - 1.0
+    per_coord = ad.square(q.mu) + ad.exp(q.log_var) - q.log_var - 1.0
     per_dist = ad.sum(per_coord, axis=-1)
     return ad.mean(0.5 * per_dist)
 

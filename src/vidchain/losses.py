@@ -16,13 +16,16 @@ Conventions shared by every loss here and in the chaining module:
   generator and -[log D(real) + log(1 - D(fake))] for discriminators.  With
   logits clamped to +-15 all log terms are finite.
 * Image discriminators score one random frame per clip per loss evaluation;
-  the same index is shared by every image term inside that evaluation.
+  ``_image_prob`` draws that index once, so every image term inside the
+  evaluation shares it.
 * Every loss takes an explicit RandomStream and derives named children, so
   a (parameters, batch, stream) triple fixes the value bit-for-bit.
 * A loss's total is its named terms summed in the order they are listed,
   and its ``parts`` name every term, then any diagnostics (``mse``), then
   ``total``.  A discriminator's terms are one real term followed by one
-  term per fake batch (``_critic_terms``).
+  term per fake batch (``_critic_terms``); every discriminator loss but the
+  chained one (``loss_d_video_merged``) is one ``_critic_loss``, its fakes
+  summed as ``fake``.  The generator's adversarial term is ``_fooling``.
 
 Losses never detach: each is differentiable w.r.t. every parameter it
 touches, and the training step decides which group's gradients to apply.
@@ -112,14 +115,25 @@ def _push_real(p: Tensor) -> Tensor:
     return ad.mean(ad.neg(ad.log(p)))
 
 
-def _push_fake(p: Tensor) -> Tensor:
-    return ad.mean(ad.neg(ad.log(1.0 - p)))
-
-
 def _critic_terms(prob, real: Tensor, *fakes: Tensor) -> list[Tensor]:
     """A discriminator's terms: -log prob(real), then -log(1 - prob(fake))
     for each fake batch, in order."""
-    return [_push_real(prob(real))] + [_push_fake(prob(f)) for f in fakes]
+    return [_push_real(prob(real))] + [ad.mean(ad.neg(ad.log(1.0 - prob(f))))
+                                       for f in fakes]
+
+
+def _fooling(probs, fakes) -> Tensor:
+    """The generator's adversarial term: -log prob(fake) summed left to right
+    over each discriminator in `probs`, each scoring every fake in turn."""
+    return functools.reduce(operator.add, (_push_real(prob(f)) for prob in probs
+                                           for f in fakes))
+
+
+def _image_prob(bundle: ModelBundle, x: Tensor, stream: RandomStream):
+    """The image discriminator of one loss evaluation: every batch shaped like
+    `x` is scored at the per-clip frames `stream`'s ``frame_idx`` child draws."""
+    idx = stream.split("frame_idx").integers(0, x.shape[1], (x.shape[0],))
+    return lambda clips: bundle.d_image_prob(gather_frames(clips, idx))
 
 
 def _encode_generate(bundle: ModelBundle, x: Tensor, stream: RandomStream,
@@ -133,12 +147,20 @@ def _encode_generate(bundle: ModelBundle, x: Tensor, stream: RandomStream,
 
 
 def _prior_generate(bundle: ModelBundle, b: int, stream: RandomStream) -> Tensor:
-    z_x, z_v = bundle.prior_latents(b, stream)
-    return bundle.compose(Tensor(z_x), Tensor(z_v))[1]
+    return bundle.compose(*bundle.prior_latents(b, stream))[1]
 
 
-def _frame_indices(b: int, t: int, stream: RandomStream) -> np.ndarray:
-    return stream.split("frame_idx").integers(0, t, (b,))
+def _critic_loss(bundle: ModelBundle, x: Tensor, stream: RandomStream,
+                 image: bool, ref_index: int = 1, prior: bool = True) -> LossOutput:
+    """The image (`image`) or video discriminator's loss: ``real`` pushes `x`
+    up, ``fake`` pushes down `x` rebuilt through its posterior at `ref_index`
+    and, when `prior`, clips drawn from the prior."""
+    fakes = [_encode_generate(bundle, x, stream, ref_index)[3]]
+    if prior:
+        fakes.append(_prior_generate(bundle, x.shape[0], stream))
+    prob = _image_prob(bundle, x, stream) if image else bundle.d_video_prob
+    real, *fake = _critic_terms(prob, x, *fakes)
+    return _output({"real": real, "fake": functools.reduce(operator.add, fake)})
 
 
 # -- the five short-clip losses ------------------------------------------------------
@@ -170,36 +192,20 @@ def loss_gen(bundle: ModelBundle, clips, stream: RandomStream) -> LossOutput:
     adversarial terms — image and video discriminators, each scoring clips
     rebuilt from encoded latents and clips drawn from the prior."""
     x = clips_to_tensor(clips)
-    b, t = x.shape[0], x.shape[1]
     _, _, raw, fake_e = _encode_generate(bundle, x, stream)
-    fake_p = _prior_generate(bundle, b, stream)
-    idx = _frame_indices(b, t, stream)
-
+    fake_p = _prior_generate(bundle, x.shape[0], stream)
     recon = frame_recon(x, raw)
-    adv = (_push_real(bundle.d_image_prob(gather_frames(fake_e, idx)))
-           + _push_real(bundle.d_image_prob(gather_frames(fake_p, idx)))
-           + _push_real(bundle.d_video_prob(fake_e))
-           + _push_real(bundle.d_video_prob(fake_p)))
+    adv = _fooling((_image_prob(bundle, x, stream), bundle.d_video_prob),
+                   (fake_e, fake_p))
     return _output({"recon": recon, "adv": adv}, mse=pixel_mse(x, raw))
 
 
 def loss_d_image(bundle: ModelBundle, clips, stream: RandomStream) -> LossOutput:
     """Image-discriminator objective on one random frame per clip: real frames
     up, reconstruction fakes and prior fakes down."""
-    x = clips_to_tensor(clips)
-    b, t = x.shape[0], x.shape[1]
-    fakes = (_encode_generate(bundle, x, stream)[3],
-             _prior_generate(bundle, b, stream))
-    idx = _frame_indices(b, t, stream)
-    real, fake_e, fake_p = _critic_terms(
-        lambda c: bundle.d_image_prob(gather_frames(c, idx)), x, *fakes)
-    return _output({"real": real, "fake": fake_e + fake_p})
+    return _critic_loss(bundle, clips_to_tensor(clips), stream, image=True)
 
 
 def loss_d_video(bundle: ModelBundle, clips, stream: RandomStream) -> LossOutput:
     """Video-discriminator objective on whole clips, same three-term shape."""
-    x = clips_to_tensor(clips)
-    fakes = (_encode_generate(bundle, x, stream)[3],
-             _prior_generate(bundle, x.shape[0], stream))
-    real, fake_e, fake_p = _critic_terms(bundle.d_video_prob, x, *fakes)
-    return _output({"real": real, "fake": fake_e + fake_p})
+    return _critic_loss(bundle, clips_to_tensor(clips), stream, image=False)

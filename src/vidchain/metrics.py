@@ -9,8 +9,8 @@ Conventions
 * Features: a clip's flattened frames and flattened difference maps are
   concatenated, projected through a frozen random matrix, and squashed with
   tanh.  Identical seed ⇒ identical features forever.
-* Gaussian fits use the 1/N covariance estimator plus a 1e-6 ridge, so a
-  fit exists for any sample count ≥ 1.  The ridge lives in `from_samples`;
+* Gaussian fits use the 1/N covariance estimator plus a `RIDGE` of 1e-6, so
+  a fit exists for any sample count ≥ 1.  The ridge lives in `from_samples`;
   `frechet_distance` itself adds nothing, keeping hand-built fits exact.
 * Segment-wise scores group non-overlapping segments by position across the
   generated set.  The reference is segmented the same way and each position
@@ -51,6 +51,7 @@ __all__ = [
 ]
 
 PSD_TOL = 1e-8
+RIDGE = 1e-6
 
 
 # -- feature extraction ---------------------------------------------------------------
@@ -98,30 +99,30 @@ class FeatureExtractor:
 
 # -- Gaussian fits and the Fréchet distance ------------------------------------------
 
-def _symmetrize_psd(cov: np.ndarray, tol: float = PSD_TOL) -> np.ndarray:
+def _symmetrize_psd(cov: np.ndarray) -> np.ndarray:
     """Validate symmetry and near-PSD-ness; clip tiny negative eigenvalues."""
     if cov.ndim < 2 or cov.shape[-1] != cov.shape[-2]:
         raise ValueError(f"covariance must be square, got {cov.shape}")
     t = np.swapaxes(cov, -1, -2)
     gap = np.abs(cov - t)
     # np.allclose's verdict: NaN fails, and equal infinities (a NaN gap) pass
-    if not (gap.max() <= tol or ((gap <= tol) | (cov == t)).all()):
+    if not (gap.max() <= PSD_TOL or ((gap <= PSD_TOL) | (cov == t)).all()):
         raise ValueError("covariance is not symmetric")
     w, v = np.linalg.eigh(0.5 * (cov + t))
-    if w.min() < -tol:
-        raise ValueError(f"covariance has eigenvalue {w.min():.3e} below -{tol:g}")
+    if w.min() < -PSD_TOL:
+        raise ValueError(f"covariance has eigenvalue {w.min():.3e} below -{PSD_TOL:g}")
     return (v * np.clip(w, 0.0, None)[..., None, :]) @ np.swapaxes(v, -1, -2)
 
 
-def _moments(samples, ridge: float = 1e-6) -> tuple:
-    """Mean and 1/N covariance plus ridge*I of an (N, F) sample matrix."""
+def _moments(samples) -> tuple:
+    """Mean and 1/N covariance plus RIDGE*I of an (N, F) sample matrix."""
     x = np.asarray(samples, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] < 1:
         raise ValueError(f"need an (N, F) sample matrix with N >= 1, "
                          f"got shape {x.shape}")
     mean = x.mean(axis=0)
     centered = x - mean
-    return mean, (centered.T @ centered) / x.shape[0] + ridge * np.eye(x.shape[1])
+    return mean, (centered.T @ centered) / x.shape[0] + RIDGE * np.eye(x.shape[1])
 
 
 @dataclass(frozen=True)
@@ -154,9 +155,9 @@ class GaussianFit:
         return fit
 
     @classmethod
-    def from_samples(cls, samples: np.ndarray, ridge: float = 1e-6) -> "GaussianFit":
-        """1/N covariance estimate plus ridge*I (rank-safe at any N >= 1)."""
-        return cls(*_moments(samples, ridge))
+    def from_samples(cls, samples: np.ndarray) -> "GaussianFit":
+        """1/N covariance estimate plus RIDGE*I (rank-safe at any N >= 1)."""
+        return cls(*_moments(samples))
 
 
 def frechet_distance(a: GaussianFit, b: GaussianFit):

@@ -208,9 +208,9 @@ class ModelBundle:
     # -- generator ------------------------------------------------------------
     def prior_latents(self, b: int, stream: RandomStream):
         """`b` content and motion latents drawn from the standard-normal
-        prior, as (b, z_content) and (b, z_motion) arrays."""
-        return (stream.split("prior_x").normal((b, self.cfg.z_content)),
-                stream.split("prior_v").normal((b, self.cfg.z_motion)))
+        prior, as (b, z_content) and (b, z_motion) Tensors."""
+        return (Tensor(stream.split("prior_x").normal((b, self.cfg.z_content))),
+                Tensor(stream.split("prior_v").normal((b, self.cfg.z_motion))))
 
     def compose(self, z_x: Tensor, z_v: Tensor, ref_index: int = 1):
         """Full generator pass from latents (B, z_content) and (B, z_motion),

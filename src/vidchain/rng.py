@@ -62,8 +62,9 @@ class RandomStream:
         """Uniform integers in [low, high); array bounds broadcast to shape."""
         return self._generator().integers(low, high, size=shape)
 
-    def choice(self, n: int, size: int, replace: bool = True) -> np.ndarray:
-        return self._generator().choice(n, size=size, replace=replace)
+    def choice(self, n: int, size: int) -> np.ndarray:
+        """`size` draws from range(n), with replacement."""
+        return self._generator().choice(n, size=size)
 
     def permutation(self, n: int) -> np.ndarray:
         return self._generator().permutation(n)

@@ -42,12 +42,12 @@ class LongVideo:
         return len(self.frames)
 
 
-def _require_clip(clip: np.ndarray, min_frames: int = 2) -> np.ndarray:
+def _require_clip(clip: np.ndarray) -> np.ndarray:
     clip = np.asarray(clip)
     if clip.ndim != 4:
         raise ValueError(f"clip must be (T, H, W, C), got shape {clip.shape}")
-    if clip.shape[0] < min_frames:
-        raise ValueError(f"clip needs at least {min_frames} frames, got {clip.shape[0]}")
+    if clip.shape[0] < 2:
+        raise ValueError(f"clip needs at least 2 frames, got {clip.shape[0]}")
     return clip
 
 

@@ -82,9 +82,9 @@ def test_gradient_flows_to_mu_and_log_var_not_eps():
     def loss_of(mu_arr, lv_arr):
         mu = Tensor(mu_arr, requires_grad=True)
         lv = Tensor(lv_arr, requires_grad=True)
-        q = GaussianParams(mu, lv)
         from vidchain import autodiff as ad
         with GradTape():
+            q = GaussianParams(mu, lv)
             z = reparameterize(q, RandomStream.from_seed(55))
             loss = ad.sum(ad.square(z)) + gaussian_kl(q)
         return mu, lv, loss
@@ -96,6 +96,19 @@ def test_gradient_flows_to_mu_and_log_var_not_eps():
     assert rel_err(g_mu, fd_mu) < REL_TOL
     assert rel_err(g_lv, fd_lv) < REL_TOL
     assert np.any(g_mu != 0) and np.any(g_lv != 0)
+
+
+def test_posterior_clamp_recorded_once():
+    """The log-variance clamp is one tape record, made when the posterior is
+    built, however many times a loss reads `log_var`."""
+    mu = Tensor(np.zeros(3), requires_grad=True)
+    lv = Tensor([-50.0, 0.0, 50.0], requires_grad=True)
+    with GradTape() as tape:
+        q = GaussianParams(mu, lv)
+        first, second = q.log_var, q.log_var
+    assert [rec.op for rec in tape.records] == ["clip"]
+    assert first is second
+    assert first.data.tolist() == [-10.0, 0.0, 10.0]
 
 
 def test_shape_mismatch_rejected():

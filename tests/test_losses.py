@@ -6,13 +6,16 @@ import pytest
 
 import vidchain.autodiff as ad
 from vidchain.autodiff import GradTape, Tensor, backward
+from vidchain.chain import (
+    loss_d_image_r, loss_rencg, make_training_pairs, pairs_to_clips,
+)
 from vidchain.config import RunConfig
 from vidchain.gaussian import GaussianParams, gaussian_kl
 from vidchain.losses import (
     diff_recon, frame_recon, gather_frames, loss_d_image, loss_d_video,
     loss_enc, loss_enc_v, loss_gen, ref_frame_recon,
 )
-from vidchain.model import D_GROUP, ENC_GROUP, GEN_GROUP, ModelBundle
+from vidchain.model import D_GROUP, ENC_GROUP, GEN_GROUP, ModelBundle, clips_to_tensor
 from vidchain.rng import RandomStream
 
 from oracle_utils import rel_err
@@ -110,6 +113,48 @@ def test_gather_frames_selects_per_clip():
     clips = Tensor(np.arange(24, dtype=float).reshape(2, 4, 3))
     out = gather_frames(clips, [1, 3])
     assert np.array_equal(out.data, [[3, 4, 5], [21, 22, 23]])
+
+
+@pytest.mark.parametrize("loss_fn, critic", [
+    (loss_d_image, True), (loss_gen, False), (loss_d_image_r, True),
+    (loss_rencg, False)])
+def test_image_terms_share_one_frame_index(monkeypatch, loss_fn, critic):
+    """Every image-discriminator input of one loss evaluation is gathered at
+    one frame index per clip, drawn from the loss stream's ``frame_idx``
+    child: from the real clips (discriminator losses only), then from each
+    clip batch the generator composed, in order."""
+    recall = loss_fn in (loss_d_image_r, loss_rencg)
+    if recall:
+        rng = np.random.default_rng(3)
+        videos = [rng.uniform(-1, 1, (12,) + TINY.frame_shape) for _ in range(2)]
+        batch = make_training_pairs(videos, TINY.t_c, TINY.r)[0]
+        real = clips_to_tensor(pairs_to_clips(batch))
+    else:
+        batch = random_clips(b=6)
+        real = clips_to_tensor(batch)
+    bundle = tiny_bundle()
+    compose, d_image_prob = bundle.compose, bundle.d_image_prob
+    composed, scored = [], []
+
+    def recording_compose(*args, **kwargs):
+        raw, clip = compose(*args, **kwargs)
+        composed.append(clip)
+        return raw, clip
+
+    def recording_prob(frames):
+        scored.append(frames.data)
+        return d_image_prob(frames)
+
+    monkeypatch.setattr(bundle, "compose", recording_compose)
+    monkeypatch.setattr(bundle, "d_image_prob", recording_prob)
+    loss_fn(bundle, batch, stream())
+
+    idx = stream().split("frame_idx").integers(0, real.shape[1], (real.shape[0],))
+    assert len(set(idx.tolist())) > 1          # one index for all would hide a mix-up
+    clips = ([real] if critic else []) + composed
+    assert len(scored) == len(clips) > 0
+    for frames, clip in zip(scored, clips):
+        assert np.array_equal(frames, gather_frames(clip, idx).data)
 
 
 # -- pinned-discriminator closed forms ----------------------------------------------

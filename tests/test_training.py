@@ -73,7 +73,7 @@ def test_tape_records_per_step(monkeypatch):
     clip_records, counts[:] = sum(counts), []
     pairs, _ = build_pairs(tiny_videos(), TINY)
     train_step_recall(tiny_bundle(), pairs[:TINY.batch], stream(seed=1))
-    assert (clip_records, sum(counts)) == (250, 232)
+    assert (clip_records, sum(counts)) == (248, 230)
 
 
 def test_generator_loss_sees_updated_discriminators():
