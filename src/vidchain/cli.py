@@ -50,7 +50,7 @@ from .metrics import (FeatureExtractor, GaussianFit, ProbeClassifier,
                       score_segments, segment_features, train_probe,
                       write_metric_report)
 from .metrics import segmentwise_scores  # noqa: F401 (perfbench patches it here)
-from .model import COMPONENTS, GEN_GROUP, OPT_NAMES, ModelBundle
+from .model import GEN_GROUP, ModelBundle
 from .rng import RandomStream
 from .training import build_pairs, train_loop, train_loop_recall
 from .video import (decompose, reconstruct, reconstruct_from_reference,
@@ -119,26 +119,15 @@ def _effective_config(args, stored: dict | None = None) -> RunConfig:
 
 
 def _load_bundle(args, path: str, runs=None) -> ModelBundle:
-    """A bundle from one read of a checkpoint: its stored config under the
-    command's --config file and flags, resolved, and checked against the
-    stored architecture fields, as soon as the config is read.  With `runs`,
-    a function of that config naming the components the command calls, the
-    bundle holds just those: the other stacks and the Adam moments stay on
-    disk (see `load_checkpoint`).  Without it, the bundle holds everything."""
-    held = {}
-
-    def skip(stored: dict) -> tuple[str, ...]:
-        cfg = held["cfg"] = _effective_config(args, stored)
+    """`ModelBundle.load` of a checkpoint under the command's --config file
+    and flags, checked against the stored architecture fields as soon as
+    the stored config is read; `runs` as there."""
+    def resolve(stored: dict) -> RunConfig:
+        cfg = _effective_config(args, stored)
         cfg.ensure_arch_matches(stored)
-        if runs is None:
-            held["names"] = COMPONENTS
-            return ()
-        names = held["names"] = runs(cfg)
-        return OPT_NAMES + tuple(f"{name}." for name in COMPONENTS
-                                 if name not in names)
+        return cfg
 
-    _, arrays = load_checkpoint(path, skip)
-    return ModelBundle.init(held["cfg"], arrays, held["names"])
+    return ModelBundle.load(path, resolve, runs)
 
 
 def _training_config(cfg: RunConfig) -> RunConfig:
@@ -173,7 +162,6 @@ def _load_videos(path: str):
 
 def cmd_dataset_gen(args) -> int:
     out = _resolve_out(args.out)
-    os.makedirs(out, exist_ok=True)
     maker = gen_shapes_dataset if args.kind == "shapes" else gen_drift_dataset
     maker(out, args.count, args.length, args.seed)
     print(f"dataset kind={args.kind} count={args.count} length={args.length} "
@@ -318,7 +306,7 @@ def _reference_stats(args):
         extractor = FeatureExtractor(args.seg_len, rec.height * rec.width * rec.channels,
                                      seed=args.seed)
         return extractor, GaussianFit(arrays["means"], arrays["covs"]), (
-            ProbeClassifier.from_params(arrays[f"probe.{i}"] for i in range(4))
+            ProbeClassifier([arrays[f"probe.{i}"] for i in range(4)])
             if args.probe else None)
     reference, labels = _load_videos(args.reference)
     if not reference:
@@ -342,7 +330,7 @@ def _reference_stats(args):
     if key:
         means, covs = fits.moments
         arrays = {"means": means, "covs": covs, **{
-            f"probe.{i}": p.data for i, p in enumerate(probe.params if probe else ())}}
+            f"probe.{i}": p for i, p in enumerate(probe.params if probe else ())}}
         with contextlib.suppress(OSError):
             save_checkpoint(path, {"key": key, "digest": _sha256(arrays.items())}, arrays)
     return extractor, fits, probe
@@ -382,6 +370,8 @@ def cmd_roundtrip_check(args) -> int:
         raise ConfigError(f"roundtrip-check needs --limit >= 1, got {args.limit}")
     videos, _ = _load_videos(args.data)
     videos = videos[:args.limit]
+    if not videos:
+        raise ValueError(f"no videos to check in {args.data}")
     t_c = args.t_c
     failures = []
 

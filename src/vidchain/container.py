@@ -221,18 +221,18 @@ def _corrupt(path, exc: Exception) -> ContainerError:
     return ContainerError(f"{path}: truncated or corrupt checkpoint ({exc})")
 
 
-def load_checkpoint(path, skip=()) -> tuple[dict, dict]:
+def load_checkpoint(path, skip=lambda config: ()) -> tuple[dict, dict]:
     """The stored config and the named arrays of a checkpoint.
 
     Each array is read from the file once, straight into a fresh, writable,
     C-contiguous float64 array that nothing else references: the caller owns
-    it, and `ModelBundle.init` adopts such arrays without copying them.  An
-    array whose name starts with one of the `skip` prefixes stays on disk:
-    its header is read and checked, its payload is seeked past, and it is
-    left out of the returned dict.  `skip` may also be a function of the
-    stored config, called once that is read and before any array is, that
-    returns the prefixes; what it raises propagates.  Any malformed,
-    truncated or overlong file raises `ContainerError`."""
+    it, and `ModelBundle.init` adopts such arrays without copying them.
+    `skip` is called once, on the stored config, after that is read and
+    before any array is; what it raises propagates.  An array whose name
+    starts with one of the prefixes it returns stays on disk: its header is
+    read and checked, its payload is seeked past, and it is left out of the
+    returned dict.  Any malformed, truncated or overlong file raises
+    `ContainerError`."""
     with open(path, "rb") as fh:
         file_size = os.fstat(fh.fileno()).st_size
         magic = fh.read(4)
@@ -251,8 +251,7 @@ def load_checkpoint(path, skip=()) -> tuple[dict, dict]:
             raise _corrupt(path, exc) from None
         if not isinstance(config, dict):
             raise ContainerError(f"{path}: stored config is not a JSON object")
-        if callable(skip):
-            skip = tuple(skip(config))
+        prefixes = tuple(skip(config))
         try:
             count = _unpack(fh, "<I")
             arrays = {}
@@ -267,7 +266,7 @@ def load_checkpoint(path, skip=()) -> tuple[dict, dict]:
                         f"{path}:{name}: file truncated, array of {blob_len} "
                         f"bytes but {file_size - pos} remain")
                 arr = _read_array(fh, blob_len, name=f"{path}:{name}",
-                                  skip=name.startswith(skip))
+                                  skip=name.startswith(prefixes))
                 if arr is not None:
                     arrays[name] = arr
                 pos += blob_len

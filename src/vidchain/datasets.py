@@ -30,7 +30,7 @@ import os
 import numpy as np
 
 from .config import ConfigError
-from .container import ContainerWriter, ManifestRecord, write_manifest
+from .container import ManifestRecord, write_container, write_manifest
 from .rng import RandomStream
 
 __all__ = [
@@ -91,10 +91,8 @@ def _write_dataset(out_dir, count, make_video, labels) -> str:
     for i in range(count):
         video = make_video(i)
         name = f"video_{i:05d}.rcg"
-        frames, h, w, c = video.shape
-        with ContainerWriter(os.path.join(out_dir, name), (h, w, c), np.float32) as wtr:
-            wtr.append(video)
-        records.append(ManifestRecord(name, frames, h, w, c, labels[i]))
+        write_container(os.path.join(out_dir, name), video)
+        records.append(ManifestRecord(name, *video.shape, labels[i]))
     manifest = os.path.join(out_dir, "manifest.tsv")
     write_manifest(manifest, records)
     return manifest

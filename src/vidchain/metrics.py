@@ -26,6 +26,9 @@ Conventions
 * The diversity score is exp(inter_entropy - intra_entropy), algebraically
   equal to exp(mean KL(p_i || mean p)); computing it from the entropy
   decomposition keeps the reported identity exact.
+* The probe runs in plain numpy: one `_probe_forward`, op for op as
+  `autodiff.mlp2` then the row-max shift and `exp`, serves `predict_proba`
+  and `train_probe`, so a fit and its probabilities are a taped run's bits.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import GradientError, Tensor
 from .container import write_table
-from .layers import apply_mlp, init_mlp
+from .layers import init_mlp
 from .optim import AdamState, adam_step
 from .rng import RandomStream
 from .video import segment_nonoverlapping
@@ -284,34 +287,33 @@ def inception_score(probs: np.ndarray) -> tuple[float, float, float]:
 
 # -- probe classifier --------------------------------------------------------------
 
+def _probe_forward(params, x: np.ndarray):
+    """The probe stack [W0, b0, W1, b1] on rows `x`, op for op as
+    `autodiff.mlp2`, then the row-max shift and `exp`: the tanh hidden
+    layer, the shifted logits and their exponentials."""
+    w0, b0, w1, b1 = params
+    h = x @ w0 + b0
+    ad._check_finite("mlp2", h)
+    np.tanh(h, out=h)
+    logits = h @ w1 + b1
+    ad._check_finite("mlp2", logits)
+    shifted = logits - np.max(logits, axis=1, keepdims=True)
+    return h, shifted, np.exp(shifted)
+
+
 class ProbeClassifier:
-    """Dense feature -> class-distribution head used for the diversity score."""
+    """Dense feature -> class-distribution head used for the diversity score;
+    `params` are the float64 [W0, b0, W1, b1] that `train_probe` fits."""
 
-    def __init__(self, in_dim: int, n_classes: int, hidden: int = 24,
-                 seed: int = 0):
-        if n_classes < 2:
-            raise ValueError(f"need at least 2 classes, got {n_classes}")
-        stream = RandomStream.from_seed(seed, "probe-init")
-        self.params = init_mlp(stream, (in_dim, hidden, n_classes),
-                               bias_init=0.05)
-
-    @classmethod
-    def from_params(cls, arrays) -> "ProbeClassifier":
-        """The probe whose `params` hold `arrays`, [W0, b0, W1, b1]."""
-        probe = cls.__new__(cls)
-        probe.params = [Tensor(a, requires_grad=True) for a in arrays]
-        return probe
-
-    def log_probs(self, features: Tensor) -> Tensor:
-        """Differentiable row-wise log of the class distribution."""
-        logits = apply_mlp(self.params, features)
-        shift = np.max(logits.data, axis=1, keepdims=True)  # constant offset
-        shifted = logits - Tensor(shift)
-        lse = ad.log(ad.sum(ad.exp(shifted), axis=1, keepdims=True))
-        return shifted - lse
+    def __init__(self, params):
+        self.params = list(params)
 
     def predict_proba(self, features: np.ndarray) -> np.ndarray:
-        return np.exp(self.log_probs(Tensor(features)).data)
+        """Row-wise class distributions: exp of the log-softmax."""
+        x = np.require(features, np.float64, "C")
+        ad._check_finite("tensor", x)
+        _, shifted, e = _probe_forward(self.params, x)
+        return np.exp(shifted - np.log(e.sum(axis=(1,), keepdims=True)))
 
 
 def train_probe(features: np.ndarray, labels: np.ndarray,
@@ -332,41 +334,35 @@ def train_probe(features: np.ndarray, labels: np.ndarray,
     onehot = np.zeros((len(y), len(classes)))
     onehot[np.arange(len(y)), [class_index[int(v)] for v in y]] = 1.0
 
-    probe = ProbeClassifier(x.shape[1], len(classes),
-                            hidden=hidden, seed=int(stream.integers(0, 2**31, ())))
-    flat = Tensor(np.concatenate([p.data.ravel() for p in probe.params]),
-                  requires_grad=True)
-    ends = np.cumsum([p.size for p in probe.params])
+    init = RandomStream.from_seed(int(stream.integers(0, 2**31, ())), "probe-init")
+    params = [p.data for p in init_mlp(init, (x.shape[1], hidden, len(classes)),
+                                       bias_init=0.05)]
+    flat = Tensor(np.concatenate([p.ravel() for p in params]), requires_grad=True)
+    ends = np.cumsum([p.size for p in params])
     opt = AdamState(lr=lr)
 
     def unflat():
         return [flat.data[end - p.size:end].reshape(p.shape)
-                for p, end in zip(probe.params, ends)]
+                for p, end in zip(params, ends)]
 
     for epoch in range(epochs):
         order = stream.split(f"epoch{epoch}").permutation(len(x))
         for lo in range(0, len(x), batch):
             rows = order[lo:lo + batch]
             xb = x[rows]
-            w0, b0, w1, b1 = unflat()
-            h = xb @ w0 + b0                            # mlp2
-            ad._check_finite("mlp2", h)
-            np.tanh(h, out=h)
-            logits = h @ w1 + b1
-            ad._check_finite("mlp2", logits)
-            shifted = logits - np.max(logits, axis=1, keepdims=True)
-            e = np.exp(shifted)
+            stack = unflat()
+            h, _, e = _probe_forward(stack, xb)
             total = e.sum(axis=(1,), keepdims=True)
             # VJPs of mean, sum, mul, sub, log, sum, exp, sub in `backward`'s order
             g_logp = (1.0 / len(rows)) * -onehot[rows]
             g = g_logp + (-g_logp).sum(axis=(1,), keepdims=True) / total * e
-            pre = (g @ w1.T) * (1.0 - h * h)
+            pre = (g @ stack[2].T) * (1.0 - h * h)      # back through W1 and tanh
             grad = np.concatenate([(xb.T @ pre).ravel(), pre.sum(axis=0),
                                    (h.T @ g).ravel(), g.sum(axis=0)])
             if not np.isfinite(grad).all():
                 raise GradientError("non-finite gradient in the probe fit")
             flat, = adam_step(opt, [flat], [grad])
-    return ProbeClassifier.from_params(unflat())
+    return ProbeClassifier(unflat())
 
 
 # -- metric report files -----------------------------------------------------------

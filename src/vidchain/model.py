@@ -153,7 +153,7 @@ class ModelBundle:
                 stacks[name].append(param)
         for opt_name, opt in opts.items():
             if not any(key.startswith(opt_name + ".") for key in state):
-                continue        # fresh, as when loaded with skip=OPT_NAMES
+                continue        # fresh, as `load` with `runs` leaves it
             step = float(_take(state, [(f"{opt_name}.step", (1,))],
                                "optimizer array")[0][0])
             if not (step >= 0 and step.is_integer()):
@@ -294,7 +294,20 @@ class ModelBundle:
         save_checkpoint(path, self.cfg.to_dict(), self.state_arrays())
 
     @classmethod
-    def load(cls, path) -> "ModelBundle":
-        """Rebuild a bundle, config included, from a checkpoint."""
-        stored_cfg, arrays = load_checkpoint(path)
-        return cls.init(RunConfig.from_dict(stored_cfg), arrays)
+    def load(cls, path, resolve=RunConfig.from_dict, runs=None) -> "ModelBundle":
+        """A bundle from one read of a checkpoint.  `resolve(stored)` makes
+        its config from the stored config dict before any array is read; what
+        it raises propagates.  With `runs`, a function of that config naming
+        the components the caller calls, the bundle holds just those stacks
+        and fresh optimizers, and the rest stays on disk; by default it holds
+        every array, bit for bit."""
+        held = {}
+
+        def skip(stored: dict) -> tuple[str, ...]:
+            cfg = held["cfg"] = resolve(stored)
+            names = held["names"] = COMPONENTS if runs is None else runs(cfg)
+            return () if runs is None else OPT_NAMES + tuple(
+                f"{name}." for name in COMPONENTS if name not in names)
+
+        _, arrays = load_checkpoint(path, skip)
+        return cls.init(held["cfg"], arrays, held["names"])

@@ -119,6 +119,8 @@ def _run(bundle: ModelBundle, label: str, draw, step_fn, progress) -> list[dict]
 
 def train_loop(bundle: ModelBundle, videos, progress=None) -> list[dict]:
     """Run cfg.steps clip steps; returns the per-step loss reports."""
+    if len(videos) == 0:
+        raise ValueError("no videos to train on")
     return _run(bundle, "train", lambda step, sstream: sample_batch(
         videos, bundle.cfg, step, sstream.split("batch")), train_step, progress)
 

@@ -149,7 +149,7 @@ def probe_digest() -> str:
                         epochs=PROBE_EPOCHS)
     h = hashlib.sha256()
     for p in probe.params:
-        h.update(p.data.tobytes())
+        h.update(p.tobytes())
     h.update(probe.predict_proba(features).tobytes())
     return h.hexdigest()
 

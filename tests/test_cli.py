@@ -17,7 +17,7 @@ from vidchain.config import RunConfig
 from vidchain.container import (load_checkpoint, load_dataset, read_container,
                                 save_checkpoint, write_container)
 from vidchain.metrics import read_metric_report
-from vidchain.model import OPT_NAMES, ModelBundle
+from vidchain.model import COMPONENTS, ModelBundle
 from vidchain.training import build_pairs, train_loop, train_loop_recall
 
 TINY_FLAGS = ["--t-c", "4", "--r", "2", "--height", "4", "--width", "4",
@@ -362,6 +362,16 @@ _DAMAGED = {
     pytest.param(["eval", "--data", "DATA", "--reference", "HEADER_ONLY",
                   "--report", "OUT", "--seg-len", "4"], None, 4, "dimension",
                  id="eval-empty-reference"),
+    # a dataset whose manifest lists no video gives nothing to train on or check
+    pytest.param(["train", "--data", "HEADER_ONLY", "--out", "OUT", "--steps", "1",
+                  *TINY_FLAGS], None, 4, "dimension", id="train-empty-dataset"),
+    pytest.param(["ablate", "--data", "HEADER_ONLY", "--out", "DIR", "--steps", "1",
+                  *TINY_FLAGS], None, 4, "dimension", id="ablate-empty-dataset"),
+    pytest.param(["roundtrip-check", "--data", "HEADER_ONLY"], None, 4,
+                 "dimension", id="roundtrip-check-empty-dataset"),
+    # a refused dataset-gen leaves no directory behind
+    pytest.param(["dataset-gen", "--out", "NEW_DIR", "--count", "0"], None, 2,
+                 "config", id="dataset-gen-count-zero"),
     # eval checks its flags before it reads a file, and --probe's labels
     # before any scoring: at --seg-len 13 no video holds a segment
     pytest.param(["eval", "--data", "MISSING", "--reference", "MISSING",
@@ -427,7 +437,7 @@ def test_cli_error_contract(tiny_dataset, tmp_path, capsys, argv, config, code,
     paths = {"CKPT": ckpt, "OUT": work / "out.rcg", "DIR": work / "dir",
              "CFG": work / "cfg.json", "DATA": tiny_dataset,
              "VIDEO": tiny_dataset / "video_00000.rcg",
-             "MISSING": work / "missing",
+             "MISSING": work / "missing", "NEW_DIR": work / "new",
              "UNDER_FILE": work / "out.rcg" / "x"}
     if "FLOAT_CKPT" in argv:    # the same model, its hidden stored as 16.0
         stored, arrays = load_checkpoint(ckpt)
@@ -448,7 +458,9 @@ def test_cli_error_contract(tiny_dataset, tmp_path, capsys, argv, config, code,
     if "FLOAT_CKPT" in argv:
         assert "hidden" in line
     if "HEADER_ONLY" in argv:
-        assert "reference set is empty" in line
+        empty = {"eval": "reference set is empty",
+                 "roundtrip-check": "no videos to check"}
+        assert empty.get(argv[0], "no videos to train on") in line
     if "MISSING" in argv:   # refused before the missing files are opened
         assert "--seg-len >= 2" in line
     if "VIDEO" in argv:
@@ -552,8 +564,8 @@ def test_train_recall_init_restores_the_moments(tiny_dataset, tmp_path):
     videos, _ = load_dataset(tiny_dataset / "manifest.tsv")
     pairs, _ = build_pairs(videos, cfg)
     saved = {}
-    for name, skip in (("whole", ()), ("params", OPT_NAMES)):
-        bundle = ModelBundle.init(cfg, load_checkpoint(ckpt, skip)[1])
+    for name, runs in (("whole", None), ("params", lambda cfg: COMPONENTS)):
+        bundle = ModelBundle.load(ckpt, lambda stored: cfg, runs)
         train_loop_recall(bundle, pairs)
         bundle.save(tmp_path / f"{name}.ckpt")
         saved[name] = (tmp_path / f"{name}.ckpt").read_bytes()
@@ -682,7 +694,7 @@ def test_generate_long_loads_checkpoint_once(tiny_dataset, tmp_path, monkeypatch
                 "--steps", "1", *TINY_FLAGS]) == 0
     calls = []
 
-    def counted(path, skip=()):
+    def counted(path, skip):
         stored, arrays = load_checkpoint(path, skip)
         calls.append(sorted(arrays))
         return stored, arrays

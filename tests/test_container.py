@@ -113,7 +113,7 @@ def test_every_checkpoint_prefix_raises_container_error(tmp_path):
         cut.write_bytes(blob[:n])
         for skip in ((), ("w",), ("w", "b")):    # skipped payloads are checked too
             with pytest.raises(ContainerError):
-                load_checkpoint(cut, skip)
+                load_checkpoint(cut, lambda config: skip)
 
 
 def test_checkpoint_skip_leaves_prefixed_arrays_out(tmp_path):
@@ -121,13 +121,13 @@ def test_checkpoint_skip_leaves_prefixed_arrays_out(tmp_path):
     arrays = {"enc.0": np.arange(4.0), "opt_enc.m0": np.ones(4),
               "opt_enc.step": np.array([3.0]), "gen.0": np.eye(2)}
     save_checkpoint(p, {"k": 1}, arrays)
-    cfg, back = load_checkpoint(p, ("opt_",))
+    cfg, back = load_checkpoint(p, lambda config: ("opt_",))
     assert cfg == {"k": 1}
     assert list(back) == ["enc.0", "gen.0"]
     assert np.array_equal(back["gen.0"], np.eye(2))
     p.write_bytes(p.read_bytes() + b"\x00")
     with pytest.raises(ContainerError, match="1 trailing bytes"):
-        load_checkpoint(p, ("opt_",))
+        load_checkpoint(p, lambda config: ("opt_",))
 
 
 def test_checkpoint_blob_length_past_end_is_truncation(tmp_path):

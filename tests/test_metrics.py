@@ -6,8 +6,9 @@ import pytest
 
 from vidchain import autodiff as ad
 from vidchain.autodiff import NumericsError, Tensor, backward
+from vidchain.layers import apply_mlp, init_mlp
 from vidchain.metrics import (
-    FeatureExtractor, GaussianFit, ProbeClassifier, frechet_distance,
+    FeatureExtractor, GaussianFit, frechet_distance,
     SegmentRows, fvd_ratio, inception_score, read_metric_report,
     segment_features,
     segmentwise_scores, train_probe, write_metric_report,
@@ -439,7 +440,8 @@ def accuracy(probe, features, labels):
 
 
 def test_probe_outputs_are_distributions():
-    probe = ProbeClassifier(8, 4)
+    feats, labels = blob_data(n_per_class=3)
+    probe = train_probe(feats, labels, RandomStream.from_seed(0, "p"), epochs=0)
     probs = probe.predict_proba(np.random.default_rng(0).standard_normal((9, 8)))
     assert probs.shape == (9, 4)
     assert probs.min() >= 0.0
@@ -459,8 +461,7 @@ def test_probe_deterministic_per_stream():
     feats, labels = blob_data(n_per_class=20)
     a = train_probe(feats, labels, RandomStream.from_seed(3, "p"), epochs=5)
     b = train_probe(feats, labels, RandomStream.from_seed(3, "p"), epochs=5)
-    assert all(np.array_equal(x.data, y.data)
-               for x, y in zip(a.params, b.params))
+    assert all(np.array_equal(x, y) for x, y in zip(a.params, b.params))
 
 
 def test_probe_label_permutation_hits_chance():
@@ -473,18 +474,29 @@ def test_probe_label_permutation_hits_chance():
     assert accuracy(probe, feats[160:], labels[160:]) < 0.5
 
 
+def taped_log_probs(params, features):
+    """The probe's row-wise log class distribution, recorded on the tape."""
+    logits = apply_mlp(params, features)
+    shifted = logits - Tensor(np.max(logits.data, axis=1, keepdims=True))
+    return shifted - ad.log(ad.sum(ad.exp(shifted), axis=1, keepdims=True))
+
+
+def taped_proba(params, features):
+    return np.exp(taped_log_probs(params, Tensor(features)).data)
+
+
 def taped_train_probe(features, labels, stream, *, hidden=24, epochs=60,
                       batch=32, lr=5e-3):
     """The probe fit recorded on the autodiff tape, step by step: the oracle
-    `train_probe` must match bit for bit."""
+    `train_probe` must match bit for bit.  Returns the parameter Tensors."""
     x = np.asarray(features, dtype=np.float64)
     y = np.asarray(labels)
     classes = np.unique(y)
     class_index = {int(c): i for i, c in enumerate(classes)}
     onehot = np.zeros((len(y), len(classes)))
     onehot[np.arange(len(y)), [class_index[int(v)] for v in y]] = 1.0
-    probe = ProbeClassifier(x.shape[1], len(classes),
-                            hidden=hidden, seed=int(stream.integers(0, 2**31, ())))
+    init = RandomStream.from_seed(int(stream.integers(0, 2**31, ())), "probe-init")
+    params = init_mlp(init, (x.shape[1], hidden, len(classes)), bias_init=0.05)
     opt = AdamState(lr=lr)
     n = len(x)
     for epoch in range(epochs):
@@ -492,12 +504,12 @@ def taped_train_probe(features, labels, stream, *, hidden=24, epochs=60,
         for lo in range(0, n, batch):
             rows = order[lo:lo + batch]
             with ad.GradTape():
-                logp = probe.log_probs(Tensor(x[rows]))
+                logp = taped_log_probs(params, Tensor(x[rows]))
                 loss = ad.mean(ad.sum(ad.mul(Tensor(-onehot[rows]), logp),
                                       axis=1))
-                grads = backward(loss, probe.params)
-            probe.params = adam_step(opt, probe.params, grads)
-    return probe
+                grads = backward(loss, params)
+            params = adam_step(opt, params, grads)
+    return params
 
 
 @pytest.mark.parametrize("rows,dim,labels,batch", [
@@ -515,17 +527,18 @@ def test_probe_fit_matches_the_taped_oracle(rows, dim, labels, batch):
     kwargs = dict(hidden=9, epochs=6, batch=batch, lr=2e-2)
     fit = train_probe(x, y, RandomStream.from_seed(1, "fit"), **kwargs)
     oracle = taped_train_probe(x, y, RandomStream.from_seed(1, "fit"), **kwargs)
-    for p, q in zip(fit.params, oracle.params):
-        assert p.shape == q.shape and p.data.tobytes() == q.data.tobytes()
-    assert fit.predict_proba(x).tobytes() == oracle.predict_proba(x).tobytes()
+    for p, q in zip(fit.params, oracle, strict=True):
+        assert p.shape == q.shape and p.tobytes() == q.data.tobytes()
+    assert fit.predict_proba(x).tobytes() == taped_proba(oracle, x).tobytes()
 
 
 def test_probe_default_fit_matches_the_taped_oracle():
     feats, labels = blob_data(n_per_class=20)
     fit = train_probe(feats, labels, RandomStream.from_seed(2, "p"))
     oracle = taped_train_probe(feats, labels, RandomStream.from_seed(2, "p"))
-    assert all(p.data.tobytes() == q.data.tobytes()
-               for p, q in zip(fit.params, oracle.params))
+    assert all(p.tobytes() == q.data.tobytes()
+               for p, q in zip(fit.params, oracle, strict=True))
+    assert fit.predict_proba(feats).tobytes() == taped_proba(oracle, feats).tobytes()
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -540,8 +553,6 @@ def test_probe_rejects_single_class():
     with pytest.raises(ValueError, match="class"):
         train_probe(np.zeros((10, 4)), np.zeros(10),
                     RandomStream.from_seed(0, "x"))
-    with pytest.raises(ValueError, match="class"):
-        ProbeClassifier(4, 1)
 
 
 # -- report files --------------------------------------------------------------------

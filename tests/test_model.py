@@ -334,6 +334,48 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path, monkeypatch):
     assert back.opts["opt_d"].step == 0 and back.opts["opt_d"].m is None
 
 
+def test_load_resolves_once_then_holds_what_runs(tmp_path, monkeypatch):
+    """`ModelBundle.load(path, resolve, runs)` calls `resolve` once, on the
+    stored config, before any array is read, and holds exactly the stacks
+    `runs(cfg)` names with fresh optimizers; the other arrays are seeked
+    past.  With the defaults it holds every array, bit for bit."""
+    import vidchain.container as container
+    bundle, path = _trained_checkpoint(tmp_path)
+    events = []
+    read = container._read_array
+
+    def spy_read(fh, size, name, skip=False):
+        events.append(("read", name.rsplit(":", 1)[1], skip))
+        return read(fh, size, name, skip)
+
+    def resolve(stored):
+        events.append(("resolve", stored))
+        return RunConfig.from_dict(stored).replace(steps=9)
+
+    def runs(cfg):
+        events.append(("runs", cfg))
+        return ("g_t", "content_enc")
+
+    monkeypatch.setattr(container, "_read_array", spy_read)
+    lean = ModelBundle.load(path, resolve, runs)
+    assert events[0] == ("resolve", bundle.cfg.to_dict())
+    assert events[1] == ("runs", lean.cfg) and lean.cfg == bundle.cfg.replace(steps=9)
+    reads = events[2:]
+    assert len(reads) == len(bundle.state_arrays())
+    assert all(kind == "read" for kind, *_ in reads)
+    assert [name for _, name, skip in reads if not skip] == [
+        f"{name}.{i}" for name in ("content_enc", "g_t") for i in range(4)]
+    assert list(lean.components) == ["content_enc", "g_t"]
+    for name, params in lean.components.items():
+        assert [p.data.tobytes() for p in params] == [
+            p.data.tobytes() for p in bundle.components[name]]
+    assert all(opt.step == 0 and opt.m is None for opt in lean.opts.values())
+
+    full = ModelBundle.load(path)
+    assert full.cfg == bundle.cfg
+    assert _snapshot(full) == _snapshot(bundle)
+
+
 def test_checkpoint_keeps_its_step_after_further_steps(tmp_path):
     # moments are updated in place and state_arrays() returns live views of
     # them: a saved checkpoint must still hold the state of its own step

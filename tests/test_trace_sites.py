@@ -4,7 +4,8 @@
 A refactor that binds one of them early (a table built at import, a name
 imported under another module) leaves the wrapper uncalled, and that stage
 of the traced benchmark reads zero.  This runs one tiny step of each
-training phase, then a cold and a warm `eval --probe`, under the installed
+training phase, a `generate-long` of 3 sampled clips from the clip-phase
+checkpoint, then a cold and a warm `eval --probe`, under the installed
 tracer, in a child process so the patches stay there.
 """
 
@@ -33,7 +34,8 @@ cfg = RunConfig(t_c=4, r=2, height=4, width=4, channels=1, z_content=8,
 rng = np.random.default_rng(0)
 videos = [rng.uniform(-1, 1, (24,) + cfg.frame_shape) for _ in range(3)]
 tracer.phase = "clip"
-train_loop(ModelBundle.init(cfg), videos)
+clip_bundle = ModelBundle.init(cfg)
+train_loop(clip_bundle, videos)
 tracer.phase = "pairs"
 pairs, _ = build_pairs(videos, cfg)
 tracer.phase = "recall"
@@ -50,6 +52,11 @@ with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringI
                         rng.uniform(-1, 1, (12, 4, 4, 1)).astype(np.float32))
         records.append(ManifestRecord(name, 12, 4, 4, 1, i % 2))
     write_manifest(os.path.join(tmp, "manifest.tsv"), records)
+    ckpt = os.path.join(tmp, "clip.ckpt")
+    clip_bundle.save(ckpt)
+    tracer.phase = "generate-long"
+    assert main(["generate-long", "--ckpt", ckpt, "--out",
+                 os.path.join(tmp, "long.rcg"), "--clips", "3"]) == 0
     argv = ["eval", "--data", os.path.join(tmp, "video_0.rcg"), "--reference",
             tmp, "--report", os.path.join(tmp, "r.tsv"), "--seg-len", "4",
             "--probe"]
@@ -86,6 +93,11 @@ EXPECTED = {
     "eval-cold": ["metrics.train_probe", "optim.adam_step",
                   "container.load_dataset", *EVAL_SITES],
     "eval-warm": EVAL_SITES,
+    # the long-video stage: one checkpoint read, then 3 composed clips
+    "generate-long": ["container.load_checkpoint", "model.compose",
+                      "chain.chain_generate", "chain.clip", "container.append",
+                      *(f"layers.apply_mlp.{name}"
+                        for name in ("content_enc", "g_c", "g_t", "fusion"))],
 }
 
 
@@ -100,6 +112,10 @@ def test_every_patched_training_name_is_called():
     assert not missing, missing
     # one Adam step per group: 3 in a clip step, 3 in a recall step
     assert calls["clip|optim.adam_step"] == calls["recall|optim.adam_step"] == 3
+    # a sampled chain calls neither discriminator nor the motion encoder
+    assert not {f"generate-long|layers.apply_mlp.{name}"
+                for name in ("d_image", "d_video", "motion_enc")} & set(calls)
+    assert calls["generate-long|container.load_checkpoint"] == 1
     # a warm eval trains nothing and decodes no reference container
     assert not {f"eval-warm|{name}" for name in (
         "metrics.train_probe", "optim.adam_step", "container.load_dataset")} & set(calls)
