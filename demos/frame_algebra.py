@@ -42,11 +42,11 @@ def main():
     print(f"\n{len(video)}-frame video -> {len(clips)} overlapping clips "
           f"(t_c={t_c}, stride r={r})")
     rebuilt = stitch(clips, r)
-    covered = len(rebuilt.frames)
+    covered = len(rebuilt)
     print(f"stitch emits {covered} frames "
           f"((n-1)*r + t_c = {(len(clips)-1)*r + t_c})")
     print("stitched prefix identical to source:",
-          np.array_equal(rebuilt.frames, video[:covered]))
+          np.array_equal(rebuilt, video[:covered]))
 
     # overlap consistency: each clip's tail IS the next clip's head
     a, b = clips[0], clips[1]

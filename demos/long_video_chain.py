@@ -1,11 +1,12 @@
 """Chaining short clips into an arbitrarily long video with fixed memory.
 
 The model only ever generates t_c-frame clips.  To go longer, each clip
-hands one anchor frame to the next generation, and consecutive clips are
-blended over their r-frame overlap.  Two things are worth watching:
+hands one anchor frame to the next generation and emits its first r frames
+(the last clip all of them) as a block to a sink; nothing keeps the video
+unless the sink does.  Two things are worth watching:
 
 * the seam mismatch — how much clip j+1's head disagrees with clip j's
-  tail before blending — which recall training exists to shrink, and
+  tail — which recall training exists to shrink, and
 * the frame budget — the peak number of frames ever held in memory stays
   below 2*t_c no matter how long the video gets.
 """
@@ -44,7 +45,8 @@ def main():
     pairs, _ = build_pairs(videos, CFG)
     train_loop_recall(bundle, pairs)
 
-    after = chain_generate(bundle, n_clips=10, mode="mean")
+    blocks = []
+    after = chain_generate(bundle, n_clips=10, mode="mean", sink=blocks.append)
 
     print(f"\nchained {10} clips -> {after.frames_emitted} frames "
           f"((n-1)*r + t_c = {9 * CFG.r + CFG.t_c})")
@@ -54,12 +56,13 @@ def main():
         print(f"  seam {j}: {b:.4f} -> {a:.4f}")
     print(f"  mean   : {before.mean_mismatch:.4f} -> {after.mean_mismatch:.4f}")
 
-    # the emitted video really is one contiguous array of frames
-    video = after.video.frames
+    # the emitted blocks join into one contiguous array of frames
+    video = np.concatenate(blocks)
     print(f"\nvideo array: {video.shape}, values clamped to "
           f"[{video.min():.2f}, {video.max():.2f}]")
 
-    # memory does not grow with length: generate 4x longer, same peak
+    # memory does not grow with length: generate 4x longer, same peak (with
+    # no sink, the frames are dropped as they are made)
     longer = chain_generate(bundle, n_clips=40, mode="mean")
     print(f"40 clips -> {longer.frames_emitted} frames, "
           f"peak still {longer.peak_frames}")

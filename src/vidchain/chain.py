@@ -20,9 +20,9 @@ Generation then runs the same chaining forever in fixed memory.  The chain
 is a Markov chain whose state between clips is two things: the overlap
 ``tail`` (the previous clip's last ``t_c - r`` frames, of which
 ``tail[ref - 1]`` is the carried frame) and the motion latent ``z_v``.
-``chain_generate`` emits each clip's first ``r`` frames (the final clip
-fully) and accounts every frame-sized buffer it retains against a budget of
-two clips.
+``chain_generate`` hands each clip's first ``r`` frames (the final clip
+fully) to a sink as one ``(k, H, W, C)`` block, keeps none of them, and
+accounts every frame-sized buffer it retains against a budget of two clips.
 
 Latent modes:
 
@@ -37,7 +37,7 @@ Latent modes:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,7 +50,6 @@ from .losses import (
 )
 from .model import GEN_GROUP, ModelBundle, clips_to_tensor
 from .rng import RandomStream
-from .video import LongVideo
 
 # Not called here; perfbench/layertrace.py patches both names in this module.
 from .autodiff import backward  # noqa: F401
@@ -217,12 +216,10 @@ class FrameBudget:
 
 @dataclass
 class ChainResult:
-    video: LongVideo | None          # None when frames went to a sink
     frames_emitted: int
-    clip_count: int
     stride: int
-    mismatches: list = field(default_factory=list)  # per-seam mean |tail - head|
-    peak_frames: int = 0
+    mismatches: list        # per-seam mean |tail - head|
+    peak_frames: int
 
     @property
     def mean_mismatch(self) -> float:
@@ -242,8 +239,9 @@ def chain_generate(bundle: ModelBundle, n_clips: int, mode: str = "sampled",
     """Generate (n_clips - 1) * r + t_c frames by chaining clips through the
     encoders, keeping at most two clips' worth of frames alive.
 
-    `sink(block)` receives (k, H, W, C) float64 frame blocks as they are
-    emitted; without a sink the frames are collected into a LongVideo.
+    `sink(block)` receives (k, H, W, C) float64 frame blocks, read-only
+    views of the composed clip, as they are emitted; without a sink the
+    frames are dropped.
     """
     cfg = bundle.cfg
     t_c = cfg.t_c
@@ -260,9 +258,6 @@ def chain_generate(bundle: ModelBundle, n_clips: int, mode: str = "sampled",
     olap = t_c - r                       # tail length = shared frames per seam
     ref = _ref_index(t_c)                # the first clip's reference index
     budget = FrameBudget()
-    collected = [] if sink is None else None
-    if sink is None:
-        sink = lambda block: collected.append(block.copy())
 
     # the chain's state between clips: the overlap tail and the motion latent
     tail: np.ndarray | None = None       # (olap, D) frames shared with next clip
@@ -294,7 +289,8 @@ def chain_generate(bundle: ModelBundle, n_clips: int, mode: str = "sampled",
             budget.release(olap)
 
         last = j == n_clips - 1
-        sink((clip if last else clip[:r]).reshape((-1,) + cfg.frame_shape))
+        if sink is not None:
+            sink((clip if last else clip[:r]).reshape((-1,) + cfg.frame_shape))
 
         if not last:
             if mode == "mean":
@@ -307,10 +303,7 @@ def chain_generate(bundle: ModelBundle, n_clips: int, mode: str = "sampled",
         budget.release(t_c)
         ref = chain_ref_frame(t_c, r) - r
 
-    video = (None if collected is None else
-             LongVideo(np.concatenate(collected, axis=0), n_clips, r, t_c))
-    return ChainResult(video, (n_clips - 1) * r + t_c, n_clips, r, mismatches,
-                       budget.peak)
+    return ChainResult((n_clips - 1) * r + t_c, r, mismatches, budget.peak)
 
 
 def chain_overlap_mismatch(bundle: ModelBundle, n_clips: int,
@@ -319,6 +312,5 @@ def chain_overlap_mismatch(bundle: ModelBundle, n_clips: int,
                            r: int | None = None) -> float:
     """Mean absolute tail-vs-head disagreement across all seams of one chain
     (frames are discarded as they are produced)."""
-    result = chain_generate(bundle, n_clips, mode=mode, stream=stream, r=r,
-                            sink=lambda block: None)
-    return result.mean_mismatch
+    return chain_generate(bundle, n_clips, mode=mode, stream=stream,
+                          r=r).mean_mismatch

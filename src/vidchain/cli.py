@@ -231,9 +231,8 @@ def cmd_generate_long(args) -> int:
         raise ConfigError(f"generate-long needs 1 <= --stride < t_c={cfg.t_c}, "
                           f"got {stride}")
     with ContainerWriter(_resolve_out(args.out), cfg.frame_shape) as writer:
-        result = chain_generate(
-            bundle, args.clips, mode=cfg.gen_mode, r=stride,
-            sink=lambda block: writer.append(block.astype(np.float32)))
+        result = chain_generate(bundle, args.clips, mode=cfg.gen_mode, r=stride,
+                                sink=writer.append)
     if args.report:
         rows = [("seam_mismatch", j, m) for j, m in enumerate(result.mismatches)]
         rows += [("mean_mismatch", "-", result.mean_mismatch),
@@ -394,10 +393,8 @@ def cmd_roundtrip_check(args) -> int:
             ok_ref &= bool(np.array_equal(rebuilt, clip))
         r = max(1, t_c // 2)
         if len(video) >= t_c + r:
-            clips = segment_overlapping(video, t_c, r)
-            long = stitch(clips, r)
-            ok_stitch &= bool(
-                np.array_equal(long.frames, video[:len(long.frames)]))
+            long = stitch(segment_overlapping(video, t_c, r), r)
+            ok_stitch &= bool(np.array_equal(long, video[:len(long)]))
     check("decompose-reconstruct-roundtrip", ok_round)
     check("reference-frame-reconstruction", ok_ref)
     check("segment-stitch-identity", ok_stitch)
@@ -413,8 +410,6 @@ def cmd_ablate(args) -> int:
     base = _training_bundle(args)
     cfg = base.cfg
     videos, _ = _load_videos(args.data)
-    out_dir = _resolve_out(args.out)
-    os.makedirs(out_dir, exist_ok=True)
 
     if not args.init:
         train_loop(base, videos)
@@ -429,7 +424,7 @@ def cmd_ablate(args) -> int:
         bundle = ModelBundle.init(vcfg, base_state)
         train_loop_recall(bundle, build_pairs(videos, vcfg)[0])
         return chain_generate(bundle, max(ABLATE_CLIP_COUNTS), mode="mean",
-                              r=cfg.r, sink=lambda block: None).mismatches
+                              r=cfg.r).mismatches
 
     def mismatch(ovi: bool, mgv: bool, r: int, n_clips: int) -> float:
         return float(np.mean(seams(ovi, mgv, r)[:n_clips - 1]))
@@ -439,7 +434,8 @@ def cmd_ablate(args) -> int:
     t11 = [((n - 1) * cfg.r + cfg.t_c, mismatch(True, False, cfg.r, n),
             mismatch(False, True, cfg.r, n), mismatch(True, True, cfg.r, n))
            for n in ABLATE_CLIP_COUNTS]
-    write_table(os.path.join(out_dir, "table11.tsv"),
+    # --out is made only now, when there is a table to write in it
+    write_table(_resolve_out(os.path.join(args.out, "table11.tsv")),
                 ("length", "ovi", "mgv", "recall"), t11)
 
     # overlap sweep: training-pair overlap o -> pair stride t_c - o; overlap
@@ -450,7 +446,7 @@ def cmd_ablate(args) -> int:
         if stride >= 1:          # the overlap fits in the clip
             key = (True, True, stride) if overlap else (False, True, cfg.r)
             t10.append((overlap, stride, mismatch(*key, ABLATE_PROBE_CLIPS)))
-    write_table(os.path.join(out_dir, "table10.tsv"),
+    write_table(_resolve_out(os.path.join(args.out, "table10.tsv")),
                 ("overlap", "stride", "mismatch"), t10)
 
     wins = sum(recall < ovi for _, ovi, _, recall in t11)

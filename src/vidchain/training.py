@@ -117,10 +117,19 @@ def _run(bundle: ModelBundle, label: str, draw, step_fn, progress) -> list[dict]
     return reports
 
 
+def _check_frames(videos, cfg: RunConfig) -> None:
+    """Every video's frames must have the config's (H, W, C) shape."""
+    for i, video in enumerate(videos):
+        if np.shape(video)[1:] != cfg.frame_shape:
+            raise ValueError(f"video {i} has frames of shape {np.shape(video)[1:]}, "
+                             f"the config's frame_shape is {cfg.frame_shape}")
+
+
 def train_loop(bundle: ModelBundle, videos, progress=None) -> list[dict]:
     """Run cfg.steps clip steps; returns the per-step loss reports."""
     if len(videos) == 0:
         raise ValueError("no videos to train on")
+    _check_frames(videos, bundle.cfg)
     return _run(bundle, "train", lambda step, sstream: sample_batch(
         videos, bundle.cfg, step, sstream.split("batch")), train_step, progress)
 
@@ -128,6 +137,7 @@ def train_loop(bundle: ModelBundle, videos, progress=None) -> list[dict]:
 def build_pairs(videos, cfg: RunConfig):
     """Training pairs at the configured stride: overlapping (stride r) when
     cfg.ovi, disjoint consecutive clips (stride t_c) otherwise."""
+    _check_frames(videos, cfg)
     stride = cfg.r if cfg.ovi else cfg.t_c
     return make_training_pairs(videos, cfg.t_c, stride)
 

@@ -1,7 +1,8 @@
 """Pure-function algebra of frames, difference maps, clips, and long videos.
 
 Conventions: a Frame is an (H, W, C) float array; a VideoClip is (T, H, W, C);
-a DiffSequence is (T-1, H, W, C) of signed consecutive-frame differences.
+a DiffSequence is (T-1, H, W, C) of signed consecutive-frame differences; a
+long video is an (L, H, W, C) array like any other video.
 Difference maps are kept signed so that decomposition and reconstruction are
 exact inverses at 64-bit precision — nothing in this module clamps, blends, or
 interpolates.  Pixel clamping to [-1, 1] belongs to the generation boundary,
@@ -10,36 +11,12 @@ not to the algebra.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 __all__ = [
-    "LongVideo", "decompose", "reconstruct", "reconstruct_from_reference",
+    "decompose", "reconstruct", "reconstruct_from_reference",
     "stitch", "segment_overlapping", "segment_nonoverlapping",
 ]
-
-
-@dataclass
-class LongVideo:
-    """A stitched frame sequence plus the chain geometry that produced it.
-
-    Length invariant: len(frames) == (clip_count - 1) * stride + clip_len.
-    """
-
-    frames: np.ndarray  # (L, H, W, C)
-    clip_count: int
-    stride: int
-    clip_len: int
-
-    def __post_init__(self):
-        want = (self.clip_count - 1) * self.stride + self.clip_len
-        if len(self.frames) != want:
-            raise ValueError(
-                f"long video has {len(self.frames)} frames, geometry implies {want}")
-
-    def __len__(self) -> int:
-        return len(self.frames)
 
 
 def _require_clip(clip: np.ndarray) -> np.ndarray:
@@ -93,8 +70,8 @@ def reconstruct_from_reference(ref: np.ndarray, r: int, motion: np.ndarray) -> n
     return np.concatenate([back[:0:-1], forward])
 
 
-def stitch(clips, r: int) -> LongVideo:
-    """Assemble overlapping clips into one long video.
+def stitch(clips, r: int) -> np.ndarray:
+    """Assemble overlapping clips into one (L, H, W, C) long video.
 
     Clip j contributes its first r frames at offset j*r; the final clip also
     contributes its tail, so the result has exactly (N-1)*r + T_c frames.
@@ -110,12 +87,7 @@ def stitch(clips, r: int) -> LongVideo:
             raise ValueError("clips must share length and frame dimensions")
     if not 1 <= r < t_c:
         raise ValueError(f"stride {r} outside 1..{t_c - 1}")
-    n = len(clips)
-    out = np.empty(((n - 1) * r + t_c,) + clips[0].shape[1:], dtype=clips[0].dtype)
-    for j, c in enumerate(clips):
-        out[j * r: j * r + r] = c[:r]
-    out[(n - 1) * r:] = clips[-1]
-    return LongVideo(out, clip_count=n, stride=r, clip_len=t_c)
+    return np.concatenate([c[:r] for c in clips[:-1]] + [clips[-1]])
 
 
 def segment_overlapping(video: np.ndarray, t_c: int, r: int) -> list[np.ndarray]:

@@ -125,7 +125,7 @@ def test_criterion_01_frame_algebra_exact():
             nxt = np.concatenate([clips[-1][r:], grid_clip((r, 2, 2, 1))])
             clips.append(nxt)
         long = stitch(clips, r)
-        lengths_ok += len(long.frames) == (n - 1) * r + t
+        lengths_ok += len(long) == (n - 1) * r + t
 
     seconds = time.perf_counter() - t0
     ok = roundtrips == 100 and ref_ok == 100 and lengths_ok == 200

@@ -241,20 +241,28 @@ def test_train_step_recall_deterministic():
 
 # -- fixed-memory chained generation --------------------------------------------------
 
+def chain_frames(bundle, n_clips, **kwargs):
+    """A chain's result and its (L, H, W, C) frames, gathered from the
+    blocks its sink receives (read-only views of `Tensor` data)."""
+    blocks = []
+    result = chain_generate(bundle, n_clips, sink=blocks.append, **kwargs)
+    assert all(not block.flags.writeable for block in blocks)
+    return result, np.concatenate(blocks)
+
+
 def test_chain_single_clip():
     bundle = tiny_bundle()
-    result = chain_generate(bundle, 1)
+    result, frames = chain_frames(bundle, 1)
     assert result.frames_emitted == TINY.t_c
-    assert result.video.frames.shape == (TINY.t_c,) + TINY.frame_shape
+    assert frames.shape == (TINY.t_c,) + TINY.frame_shape
     assert result.mismatches == []
-    assert result.video.clip_count == 1
 
 
 def test_chain_length_formula():
     bundle = tiny_bundle()
-    result = chain_generate(bundle, 5)
+    result, frames = chain_frames(bundle, 5)
     assert result.frames_emitted == 4 * TINY.r + TINY.t_c   # 12
-    assert len(result.video.frames) == 12
+    assert len(frames) == 12
     assert len(result.mismatches) == 4
     assert all(m >= 0.0 for m in result.mismatches)
 
@@ -262,60 +270,65 @@ def test_chain_length_formula():
 def test_chain_default_geometry_19_clips():
     cfg = RunConfig(seed=1)          # 16-frame clips, stride 8
     bundle = ModelBundle.init(cfg)
-    result = chain_generate(bundle, 19)
-    assert result.video.frames.shape == (160, 16, 16, 1)
-    assert result.video.stride == 8
-    assert result.video.clip_len == 16
+    result, frames = chain_frames(bundle, 19)
+    assert frames.shape == (160, 16, 16, 1)
+    assert result.frames_emitted == 160
+    assert result.stride == 8
 
 
 def test_chain_output_is_clamped():
     bundle = tiny_bundle()
-    result = chain_generate(bundle, 6)
-    assert result.video.frames.min() >= -1.0
-    assert result.video.frames.max() <= 1.0
+    frames = chain_frames(bundle, 6)[1]
+    assert frames.min() >= -1.0
+    assert frames.max() <= 1.0
 
 
 def test_chain_sampled_deterministic_per_seed():
     bundle = tiny_bundle()
-    a = chain_generate(bundle, 4, stream=stream("chain", seed=1))
-    b = chain_generate(bundle, 4, stream=stream("chain", seed=1))
-    c = chain_generate(bundle, 4, stream=stream("chain", seed=2))
-    assert np.array_equal(a.video.frames, b.video.frames)
-    assert not np.array_equal(a.video.frames, c.video.frames)
+    a, b, c = (chain_frames(bundle, 4, stream=stream("chain", seed=seed))[1]
+               for seed in (1, 1, 2))
+    assert np.array_equal(a, b)
+    assert not np.array_equal(a, c)
 
 
 def test_chain_mean_mode_ignores_stream():
     bundle = tiny_bundle()
-    a = chain_generate(bundle, 4, mode="mean", stream=stream("s", seed=1))
-    b = chain_generate(bundle, 4, mode="mean", stream=stream("t", seed=99))
-    assert np.array_equal(a.video.frames, b.video.frames)
+    a = chain_frames(bundle, 4, mode="mean", stream=stream("s", seed=1))[1]
+    b = chain_frames(bundle, 4, mode="mean", stream=stream("t", seed=99))[1]
+    assert np.array_equal(a, b)
 
 
 def test_chain_seeded_mode_deterministic():
     bundle = tiny_bundle()
-    a = chain_generate(bundle, 4, mode="seeded", stream=stream("s", seed=1))
-    b = chain_generate(bundle, 4, mode="seeded", stream=stream("s", seed=1))
-    assert np.array_equal(a.video.frames, b.video.frames)
+    a = chain_frames(bundle, 4, mode="seeded", stream=stream("s", seed=1))[1]
+    b = chain_frames(bundle, 4, mode="seeded", stream=stream("s", seed=1))[1]
+    assert np.array_equal(a, b)
 
 
 def test_chain_modes_differ():
     bundle = tiny_bundle()
-    frames = {mode: chain_generate(bundle, 4, mode=mode,
-                                   stream=stream("s", seed=1)).video.frames
+    frames = {mode: chain_frames(bundle, 4, mode=mode,
+                                 stream=stream("s", seed=1))[1]
               for mode in ("sampled", "mean", "seeded")}
     assert not np.array_equal(frames["sampled"], frames["mean"])
     assert not np.array_equal(frames["sampled"], frames["seeded"])
 
 
-def test_chain_sink_matches_collected():
+def test_chain_without_sink_drops_frames():
+    """A chain without a sink runs the same chain and reports the same
+    result; the frames it would have emitted are dropped.  With a sink, the
+    blocks hold exactly `frames_emitted` rows."""
     bundle = tiny_bundle()
-    collected = chain_generate(bundle, 5, mode="mean")
-    blocks = []
-    streamed = chain_generate(bundle, 5, mode="mean", sink=blocks.append)
-    assert streamed.video is None
-    assert streamed.frames_emitted == collected.frames_emitted
-    assert np.array_equal(np.concatenate(blocks), collected.video.frames)
-    assert streamed.mismatches == collected.mismatches
+    for mode in ("sampled", "mean"):
+        dropped = chain_generate(bundle, 5, mode=mode, stream=stream("c", seed=2))
+        blocks = []
+        streamed = chain_generate(bundle, 5, mode=mode,
+                                  stream=stream("c", seed=2), sink=blocks.append)
+        assert (dropped.mismatches, dropped.peak_frames, dropped.frames_emitted,
+                dropped.stride) == (streamed.mismatches, streamed.peak_frames,
+                                    streamed.frames_emitted, streamed.stride)
+        assert sum(len(block) for block in blocks) == streamed.frames_emitted
+        assert [len(block) for block in blocks] == [TINY.r] * 4 + [TINY.t_c]
 
 
 def test_chain_peak_frames_below_two_clips():
@@ -338,9 +351,9 @@ def test_one_clip_chain_peaks_at_one_clip():
 
 def test_chain_stride_override():
     bundle = tiny_bundle()
-    result = chain_generate(bundle, 5, r=1)
-    assert result.frames_emitted == 4 * 1 + TINY.t_c
-    assert result.video.stride == 1
+    result, frames = chain_frames(bundle, 5, r=1)
+    assert result.frames_emitted == len(frames) == 4 * 1 + TINY.t_c
+    assert result.stride == 1
 
 
 @pytest.mark.parametrize("r", [None, 1, 3])
@@ -354,12 +367,12 @@ def test_chain_is_a_markov_chain(mode, r):
     bundle = tiny_bundle()
     stride = TINY.r if r is None else r
     n, k = 3, 4
-    short, long = (chain_generate(bundle, clips, mode=mode, r=r,
-                                  stream=stream("chain", seed=4))
-                   for clips in (n, n + k))
-    assert long.video.frames[:n * stride].tobytes() == \
-        short.video.frames[:n * stride].tobytes()
-    assert len(short.video.frames) == (n - 1) * stride + TINY.t_c
+    (short, short_frames), (long, long_frames) = (
+        chain_frames(bundle, clips, mode=mode, r=r, stream=stream("chain", seed=4))
+        for clips in (n, n + k))
+    assert long_frames[:n * stride].tobytes() == \
+        short_frames[:n * stride].tobytes()
+    assert len(short_frames) == (n - 1) * stride + TINY.t_c
     assert short.mismatches == long.mismatches[:n - 1]
     assert len(long.mismatches) == n + k - 1
 

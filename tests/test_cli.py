@@ -60,6 +60,25 @@ def test_dataset_gen_writes_manifest(tmp_path):
     assert run(["roundtrip-check", "--data", out, "--t-c", "16"]) == 0
 
 
+def test_roundtrip_check_reports_failed_invariants(tmp_path, capsys):
+    """Pixels off the float32-sum grid break the float64 running sums, so
+    both reconstruction invariants fail; stitching only copies frames and
+    still passes.  The failures exit 5 after every check has printed."""
+    video = np.array([1e-8, 3e7, -7e-9] * 3, np.float32)[:8].reshape(8, 1, 1, 1)
+    write_container(tmp_path / "v.rcg", video)
+    assert run(["roundtrip-check", "--data", tmp_path / "v.rcg",
+                "--t-c", "4"]) == 5
+    out, err = capsys.readouterr()
+    assert out.splitlines() == [
+        "FAIL decompose-reconstruct-roundtrip",
+        "FAIL reference-frame-reconstruction",
+        "PASS segment-stitch-identity",
+        "checked videos=1 t_c=4"]
+    assert err.splitlines() == [
+        "error code=numeric detail=invariants failed: "
+        "decompose-reconstruct-roundtrip, reference-frame-reconstruction"]
+
+
 def test_dataset_gen_deterministic(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     for out in (a, b):
@@ -367,6 +386,15 @@ _DAMAGED = {
                   *TINY_FLAGS], None, 4, "dimension", id="train-empty-dataset"),
     pytest.param(["ablate", "--data", "HEADER_ONLY", "--out", "DIR", "--steps", "1",
                   *TINY_FLAGS], None, 4, "dimension", id="ablate-empty-dataset"),
+    pytest.param(["ablate", "--data", "HEADER_ONLY", "--out", "NEW_DIR", "--steps",
+                  "1", *TINY_FLAGS], None, 4, "dimension",
+                 id="ablate-empty-dataset-new-out"),
+    # frames of another (H, W, C) than the config's are refused by name
+    pytest.param(_TRAIN + [*TINY_FLAGS, "--height", "8"], None, 4, "dimension",
+                 id="train-frame-shape-mismatch"),
+    pytest.param(["train-recall", "--data", "DATA", "--out", "OUT", "--steps", "1",
+                  *TINY_FLAGS, "--height", "8"], None, 4, "dimension",
+                 id="train-recall-frame-shape-mismatch"),
     pytest.param(["roundtrip-check", "--data", "HEADER_ONLY"], None, 4,
                  "dimension", id="roundtrip-check-empty-dataset"),
     # a refused dataset-gen leaves no directory behind
@@ -473,6 +501,8 @@ def test_cli_error_contract(tiny_dataset, tmp_path, capsys, argv, config, code,
         assert "payload is" in line
     if "NAN_PIXEL" in argv:
         assert "video_00000.rcg" in line and "non-finite" in line
+    if argv[-2:] == ["--height", "8"]:
+        assert "(4, 4, 1)" in line and "(8, 4, 1)" in line
     if "UNDER_FILE" in argv:
         assert "[Errno 20] Not a directory" in line or "[Errno 17] File exists" in line
     if "--stride" in argv or (argv[0] == "roundtrip-check" and kind == "config"):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from vidchain.rng import RandomStream
-from vidchain.video import (LongVideo, decompose, reconstruct,
+from vidchain.video import (decompose, reconstruct,
                             reconstruct_from_reference, segment_nonoverlapping,
                             segment_overlapping, stitch)
 
@@ -160,8 +160,8 @@ def test_reference_index_out_of_range():
 def test_stitch_single_clip_is_identity():
     clip = random_clip(RandomStream.from_seed(47), t=6)
     video = stitch([clip], r=3)
-    assert len(video) == 6
-    assert np.array_equal(video.frames, clip)
+    assert isinstance(video, np.ndarray)
+    assert np.array_equal(video, clip)
 
 
 def test_stitch_hand_example():
@@ -169,7 +169,7 @@ def test_stitch_hand_example():
     b = pix(*range(11, 15))
     video = stitch([a, b], r=2)
     assert len(video) == 6
-    assert np.allclose(video.frames.reshape(-1), [1, 2, 11, 12, 13, 14])
+    assert np.allclose(video.reshape(-1), [1, 2, 11, 12, 13, 14])
 
 
 def test_stitch_three_sixteen_frame_clips_at_stride_eight():
@@ -192,7 +192,7 @@ def test_every_stitched_frame_comes_from_an_input_clip():
     clips = [random_clip(r, t=5, h=2, w=2) for _ in range(4)]
     video = stitch(clips, r=2)
     pool = np.concatenate(clips)
-    for frame in video.frames:
+    for frame in video:
         assert any(np.array_equal(frame, f) for f in pool)
 
 
@@ -203,11 +203,6 @@ def test_stitch_errors():
         stitch([np.zeros((4, 2, 2, 1)), np.zeros((5, 2, 2, 1))], r=2)
     with pytest.raises(ValueError):
         stitch([np.zeros((4, 2, 2, 1))], r=4)
-
-
-def test_long_video_geometry_validated():
-    with pytest.raises(ValueError):
-        LongVideo(np.zeros((10, 1, 1, 1)), clip_count=2, stride=8, clip_len=16)
 
 
 # -- segmentation -------------------------------------------------------------------
@@ -231,7 +226,7 @@ def test_segmentation_inverts_stitch_for_overlap_consistent_clips():
     r = RandomStream.from_seed(50)
     video = r.normal((40, 2, 2, 1)).astype(np.float32).astype(np.float64)
     clips = segment_overlapping(video, t_c=16, r=8)
-    back = segment_overlapping(stitch(clips, 8).frames, t_c=16, r=8)
+    back = segment_overlapping(stitch(clips, 8), t_c=16, r=8)
     assert len(back) == len(clips)
     for a, b in zip(clips, back):
         assert np.array_equal(a, b)
