@@ -6,10 +6,13 @@ Conventions
 -----------
 * Every run is determined by (config, seed): same inputs produce the same
   output bytes.  Reports carry no timestamps and echo paths as given.
-* Config resolution order: built-in defaults < checkpoint-stored config
-  (where a checkpoint is loaded) < --config file < individual flags.
+* Config resolution order: train, train-recall and ablate take built-in
+  defaults < checkpoint-stored config (with --init) < --config file <
+  individual flags; generate and generate-long take the stored config
+  under --seed (and --gen-mode), the only fields they read.
 * The single honored environment variable is VIDCHAIN_OUT: when set,
   relative output paths are created under it.  Inputs are never remapped.
+  An unusable --out or --report fails (exit 3) before any work starts.
 * Every tab-separated file written (a dataset manifest, a metric report,
   an ablation table) is a ``# `` line of column names, then one line of
   tab-separated fields per row, floats as their shortest repr; it is
@@ -28,6 +31,7 @@ import argparse
 import contextlib
 import ctypes
 import dataclasses
+import errno
 import functools
 import hashlib
 import json
@@ -71,15 +75,33 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(2)
 
 
+def _out_path(path: str) -> str:
+    """Apply the output-directory override to a relative output path."""
+    return os.path.join(os.environ.get(OUT_ENV, ""), path)
+
+
 def _resolve_out(path: str) -> str:
-    """Apply the output-directory override to relative output paths."""
-    base = os.environ.get(OUT_ENV)
-    if base and not os.path.isabs(path):
-        path = os.path.join(base, path)
-    parent = os.path.dirname(path)
-    if parent:
-        os.makedirs(parent, exist_ok=True)
+    """`_out_path` with its parent directory made."""
+    path = _out_path(path)
+    if os.path.dirname(path):
+        os.makedirs(os.path.dirname(path), exist_ok=True)
     return path
+
+
+def _check_outputs(args) -> None:
+    """Raise, creating nothing, the OSError writing --out or --report would: a
+    file output that is a directory, or a path at or below a regular file where
+    a directory goes (dataset-gen and ablate write --out as a directory)."""
+    for name in ("out", "report"):
+        if getattr(args, name, None) is None:
+            continue
+        path = pathlib.Path(_out_path(getattr(args, name)))
+        is_dir = name == "out" and args.command in ("dataset-gen", "ablate")
+        if path.is_dir() and not is_dir:
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+        start = path if is_dir else path.parent
+        if not next(p for p in (start, *start.parents) if p.exists()).is_dir():
+            raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), str(path))
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
@@ -99,7 +121,7 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _effective_config(args, stored: dict | None = None) -> RunConfig:
-    """defaults < checkpoint-stored < --config file < flags."""
+    """defaults < checkpoint-stored < --config file < flags, as parsed."""
     merged = dict(stored) if stored else {}
     if getattr(args, "config", None):
         with open(args.config, "r", encoding="utf-8") as fh:
@@ -493,7 +515,7 @@ def build_parser() -> _Parser:
     p.add_argument("--ckpt", required=True, metavar="CKPT")
     p.add_argument("--out", required=True, metavar="FILE")
     p.add_argument("--count", type=int, default=8)
-    _add_config_flags(p)
+    p.add_argument("--seed", type=int, help="override the stored seed")
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("generate-long",
@@ -504,7 +526,8 @@ def build_parser() -> _Parser:
     p.add_argument("--stride", type=int, default=None,
                    help="generation stride (default: the config stride)")
     p.add_argument("--report", metavar="FILE")
-    _add_config_flags(p)
+    p.add_argument("--seed", type=int, help="override the stored seed")
+    p.add_argument("--gen-mode", help="override the stored gen_mode")
     p.set_defaults(func=cmd_generate_long)
 
     p = sub.add_parser("eval", help="segment-wise scores of generated videos")
@@ -555,6 +578,7 @@ def main(argv=None) -> int:
         # raised, which prints the one error line below; numpy's own
         # floating-point warnings would only repeat it on stderr
         with np.errstate(all="ignore"):
+            _check_outputs(args)
             return args.func(args)
     except ConfigError as exc:
         return _fail("config", 2, exc)

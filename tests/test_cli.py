@@ -1,5 +1,6 @@
 """Command-line surface: artifacts, exit codes, determinism, overrides."""
 
+import argparse
 import json
 import os
 import shutil
@@ -12,7 +13,7 @@ import pytest
 
 import vidchain
 from vidchain.chain import chain_overlap_mismatch
-from vidchain.cli import main
+from vidchain.cli import build_parser, main
 from vidchain.config import RunConfig
 from vidchain.container import (load_checkpoint, load_dataset, read_container,
                                 save_checkpoint, write_container)
@@ -161,6 +162,22 @@ def test_string_config_flags_reach_the_run(tiny_dataset, tmp_path, capsys):
     assert "mode=mean" in capsys.readouterr().out
 
 
+def test_generation_seed_flag_replaces_the_stored_seed(tiny_dataset, tmp_path):
+    """`generate --seed 7` and `generate-long --seed 7` write other bytes than
+    a run under the checkpoint's seed, and the same bytes when run again."""
+    ckpt = tmp_path / "m.ckpt"
+    assert run(["train", "--data", tiny_dataset, "--out", ckpt,
+                "--steps", "1", *TINY_FLAGS]) == 0
+    for command, *flags in (["generate", "--count", "3"],
+                            ["generate-long", "--clips", "3"]):
+        outs = []
+        for i, seed in enumerate(([], ["--seed", "7"], ["--seed", "7"])):
+            out = tmp_path / f"{command}{i}.rcg"
+            assert run([command, "--ckpt", ckpt, "--out", out, *flags, *seed]) == 0
+            outs.append(out.read_bytes())
+        assert outs[1] != outs[0] and outs[2] == outs[1], command
+
+
 def test_eval_self_scores_tiny(tiny_dataset, tmp_path):
     report = tmp_path / "eval.tsv"
     assert run(["eval", "--data", tiny_dataset, "--reference", tiny_dataset,
@@ -258,6 +275,8 @@ def _one_error_line(capsys, kind):
 
 _LONG = ["generate-long", "--ckpt", "CKPT", "--out", "OUT", "--clips", "2"]
 _TRAIN = ["train", "--data", "DATA", "--out", "OUT", "--steps", "1"]
+# the command that reads --config on top of a checkpoint's stored config
+_RECALL = ["train-recall", "--data", "DATA", "--init", "CKPT", "--out", "OUT"]
 
 
 def _edit_manifest(dataset, old, new):
@@ -310,13 +329,13 @@ _DAMAGED = {
 
 
 @pytest.mark.parametrize("argv,config,code,kind", [
-    pytest.param(_LONG + ["--config", "CFG"], b"{not json", 2, "config",
+    pytest.param(_RECALL + ["--config", "CFG"], b"{not json", 2, "config",
                  id="config-not-json"),
-    pytest.param(_LONG + ["--config", "CFG"], b"[1, 2]", 2, "config",
+    pytest.param(_RECALL + ["--config", "CFG"], b"[1, 2]", 2, "config",
                  id="config-not-object"),
-    pytest.param(_LONG + ["--config", "CFG"], b"\xff{}", 2, "config",
+    pytest.param(_RECALL + ["--config", "CFG"], b"\xff{}", 2, "config",
                  id="config-not-utf8"),
-    pytest.param(_LONG + ["--config", "DIR"], None, 3, "missing-file",
+    pytest.param(_RECALL + ["--config", "DIR"], None, 3, "missing-file",
                  id="config-is-dir"),
     pytest.param(_TRAIN + ["--config", "CFG"], b'{"hidden": 1.5}', 2, "config",
                  id="config-int-field-float"),
@@ -328,8 +347,17 @@ _DAMAGED = {
                  id="config-bool-field-string"),
     pytest.param(_TRAIN + ["--config", "CFG"], b'{"r": 2.0}', 2, "config",
                  id="config-stride-float"),
-    pytest.param(_LONG + ["--config", "CFG"], b'{"lr": "fast"}', 2, "config",
+    pytest.param(_RECALL + ["--config", "CFG"], b'{"lr": "fast"}', 2, "config",
                  id="config-float-field-string"),
+    # generation reads the stored config, under --seed and generate-long's
+    # --gen-mode only; RunConfig alone validates the mode
+    pytest.param(_LONG + ["--lr", "5"], None, 2, "usage", id="long-lr-not-an-option"),
+    pytest.param(["generate", "--ckpt", "CKPT", "--out", "OUT", "--gen-mode",
+                  "mean"], None, 2, "usage", id="generate-gen-mode-not-an-option"),
+    pytest.param(["generate", "--ckpt", "CKPT", "--out", "OUT", "--config",
+                  "CFG"], b"{}", 2, "usage", id="generate-config-not-an-option"),
+    pytest.param(_LONG + ["--gen-mode", "wild"], None, 2, "config",
+                 id="long-gen-mode-wild"),
     pytest.param(["generate-long", "--ckpt", "FLOAT_CKPT", "--out", "OUT",
                   "--clips", "2"], None, 2, "config", id="stored-config-float-hidden"),
     pytest.param(["generate-long", "--ckpt", "DIR", "--out", "OUT", "--clips", "2"],
@@ -429,7 +457,7 @@ _DAMAGED = {
                  id="init-under-file"),
     pytest.param(["generate-long", "--ckpt", "UNDER_FILE", "--out", "OUT",
                   "--clips", "2"], None, 3, "missing-file", id="ckpt-under-file"),
-    pytest.param(_LONG + ["--config", "UNDER_FILE"], None, 3, "missing-file",
+    pytest.param(_RECALL + ["--config", "UNDER_FILE"], None, 3, "missing-file",
                  id="config-under-file"),
     pytest.param(["generate-long", "--ckpt", "CKPT", "--out", "UNDER_FILE",
                   "--clips", "2"], None, 3, "missing-file",
@@ -447,15 +475,37 @@ _DAMAGED = {
     pytest.param(["ablate", "--data", "DATA", "--out", "UNDER_FILE", "--steps",
                   "1", *TINY_FLAGS], None, 3, "missing-file",
                  id="ablate-out-under-file"),
+    # an unusable --report or --out is refused before any training or chain
+    pytest.param(_TRAIN + [*TINY_FLAGS, "--report", "UNDER_FILE"], None, 3,
+                 "missing-file", id="train-report-under-file"),
+    pytest.param(_LONG + ["--report", "UNDER_FILE"], None, 3, "missing-file",
+                 id="long-report-under-file"),
+    pytest.param(_TRAIN + [*TINY_FLAGS, "--report", "DIR"], None, 3,
+                 "missing-file", id="train-report-is-dir"),
+    pytest.param(["ablate", "--data", "DATA", "--out", "OUT", "--steps", "1",
+                  *TINY_FLAGS], None, 3, "missing-file", id="ablate-out-is-file"),
 ])
-def test_cli_error_contract(tiny_dataset, tmp_path, capsys, argv, config, code,
-                            kind):
+def test_cli_error_contract(tiny_dataset, tmp_path, capsys, monkeypatch, argv,
+                            config, code, kind):
     """Bad input gives one error line and the documented exit code, and
-    leaves the previous output and its directory as they were."""
+    leaves the previous output and its directory as they were.  A command
+    whose --out or --report is unusable fails before it trains or chains."""
     ckpt = tmp_path / "m.ckpt"
     assert run(["train", "--data", tiny_dataset, "--out", ckpt,
                 "--steps", "1", *TINY_FLAGS]) == 0
     capsys.readouterr()
+
+    def unusable(flag, value):
+        as_dir = flag == "--out" and argv[0] in ("dataset-gen", "ablate")
+        return value in ("UNDER_FILE", "OUT" if as_dir else "DIR")
+
+    def refuse(*args, **kwargs):
+        pytest.fail("ran before its output path was checked")
+
+    if any(unusable(flag, value) for flag, value in zip(argv, argv[1:])
+           if flag in ("--out", "--report")):
+        for name in ("train_loop", "train_loop_recall", "chain_generate"):
+            monkeypatch.setattr(f"vidchain.cli.{name}", refuse)
     work = tmp_path / "work"
     (work / "dir").mkdir(parents=True)
     (work / "out.rcg").write_bytes(b"previous")
@@ -504,7 +554,11 @@ def test_cli_error_contract(tiny_dataset, tmp_path, capsys, argv, config, code,
     if argv[-2:] == ["--height", "8"]:
         assert "(4, 4, 1)" in line and "(8, 4, 1)" in line
     if "UNDER_FILE" in argv:
-        assert "[Errno 20] Not a directory" in line or "[Errno 17] File exists" in line
+        assert "[Errno 20] Not a directory" in line
+    if kind == "usage":
+        assert f"unrecognized arguments: {argv[-2]} " in line
+    if "wild" in argv:
+        assert "gen_mode" in line
     if "--stride" in argv or (argv[0] == "roundtrip-check" and kind == "config"):
         assert argv[-2] in line                 # names the flag
     if argv[0] == "ablate" and kind == "config":
@@ -512,6 +566,42 @@ def test_cli_error_contract(tiny_dataset, tmp_path, capsys, argv, config, code,
     assert (work / "out.rcg").read_bytes() == b"previous"
     assert sorted(os.listdir(work)) == before
     assert os.listdir(work / "dir") == []
+
+
+_CONFIG_OPTIONS = (
+    "--config", "--t-c", "--r", "--height", "--width", "--channels",
+    "--z-content", "--z-motion", "--hidden", "--bias-init",
+    "--disable-content", "--no-disable-content", "--disable-motion",
+    "--no-disable-motion", "--disable-fusion", "--no-disable-fusion",
+    "--lr", "--beta1", "--beta2", "--eps", "--batch", "--steps", "--seed",
+    "--uniform-fraction", "--sample-step", "--ovi", "--no-ovi", "--mgv",
+    "--no-mgv", "--loss-variant", "--gen-mode")
+
+# every command's option strings, in the order its parser defines them
+_OPTIONS = {
+    "dataset-gen": ("--kind", "--out", "--count", "--length", "--seed"),
+    "train": ("--data", "--out", "--report", *_CONFIG_OPTIONS),
+    "train-recall": ("--data", "--init", "--out", "--report", *_CONFIG_OPTIONS),
+    "generate": ("--ckpt", "--out", "--count", "--seed"),
+    "generate-long": ("--ckpt", "--out", "--clips", "--stride", "--report",
+                      "--seed", "--gen-mode"),
+    "eval": ("--data", "--reference", "--report", "--seg-len", "--seed",
+             "--probe"),
+    "roundtrip-check": ("--data", "--t-c", "--limit"),
+    "ablate": ("--data", "--out", "--init", *_CONFIG_OPTIONS),
+}
+
+
+def test_each_command_takes_exactly_its_options():
+    parser = build_parser()
+    commands = next(action.choices for action in parser._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    actions = {name: [a for a in command._actions
+                      if not isinstance(a, argparse._HelpAction)]
+               for name, command in commands.items()}
+    assert {name: tuple(s for a in acts for s in a.option_strings)
+            for name, acts in actions.items()} == _OPTIONS
+    assert sum(map(len, actions.values())) == 113
 
 
 def test_train_zero_steps_is_config_error(tiny_dataset, tmp_path, capsys):
