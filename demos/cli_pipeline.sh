@@ -13,10 +13,9 @@ echo "working in $WORK"
 run() { echo; echo "\$ vidchain $*"; python3 -m vidchain.cli "$@"; }
 
 # a small configuration so the whole script finishes in a couple of minutes
-# (datasets from dataset-gen are 16x16, so the model must match)
 cat > small.json <<'JSON'
-{"t_c": 8, "r": 4, "height": 16, "width": 16, "channels": 1,
- "z_content": 16, "z_motion": 6, "hidden": 32, "batch": 4, "steps": 60}
+{"t_c": 8, "r": 4, "z_content": 16, "z_motion": 6, "hidden": 32, "batch": 4,
+ "steps": 60}
 JSON
 
 run dataset-gen --kind shapes --out data --count 40 --length 24 --seed 0

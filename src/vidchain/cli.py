@@ -6,10 +6,10 @@ Conventions
 -----------
 * Every run is determined by (config, seed): same inputs produce the same
   output bytes.  Reports carry no timestamps and echo paths as given.
-* Config resolution order: train, train-recall and ablate take built-in
-  defaults < checkpoint-stored config (with --init) < --config file <
-  individual flags; generate and generate-long take the stored config
-  under --seed (and --gen-mode), the only fields they read.
+* Config resolution order: train, train-recall and ablate take defaults <
+  the first video's frame shape, or the checkpoint-stored config with
+  --init < --config file < flags (none for a frame field); generate and
+  generate-long take the stored config under --seed (and --gen-mode).
 * The single honored environment variable is VIDCHAIN_OUT: when set,
   relative output paths are created under it.  Inputs are never remapped.
   An unusable --out or --report fails (exit 3) before any work starts.
@@ -43,7 +43,7 @@ import numpy as np
 
 from .autodiff import GradientError, NumericsError
 from .chain import chain_components, chain_generate
-from .config import ConfigError, RunConfig
+from .config import FRAME_FIELDS, ConfigError, RunConfig
 from .container import (ContainerError, ContainerWriter, ManifestError,
                         load_checkpoint, load_dataset, read_container,
                         read_manifest, save_checkpoint, write_container,
@@ -104,10 +104,13 @@ def _check_outputs(args) -> None:
             raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), str(path))
 
 
-def _add_config_flags(parser: argparse.ArgumentParser) -> None:
+def _add_config_flags(parser: argparse.ArgumentParser, skip=()) -> None:
+    """--config and a flag per `RunConfig` field but FRAME_FIELDS and `skip`."""
     parser.add_argument("--config", metavar="FILE",
                         help="JSON file of run-configuration fields")
     for f in dataclasses.fields(RunConfig):
+        if f.name in FRAME_FIELDS + skip:
+            continue
         flag = "--" + f.name.replace("_", "-")
         if f.type == "bool" or isinstance(f.default, bool):
             parser.add_argument(flag, dest=f.name, default=None,
@@ -152,18 +155,16 @@ def _load_bundle(args, path: str, runs=None) -> ModelBundle:
     return ModelBundle.load(path, resolve, runs)
 
 
-def _training_config(cfg: RunConfig) -> RunConfig:
-    if cfg.steps < 1:
-        raise ConfigError(f"training needs steps >= 1, got {cfg.steps}")
-    return cfg
-
-
-def _training_bundle(args) -> ModelBundle:
-    """The bundle a command trains: restored from --init (see `_load_bundle`)
-    or fresh from the effective config, which must train at least one step."""
-    bundle = _load_bundle(args, args.init) if args.init else None
-    cfg = _training_config(bundle.cfg if bundle else _effective_config(args))
-    return bundle or ModelBundle.init(cfg)
+def _training_bundle(args, videos) -> ModelBundle:
+    """The bundle a command trains on `videos`: restored from --init (see
+    `_load_bundle`) or fresh from the effective config over the first video's
+    frame shape; either must train at least one step."""
+    shape = dict(zip(FRAME_FIELDS, np.shape(videos[0])[1:])) if videos else {}
+    bundle = (_load_bundle(args, args.init) if getattr(args, "init", None)
+              else ModelBundle.init(_effective_config(args, shape)))
+    if bundle.cfg.steps < 1:
+        raise ConfigError(f"training needs steps >= 1, got {bundle.cfg.steps}")
+    return bundle
 
 
 def _load_videos(path: str):
@@ -204,21 +205,20 @@ def _save_trained(args, bundle: ModelBundle, reports, keys) -> dict:
 
 
 def cmd_train(args) -> int:
-    cfg = _training_config(_effective_config(args))
     videos, _ = _load_videos(args.data)
-    bundle = ModelBundle.init(cfg)
+    bundle = _training_bundle(args, videos)
     last = _save_trained(args, bundle, train_loop(bundle, videos), {
         "enc_mse": ("enc", "mse"), "d_image": ("d_image", "total"),
         "d_video": ("d_video", "total"), "gen": ("gen", "total")})
-    print(f"trained steps={cfg.steps} enc_mse={last['enc']['mse']:.6f} "
+    print(f"trained steps={bundle.cfg.steps} enc_mse={last['enc']['mse']:.6f} "
           f"d_image={last['d_image']['total']:.6f} out={args.out}")
     return 0
 
 
 def cmd_train_recall(args) -> int:
-    bundle = _training_bundle(args)
-    cfg = bundle.cfg
     videos, _ = _load_videos(args.data)
+    bundle = _training_bundle(args, videos)
+    cfg = bundle.cfg
     pairs, skipped = build_pairs(videos, cfg)
     last = _save_trained(args, bundle, train_loop_recall(bundle, pairs), {
         "rencg": ("rencg", "total"), "rencg_mse": ("rencg", "mse"),
@@ -401,7 +401,9 @@ def cmd_roundtrip_check(args) -> int:
         if not ok:
             failures.append(name)
 
-    ok_round = ok_ref = ok_stitch = True
+    stride = t_c // 2   # the default config r
+    ok_round = ok_ref = True
+    stitched = []       # one verdict per video long enough to stitch
     for video in videos:
         video = np.asarray(video, dtype=np.float64)   # the algebra is exact in float64
         if len(video) < t_c:
@@ -413,13 +415,15 @@ def cmd_roundtrip_check(args) -> int:
         for r in range(1, t_c + 1):
             rebuilt = reconstruct_from_reference(clip[r - 1], r, motion)
             ok_ref &= bool(np.array_equal(rebuilt, clip))
-        r = max(1, t_c // 2)
-        if len(video) >= t_c + r:
-            long = stitch(segment_overlapping(video, t_c, r), r)
-            ok_stitch &= bool(np.array_equal(long, video[:len(long)]))
+        if len(video) >= t_c + stride:
+            long = stitch(segment_overlapping(video, t_c, stride), stride)
+            stitched.append(bool(np.array_equal(long, video[:len(long)])))
     check("decompose-reconstruct-roundtrip", ok_round)
     check("reference-frame-reconstruction", ok_ref)
-    check("segment-stitch-identity", ok_stitch)
+    if stitched:
+        check("segment-stitch-identity", all(stitched))
+    else:
+        print(f"SKIP segment-stitch-identity (no video of {t_c + stride} frames)")
     print(f"checked videos={len(videos)} t_c={t_c}")
     if failures:
         raise NumericsError(f"invariants failed: {', '.join(failures)}")
@@ -429,9 +433,9 @@ def cmd_roundtrip_check(args) -> int:
 def cmd_ablate(args) -> int:
     # with --init, the variants take the checkpoint's stored config under the
     # --config file and flags, as the base bundle does
-    base = _training_bundle(args)
-    cfg = base.cfg
     videos, _ = _load_videos(args.data)
+    base = _training_bundle(args, videos)
+    cfg = base.cfg
 
     if not args.init:
         train_loop(base, videos)
@@ -555,7 +559,7 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True, metavar="DIR")
     p.add_argument("--init", metavar="CKPT",
                    help="pretrained clip-model checkpoint to start from")
-    _add_config_flags(p)
+    _add_config_flags(p, skip=("ovi", "mgv", "gen_mode"))   # set by the sweep
     p.set_defaults(func=cmd_ablate)
 
     return parser

@@ -12,7 +12,7 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 
-__all__ = ["ConfigError", "RunConfig", "ARCH_FIELDS"]
+__all__ = ["ConfigError", "RunConfig", "ARCH_FIELDS", "FRAME_FIELDS"]
 
 LOSS_VARIANTS = ("frame", "diff")
 GEN_MODES = ("sampled", "mean", "seeded")
@@ -24,6 +24,8 @@ ARCH_FIELDS = (
     "z_content", "z_motion", "hidden", "bias_init",
     "disable_content", "disable_motion", "disable_fusion",
 )
+
+FRAME_FIELDS = ("height", "width", "channels")    # frame_shape, fixed by the data
 
 
 # The values each field's annotation admits.  bool is an int to Python, so

@@ -82,7 +82,7 @@ def train_step_recall(bundle: ModelBundle, pairs, stream: RandomStream) -> dict:
 def sample_batch(videos, cfg: RunConfig, step_index: int,
                  stream: RandomStream) -> np.ndarray:
     """One (batch, t_c, H, W, C) batch per the uniform-then-step schedule."""
-    uniform_steps = int(round(cfg.uniform_fraction * cfg.steps))
+    uniform_steps, span = _schedule(cfg)
     use_uniform = step_index < uniform_steps
     which = stream.split("videos").choice(len(videos), cfg.batch)
     clips = []
@@ -92,8 +92,7 @@ def sample_batch(videos, cfg: RunConfig, step_index: int,
         if use_uniform:
             clips.append(uniform_sample(video, cstream, bins=cfg.t_c))
         else:
-            span = cfg.sample_step * (cfg.t_c - 1)
-            max_start = len(video) - span - 1
+            max_start = len(video) - span
             if max_start < 0:
                 raise ValueError(
                     f"video of {len(video)} frames is too short for step "
@@ -101,6 +100,13 @@ def sample_batch(videos, cfg: RunConfig, step_index: int,
             start = int(cstream.integers(0, max_start + 1, ()))
             clips.append(step_sample(video, start, cfg.sample_step, cfg.t_c))
     return np.stack(clips)
+
+
+def _schedule(cfg: RunConfig) -> tuple[int, int]:
+    """The number of first steps that sample frames uniformly, and the frames
+    a later, step-sampled clip spans: t_c at the sample_step stride."""
+    span = cfg.sample_step * (cfg.t_c - 1) + 1
+    return int(round(cfg.uniform_fraction * cfg.steps)), span
 
 
 def _run(bundle: ModelBundle, label: str, draw, step_fn, progress) -> list[dict]:
@@ -122,14 +128,21 @@ def _check_frames(videos, cfg: RunConfig) -> None:
     for i, video in enumerate(videos):
         if np.shape(video)[1:] != cfg.frame_shape:
             raise ValueError(f"video {i} has frames of shape {np.shape(video)[1:]}, "
-                             f"the config's frame_shape is {cfg.frame_shape}")
+                             f"the config's (height, width, channels) is {cfg.frame_shape}")
 
 
 def train_loop(bundle: ModelBundle, videos, progress=None) -> list[dict]:
     """Run cfg.steps clip steps; returns the per-step loss reports."""
     if len(videos) == 0:
         raise ValueError("no videos to train on")
-    _check_frames(videos, bundle.cfg)
+    cfg = bundle.cfg
+    _check_frames(videos, cfg)
+    uniform_steps, span = _schedule(cfg)
+    need = cfg.t_c if uniform_steps >= cfg.steps else span  # the longest clip drawn
+    for i, video in enumerate(videos):
+        if len(video) < need:
+            raise ValueError(f"video {i} has {len(video)} frames, and the training "
+                             f"schedule draws clips spanning {need}")
     return _run(bundle, "train", lambda step, sstream: sample_batch(
         videos, bundle.cfg, step, sstream.split("batch")), train_step, progress)
 

@@ -21,8 +21,7 @@ from vidchain.metrics import read_metric_report
 from vidchain.model import COMPONENTS, ModelBundle
 from vidchain.training import build_pairs, train_loop, train_loop_recall
 
-TINY_FLAGS = ["--t-c", "4", "--r", "2", "--height", "4", "--width", "4",
-              "--channels", "1", "--z-content", "8", "--z-motion", "4",
+TINY_FLAGS = ["--t-c", "4", "--r", "2", "--z-content", "8", "--z-motion", "4",
               "--hidden", "16", "--batch", "2"]
 
 
@@ -80,6 +79,20 @@ def test_roundtrip_check_reports_failed_invariants(tmp_path, capsys):
         "decompose-reconstruct-roundtrip, reference-frame-reconstruction"]
 
 
+def test_roundtrip_check_skips_stitching_without_a_long_video(tmp_path, capsys):
+    """Stitching at --t-c 16 needs a video of t_c + t_c // 2 = 24 frames:
+    with only 20-frame videos that check is reported as skipped, not passed."""
+    assert run(["dataset-gen", "--out", tmp_path / "ds", "--count", "3",
+                "--length", "20"]) == 0
+    capsys.readouterr()
+    assert run(["roundtrip-check", "--data", tmp_path / "ds"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "PASS decompose-reconstruct-roundtrip",
+        "PASS reference-frame-reconstruction",
+        "SKIP segment-stitch-identity (no video of 24 frames)",
+        "checked videos=3 t_c=16"]
+
+
 def test_dataset_gen_deterministic(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     for out in (a, b):
@@ -97,6 +110,14 @@ def test_train_checkpoint_byte_reproducible(tiny_dataset, tmp_path):
                     "--steps", "3", "--seed", "5", *TINY_FLAGS]) == 0
         outs.append(path.read_bytes())
     assert outs[0] == outs[1]
+
+
+def test_train_takes_the_frame_shape_from_the_data(tiny_dataset, tmp_path):
+    ckpt = tmp_path / "m.ckpt"
+    assert run(["train", "--data", tiny_dataset, "--out", ckpt,
+                "--steps", "1", *TINY_FLAGS]) == 0
+    stored, _ = load_checkpoint(ckpt)
+    assert (stored["height"], stored["width"], stored["channels"]) == (4, 4, 1)
 
 
 def test_train_report_and_config_file(tiny_dataset, tmp_path):
@@ -311,10 +332,19 @@ def _no_video(dataset):
     (dataset / "video_00001.rcg").unlink()
 
 
+def _short_video(dataset):
+    """video_00001 cut to 5 frames: enough for a uniform clip of t_c=4, too
+    few for one at sample_step 2, which spans 7."""
+    path = dataset / "video_00001.rcg"
+    write_container(path, read_container(path)[:5])
+    _edit_manifest(dataset, b"video_00001.rcg\t12", b"video_00001.rcg\t5")
+
+
 # copies of the test dataset, each damaged in one way
 _DAMAGED = {
     "NAN_PIXEL": _nan_pixel,
     "NO_VIDEO": _no_video,
+    "SHORT_VIDEO": _short_video,
     "CUT_VIDEO": _cut_video,
     "STATS_NO_VIDEO": _with_stats(_no_video),
     "STATS_CUT_VIDEO": _with_stats(_cut_video),
@@ -358,6 +388,15 @@ _DAMAGED = {
                   "CFG"], b"{}", 2, "usage", id="generate-config-not-an-option"),
     pytest.param(_LONG + ["--gen-mode", "wild"], None, 2, "config",
                  id="long-gen-mode-wild"),
+    # the data fixes the frame shape, and ablate's sweep sets ovi, mgv and
+    # the chain mode, so no command takes a flag for them
+    pytest.param(_TRAIN + ["--height", "4"], None, 2, "usage",
+                 id="train-height-not-an-option"),
+    pytest.param(["ablate", "--data", "DATA", "--out", "DIR", "--steps", "1",
+                  "--no-ovi"], None, 2, "usage", id="ablate-no-ovi-not-an-option"),
+    pytest.param(["ablate", "--data", "DATA", "--out", "DIR", "--steps", "1",
+                  "--gen-mode", "mean"], None, 2, "usage",
+                 id="ablate-gen-mode-not-an-option"),
     pytest.param(["generate-long", "--ckpt", "FLOAT_CKPT", "--out", "OUT",
                   "--clips", "2"], None, 2, "config", id="stored-config-float-hidden"),
     pytest.param(["generate-long", "--ckpt", "DIR", "--out", "OUT", "--clips", "2"],
@@ -418,11 +457,19 @@ _DAMAGED = {
                   "1", *TINY_FLAGS], None, 4, "dimension",
                  id="ablate-empty-dataset-new-out"),
     # frames of another (H, W, C) than the config's are refused by name
-    pytest.param(_TRAIN + [*TINY_FLAGS, "--height", "8"], None, 4, "dimension",
-                 id="train-frame-shape-mismatch"),
+    pytest.param(_TRAIN + [*TINY_FLAGS, "--config", "CFG"], b'{"height": 8}', 4,
+                 "dimension", id="train-frame-shape-mismatch"),
     pytest.param(["train-recall", "--data", "DATA", "--out", "OUT", "--steps", "1",
-                  *TINY_FLAGS, "--height", "8"], None, 4, "dimension",
+                  *TINY_FLAGS, "--config", "CFG"], b'{"height": 8}', 4, "dimension",
                  id="train-recall-frame-shape-mismatch"),
+    pytest.param(["train-recall", "--data", "DATA", "--init", "TALL_CKPT", "--out",
+                  "OUT"], None, 4, "dimension",
+                 id="train-recall-init-frame-shape-mismatch"),
+    # a video too short for a clip the schedule may draw is refused before
+    # the first step, whether or not a batch would have drawn it
+    pytest.param(["train", "--data", "SHORT_VIDEO", "--out", "OUT", "--steps", "1",
+                  *TINY_FLAGS], None, 4, "dimension",
+                 id="train-video-too-short-for-step-sampling"),
     pytest.param(["roundtrip-check", "--data", "HEADER_ONLY"], None, 4,
                  "dimension", id="roundtrip-check-empty-dataset"),
     # a refused dataset-gen leaves no directory behind
@@ -506,6 +553,9 @@ def test_cli_error_contract(tiny_dataset, tmp_path, capsys, monkeypatch, argv,
            if flag in ("--out", "--report")):
         for name in ("train_loop", "train_loop_recall", "chain_generate"):
             monkeypatch.setattr(f"vidchain.cli.{name}", refuse)
+    if "SHORT_VIDEO" in argv:
+        monkeypatch.setattr("vidchain.training.train_step", lambda *a: pytest.fail(
+            "trained a step before every video's length was checked"))
     work = tmp_path / "work"
     (work / "dir").mkdir(parents=True)
     (work / "out.rcg").write_bytes(b"previous")
@@ -522,6 +572,10 @@ def test_cli_error_contract(tiny_dataset, tmp_path, capsys, monkeypatch, argv,
         paths["FLOAT_CKPT"] = tmp_path / "float.ckpt"
         save_checkpoint(paths["FLOAT_CKPT"],
                         dict(stored, hidden=float(stored["hidden"])), arrays)
+    if "TALL_CKPT" in argv:     # a model of 8x4x1 frames
+        paths["TALL_CKPT"] = tmp_path / "tall.ckpt"
+        stored = RunConfig.from_dict(load_checkpoint(ckpt)[0])
+        ModelBundle.init(stored.replace(height=8)).save(paths["TALL_CKPT"])
     for name, damage in _DAMAGED.items():
         if name in argv:
             paths[name] = tmp_path / name
@@ -551,12 +605,15 @@ def test_cli_error_contract(tiny_dataset, tmp_path, capsys, monkeypatch, argv,
         assert "payload is" in line
     if "NAN_PIXEL" in argv:
         assert "video_00000.rcg" in line and "non-finite" in line
-    if argv[-2:] == ["--height", "8"]:
+    if config == b'{"height": 8}' or "TALL_CKPT" in argv:
         assert "(4, 4, 1)" in line and "(8, 4, 1)" in line
+    if "SHORT_VIDEO" in argv:
+        assert "video 1 has 5 frames" in line and "spanning 7" in line
     if "UNDER_FILE" in argv:
         assert "[Errno 20] Not a directory" in line
-    if kind == "usage":
-        assert f"unrecognized arguments: {argv[-2]} " in line
+    if kind == "usage":     # names the last flag as the one not taken
+        flag = [a for a in argv if a.startswith("--")][-1]
+        assert line.split("unrecognized arguments: ")[1].split()[0] == flag
     if "wild" in argv:
         assert "gen_mode" in line
     if "--stride" in argv or (argv[0] == "roundtrip-check" and kind == "config"):
@@ -569,13 +626,16 @@ def test_cli_error_contract(tiny_dataset, tmp_path, capsys, monkeypatch, argv,
 
 
 _CONFIG_OPTIONS = (
-    "--config", "--t-c", "--r", "--height", "--width", "--channels",
+    "--config", "--t-c", "--r",
     "--z-content", "--z-motion", "--hidden", "--bias-init",
     "--disable-content", "--no-disable-content", "--disable-motion",
     "--no-disable-motion", "--disable-fusion", "--no-disable-fusion",
     "--lr", "--beta1", "--beta2", "--eps", "--batch", "--steps", "--seed",
     "--uniform-fraction", "--sample-step", "--ovi", "--no-ovi", "--mgv",
     "--no-mgv", "--loss-variant", "--gen-mode")
+# ablate's sweep sets ovi, mgv and the chain mode itself
+_ABLATE_OPTIONS = tuple(o for o in _CONFIG_OPTIONS if o not in (
+    "--ovi", "--no-ovi", "--mgv", "--no-mgv", "--gen-mode"))
 
 # every command's option strings, in the order its parser defines them
 _OPTIONS = {
@@ -588,7 +648,7 @@ _OPTIONS = {
     "eval": ("--data", "--reference", "--report", "--seg-len", "--seed",
              "--probe"),
     "roundtrip-check": ("--data", "--t-c", "--limit"),
-    "ablate": ("--data", "--out", "--init", *_CONFIG_OPTIONS),
+    "ablate": ("--data", "--out", "--init", *_ABLATE_OPTIONS),
 }
 
 
@@ -601,7 +661,7 @@ def test_each_command_takes_exactly_its_options():
                for name, command in commands.items()}
     assert {name: tuple(s for a in acts for s in a.option_strings)
             for name, acts in actions.items()} == _OPTIONS
-    assert sum(map(len, actions.values())) == 113
+    assert sum(map(len, actions.values())) == 101
 
 
 def test_train_zero_steps_is_config_error(tiny_dataset, tmp_path, capsys):

@@ -183,6 +183,20 @@ def test_train_loop_bit_reproducible():
     assert all(np.array_equal(a, b) for a, b in zip(*params))
 
 
+@pytest.mark.parametrize("fraction,length,need", [(0.5, 5, 7), (1.0, 3, 4)])
+def test_train_loop_refuses_a_too_short_video_before_any_step(
+        monkeypatch, fraction, length, need):
+    """Every video must hold the longest clip the schedule may draw: t_c=4
+    frames at sample_step 2 (7) once any step step-samples, t_c when every
+    step samples uniformly.  The error names the video, before step 0."""
+    monkeypatch.setattr(training, "train_step",
+                        lambda *a: pytest.fail("stepped before the length check"))
+    videos = tiny_videos() + [np.zeros((length,) + TINY.frame_shape)]
+    bundle = tiny_bundle(steps=40, uniform_fraction=fraction)
+    with pytest.raises(ValueError, match=f"video 3 has {length} frames, .* {need}$"):
+        train_loop(bundle, videos)
+
+
 def test_build_pairs_stride_follows_overlap_flag():
     videos = [np.zeros((TINY.t_c * 2,) + TINY.frame_shape)]
     overlapping, _ = build_pairs(videos, TINY)
