@@ -7,8 +7,9 @@ unless the sink does.  Two things are worth watching:
 
 * the seam mismatch — how much clip j+1's head disagrees with clip j's
   tail — which recall training exists to shrink, and
-* the frame budget — the peak number of frames ever held in memory stays
-  below 2*t_c no matter how long the video gets.
+* the peak frames held — the most frames the chain keeps across its calls
+  (in `mean` mode, a clip and its t_c - 1 difference maps) stays below
+  2*t_c no matter how long the video gets.
 """
 
 import os

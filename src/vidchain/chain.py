@@ -22,7 +22,8 @@ is a Markov chain whose state between clips is two things: the overlap
 ``tail[ref - 1]`` is the carried frame) and the motion latent ``z_v``.
 ``chain_generate`` hands each clip's first ``r`` frames (the final clip
 fully) to a sink as one ``(k, H, W, C)`` block, keeps none of them, and
-accounts every frame-sized buffer it retains against a budget of two clips.
+drops each frame buffer at its last use, so it holds at most two clips'
+worth of frames between its calls.
 
 Latent modes:
 
@@ -59,7 +60,7 @@ __all__ = [
     "ClipPair", "make_training_pairs", "pairs_to_clips",
     "loss_rencg", "loss_d_image_r", "loss_d_video_r1", "loss_d_video_merged",
     "merged_video_terms",
-    "FrameBudget", "ChainResult", "chain_components", "chain_generate",
+    "ChainResult", "chain_components", "chain_generate",
     "chain_overlap_mismatch",
 ]
 
@@ -196,28 +197,9 @@ def loss_d_video_merged(bundle: ModelBundle, pairs,
 
 # -- fixed-memory chained generation ------------------------------------------------
 
-class FrameBudget:
-    """Counts the frame-sized buffers the chain retains; peak must stay
-    within two clips' worth regardless of how many clips are generated."""
-
-    def __init__(self):
-        self.current = 0
-        self.peak = 0
-
-    def acquire(self, frames: int) -> None:
-        self.current += frames
-        self.peak = max(self.peak, self.current)
-
-    def release(self, frames: int) -> None:
-        self.current -= frames
-        if self.current < 0:
-            raise RuntimeError("frame budget released more than acquired")
-
-
 @dataclass
 class ChainResult:
     frames_emitted: int
-    stride: int
     mismatches: list        # per-seam mean |tail - head|
     peak_frames: int
 
@@ -237,7 +219,10 @@ def chain_generate(bundle: ModelBundle, n_clips: int, mode: str = "sampled",
                    stream: RandomStream | None = None, r: int | None = None,
                    sink=None) -> ChainResult:
     """Generate (n_clips - 1) * r + t_c frames by chaining clips through the
-    encoders, keeping at most two clips' worth of frames alive.
+    encoders.  Between its calls it holds at most two clips' worth of frames:
+    the clip and the tail it continues (2·t_c - r), or in `mean` mode the clip
+    and its difference maps at the motion encoder (2·t_c - 1); `peak_frames`
+    is the most it held, a compose's own temporaries not counted.
 
     `sink(block)` receives (k, H, W, C) float64 frame blocks, read-only
     views of the composed clip, as they are emitted; without a sink the
@@ -257,12 +242,12 @@ def chain_generate(bundle: ModelBundle, n_clips: int, mode: str = "sampled",
 
     olap = t_c - r                       # tail length = shared frames per seam
     ref = _ref_index(t_c)                # the first clip's reference index
-    budget = FrameBudget()
 
     # the chain's state between clips: the overlap tail and the motion latent
     tail: np.ndarray | None = None       # (olap, D) frames shared with next clip
     z_v: Tensor | None = None
     mismatches: list[float] = []
+    peak = 0                             # the most frames held at once
 
     for j in range(n_clips):
         cstream = stream.split(f"clip{j}")
@@ -282,28 +267,26 @@ def chain_generate(bundle: ModelBundle, n_clips: int, mode: str = "sampled",
                 z_x = q_x.mu
 
         clip = bundle.compose(z_x, z_v, ref_index=ref)[1].data[0]  # (t_c, D)
-        budget.acquire(t_c)
-
+        peak = max(peak, len(clip) + (0 if tail is None else len(tail)))
         if tail is not None:
             mismatches.append(float(np.abs(tail - clip[:olap]).mean()))
-            budget.release(olap)
+            tail = None                  # the seam was its last use
 
         last = j == n_clips - 1
         if sink is not None:
             sink((clip if last else clip[:r]).reshape((-1,) + cfg.frame_shape))
 
         if not last:
-            if mode == "mean":
-                diffs = np.diff(clip, axis=0)        # (t_c - 1, D)
-                budget.acquire(t_c - 1)
-                z_v = bundle.motion_posterior(Tensor(diffs.reshape(1, -1))).mu
-                budget.release(t_c - 1)
+            if mode == "mean":           # its difference maps, (1, (t_c - 1) * D)
+                diffs = Tensor(np.diff(clip, axis=0).reshape(1, -1))
+                peak = max(peak, len(clip) + diffs.size // clip.shape[1])
+                z_v = bundle.motion_posterior(diffs).mu
+                del diffs
             tail = clip[r:].copy()
-            budget.acquire(olap)
-        budget.release(t_c)
+        del clip
         ref = chain_ref_frame(t_c, r) - r
 
-    return ChainResult((n_clips - 1) * r + t_c, r, mismatches, budget.peak)
+    return ChainResult((n_clips - 1) * r + t_c, mismatches, peak)
 
 
 def chain_overlap_mismatch(bundle: ModelBundle, n_clips: int,

@@ -10,6 +10,8 @@ Conventions
   the first video's frame shape, or the checkpoint-stored config with
   --init < --config file < flags (none for a frame field); generate and
   generate-long take the stored config under --seed (and --gen-mode).
+  ablate's sweep sets ovi, mgv and gen_mode, so its --config file may not
+  name them.
 * The single honored environment variable is VIDCHAIN_OUT: when set,
   relative output paths are created under it.  Inputs are never remapped.
   An unusable --out or --report fails (exit 3) before any work starts.
@@ -105,7 +107,9 @@ def _check_outputs(args) -> None:
 
 
 def _add_config_flags(parser: argparse.ArgumentParser, skip=()) -> None:
-    """--config and a flag per `RunConfig` field but FRAME_FIELDS and `skip`."""
+    """--config and a flag per `RunConfig` field but FRAME_FIELDS and `skip`,
+    the fields the command sets itself, which the --config file may not name."""
+    parser.set_defaults(fixed_fields=skip)
     parser.add_argument("--config", metavar="FILE",
                         help="JSON file of run-configuration fields")
     for f in dataclasses.fields(RunConfig):
@@ -135,6 +139,10 @@ def _effective_config(args, stored: dict | None = None) -> RunConfig:
                                   f"valid JSON: {exc}") from None
         if not isinstance(loaded, dict):
             raise ConfigError("config file must hold a JSON object")
+        fixed = [name for name in args.fixed_fields if name in loaded]
+        if fixed:
+            raise ConfigError(f"{args.command} sets {', '.join(fixed)} itself; "
+                              f"config file {args.config} may not name them")
         merged.update(loaded)
     for f in dataclasses.fields(RunConfig):
         value = getattr(args, f.name, None)
@@ -184,9 +192,8 @@ def _load_videos(path: str):
 # -- commands -----------------------------------------------------------------------
 
 def cmd_dataset_gen(args) -> int:
-    out = _resolve_out(args.out)
     maker = gen_shapes_dataset if args.kind == "shapes" else gen_drift_dataset
-    maker(out, args.count, args.length, args.seed)
+    maker(_out_path(args.out), args.count, args.length, args.seed)
     print(f"dataset kind={args.kind} count={args.count} length={args.length} "
           f"seed={args.seed} out={args.out}")
     return 0
@@ -262,7 +269,7 @@ def cmd_generate_long(args) -> int:
                  ("peak_frames", "-", float(result.peak_frames))]
         write_metric_report(_resolve_out(args.report), rows)
     print(f"generated-long clips={args.clips} frames={result.frames_emitted} "
-          f"stride={result.stride} mode={cfg.gen_mode} "
+          f"stride={stride} mode={cfg.gen_mode} "
           f"peak_frames={result.peak_frames} "
           f"mean_mismatch={result.mean_mismatch:.6f} out={args.out}")
     return 0

@@ -86,10 +86,11 @@ def make_drift_video(length: int, stream: RandomStream,
 
 
 def _write_dataset(out_dir, count, make_video, labels) -> str:
-    os.makedirs(out_dir, exist_ok=True)
     records = []
     for i in range(count):
         video = make_video(i)
+        if i == 0:      # made only once the first video passed its checks
+            os.makedirs(out_dir, exist_ok=True)
         name = f"video_{i:05d}.rcg"
         write_container(os.path.join(out_dir, name), video)
         records.append(ManifestRecord(name, *video.shape, labels[i]))

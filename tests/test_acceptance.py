@@ -35,6 +35,7 @@ from vidchain.training import build_pairs, train_loop, train_loop_recall
 from vidchain.video import (decompose, reconstruct,
                             reconstruct_from_reference, stitch)
 
+from oracle_utils import held_frames
 from test_chain import tiny_pairs
 from test_losses import (TINY, directional_fd, random_clips, stream,
                          tiny_bundle, zero_discriminators)
@@ -266,11 +267,13 @@ def test_criterion_05_recall_halves_seam_mismatch(shapes400):
 def test_criterion_06_fixed_memory_chain():
     cfg = RunConfig()                      # t_c=16, r=8
     bundle = ModelBundle.init(cfg)
-    result = chain_generate(bundle, 127, sink=lambda block: None)
-    ok = result.frames_emitted == 1024 and result.peak_frames <= 2 * cfg.t_c
+    result, held = held_frames(chain_generate, bundle, 127)
+    ok = (result.frames_emitted == 1024
+          and held <= result.peak_frames <= 2 * cfg.t_c)
     report(6, ok,
            f"127 clips -> {result.frames_emitted} frames (= 1024), "
-           f"peak buffer {result.peak_frames} frames <= {2 * cfg.t_c}")
+           f"{held} frames held <= peak buffer {result.peak_frames} "
+           f"<= {2 * cfg.t_c}")
 
 
 # -- 7: evaluation protocol ----------------------------------------------------------

@@ -294,6 +294,8 @@ def _one_error_line(capsys, kind):
     return err[0]
 
 
+# fields ablate's sweep sets, which its --config file may not name
+_SWEPT_CONFIG = b'{"ovi": false, "mgv": false, "gen_mode": "seeded"}'
 _LONG = ["generate-long", "--ckpt", "CKPT", "--out", "OUT", "--clips", "2"]
 _TRAIN = ["train", "--data", "DATA", "--out", "OUT", "--steps", "1"]
 # the command that reads --config on top of a checkpoint's stored config
@@ -397,6 +399,9 @@ _DAMAGED = {
     pytest.param(["ablate", "--data", "DATA", "--out", "DIR", "--steps", "1",
                   "--gen-mode", "mean"], None, 2, "usage",
                  id="ablate-gen-mode-not-an-option"),
+    pytest.param(["ablate", "--data", "DATA", "--out", "NEW_DIR", "--steps", "1",
+                  *TINY_FLAGS, "--config", "CFG"], _SWEPT_CONFIG, 2, "config",
+                 id="ablate-config-names-swept-fields"),
     pytest.param(["generate-long", "--ckpt", "FLOAT_CKPT", "--out", "OUT",
                   "--clips", "2"], None, 2, "config", id="stored-config-float-hidden"),
     pytest.param(["generate-long", "--ckpt", "DIR", "--out", "OUT", "--clips", "2"],
@@ -475,6 +480,11 @@ _DAMAGED = {
     # a refused dataset-gen leaves no directory behind
     pytest.param(["dataset-gen", "--out", "NEW_DIR", "--count", "0"], None, 2,
                  "config", id="dataset-gen-count-zero"),
+    pytest.param(["dataset-gen", "--out", "NEW_DIR", "--length", "1"], None, 2,
+                 "config", id="dataset-gen-length-one"),
+    pytest.param(["dataset-gen", "--kind", "drift", "--out", "NEW_TREE",
+                  "--length", "1"], None, 2, "config",
+                 id="dataset-gen-drift-length-one-new-tree"),
     # eval checks its flags before it reads a file, and --probe's labels
     # before any scoring: at --seg-len 13 no video holds a segment
     pytest.param(["eval", "--data", "MISSING", "--reference", "MISSING",
@@ -547,10 +557,12 @@ def test_cli_error_contract(tiny_dataset, tmp_path, capsys, monkeypatch, argv,
         return value in ("UNDER_FILE", "OUT" if as_dir else "DIR")
 
     def refuse(*args, **kwargs):
-        pytest.fail("ran before its output path was checked")
+        pytest.fail("ran before its output path and config were checked")
 
-    if any(unusable(flag, value) for flag, value in zip(argv, argv[1:])
-           if flag in ("--out", "--report")):
+    # a refused ablate config, like an unusable output, stops it before training
+    if (argv[0], kind) == ("ablate", "config") or any(
+            unusable(flag, value) for flag, value in zip(argv, argv[1:])
+            if flag in ("--out", "--report")):
         for name in ("train_loop", "train_loop_recall", "chain_generate"):
             monkeypatch.setattr(f"vidchain.cli.{name}", refuse)
     if "SHORT_VIDEO" in argv:
@@ -566,6 +578,7 @@ def test_cli_error_contract(tiny_dataset, tmp_path, capsys, monkeypatch, argv,
              "CFG": work / "cfg.json", "DATA": tiny_dataset,
              "VIDEO": tiny_dataset / "video_00000.rcg",
              "MISSING": work / "missing", "NEW_DIR": work / "new",
+             "NEW_TREE": work / "new" / "data",
              "UNDER_FILE": work / "out.rcg" / "x"}
     if "FLOAT_CKPT" in argv:    # the same model, its hidden stored as 16.0
         stored, arrays = load_checkpoint(ckpt)
@@ -618,8 +631,10 @@ def test_cli_error_contract(tiny_dataset, tmp_path, capsys, monkeypatch, argv,
         assert "gen_mode" in line
     if "--stride" in argv or (argv[0] == "roundtrip-check" and kind == "config"):
         assert argv[-2] in line                 # names the flag
-    if argv[0] == "ablate" and kind == "config":
+    if (argv[0], kind, config) == ("ablate", "config", None):     # --steps 0
         assert "steps >= 1" in line
+    if config == _SWEPT_CONFIG:
+        assert "ovi, mgv, gen_mode" in line
     assert (work / "out.rcg").read_bytes() == b"previous"
     assert sorted(os.listdir(work)) == before
     assert os.listdir(work / "dir") == []
@@ -1012,13 +1027,17 @@ def test_ablate_init_takes_architecture_and_seed_from_checkpoint(tiny_dataset, t
     flags[flags.index("--hidden") + 1] = "32"
     assert run(["train", "--data", tiny_dataset, "--out", ckpt,
                 "--steps", "1", "--seed", "3", *flags]) == 0
+    # a --config file may name a field the sweep leaves alone
+    seed_file = tmp_path / "seed.json"
+    seed_file.write_text('{"seed": 3}')
     tables = {}
     for name, extra in (("stored", []), ("same", ["--seed", "3"]),
+                        ("file", ["--config", seed_file]),
                         ("other", ["--seed", "4"])):
         out = tmp_path / name
         assert run(["ablate", "--data", tiny_dataset, "--out", out,
                     "--init", ckpt, "--steps", "2", *extra]) == 0
         tables[name] = [(out / t).read_bytes()
                         for t in ("table10.tsv", "table11.tsv")]
-    assert tables["stored"] == tables["same"]
+    assert tables["stored"] == tables["same"] == tables["file"]
     assert tables["stored"] != tables["other"]
