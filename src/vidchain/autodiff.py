@@ -20,6 +20,11 @@ nothing.  A failed check raises NumericsError naming the primitive.  The
 backward pass checks every gradient it forms the same way, reporting the
 primitive responsible.
 
+A VJP returns either a fresh array it keeps no reference to, which `backward`
+may adopt as the accumulator of that input's later contributions and add
+into in place, or its upstream array or a view of it, which `backward` never
+writes.
+
 The primitive set is deliberately small: add, sub, mul, neg, affine, tanh,
 mlp2, sigmoid, mean, sum, cumsum, square, log, exp, concat, slicing, clip,
 reshape; mlp2 is a whole two-layer stack in one record.  Slicing takes basic
@@ -446,10 +451,12 @@ def backward(loss: Tensor, params) -> list[np.ndarray]:
             live.add(id(rec.out))
 
     grads: dict[int, np.ndarray] = {id(loss): np.ones(loss.shape)}
-    # Keys whose gradient is a sum allocated here, which nothing else holds:
-    # later contributions add into it in place.  A VJP may return its
-    # upstream gradient or a view of it (`add`, `reshape`, `_unbroadcast`),
-    # so an array a VJP returned is never written to.
+    # Keys whose gradient array nothing else holds, so that later
+    # contributions add into it in place.  A VJP returns either a fresh
+    # array it keeps no reference to (a GEMM output, `neg`'s negation),
+    # which becomes such an accumulator, or its upstream gradient or a view
+    # of it (`add`, `reshape`, `_unbroadcast`), which is never written to.
+    # The sum is the same `old + new` either way: IEEE addition commutes.
     owned: set[int] = set()
     for rec in reversed(tape.records):
         if id(rec.out) not in live:
@@ -462,17 +469,24 @@ def backward(loss: Tensor, params) -> list[np.ndarray]:
             key = id(t)
             if key not in live:
                 continue
-            ig = vjp(g)
+            ig = np.asarray(vjp(g), dtype=np.float64)
             if not np.isfinite(ig).all():
                 raise GradientError(
                     f"non-finite gradient produced by primitive '{rec.op}'")
+            fresh = ig is not g and ig.base is None and ig.flags.writeable
             if key in owned:
                 np.add(grads[key], ig, out=grads[key])
-            elif key in grads:
-                grads[key] = grads[key] + ig
-                owned.add(key)
+            elif key not in grads:
+                grads[key] = ig
+                if fresh:
+                    owned.add(key)
             else:
-                grads[key] = np.asarray(ig, dtype=np.float64)
+                if fresh:
+                    ig += grads[key]
+                else:
+                    ig = grads[key] + ig
+                grads[key] = ig
+                owned.add(key)
 
     out = []
     for p in params:

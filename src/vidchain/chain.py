@@ -278,7 +278,8 @@ def chain_generate(bundle: ModelBundle, n_clips: int, mode: str = "sampled",
 
         if not last:
             if mode == "mean":           # its difference maps, (1, (t_c - 1) * D)
-                diffs = Tensor(np.diff(clip, axis=0).reshape(1, -1))
+                # fresh and finite (the clip is clamped to [-1, 1]): no copy
+                diffs = Tensor._wrap(np.diff(clip, axis=0).reshape(1, -1))
                 peak = max(peak, len(clip) + diffs.size // clip.shape[1])
                 z_v = bundle.motion_posterior(diffs).mu
                 del diffs

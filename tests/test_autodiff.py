@@ -326,6 +326,44 @@ def test_gradient_accumulation_never_writes_into_a_returned_gradient():
     assert np.array_equal(g, 2.0 * (c + e + d) + 3.0 * c)
 
 
+def test_weight_reached_by_three_mlp2_records_sums_in_replay_order():
+    # w1's first contribution, a fresh GEMM output, becomes the accumulator;
+    # the sum must still be the one formed by hand, last record first
+    arrays, _ = mlp2_arrays(20)
+    r = RandomStream.from_seed(21)
+    xs = [r.normal((5, 3)) for _ in range(3)]
+    ss = [r.normal((5, 2)) for _ in range(3)]
+    w0, b0, w1, b1 = arrays[1:]
+    w1_t = Tensor(w1, requires_grad=True)
+    with GradTape():
+        outs = [ad.sum(ad.mul(ad.mlp2(Tensor(x), Tensor(w0), Tensor(b0), w1_t,
+                                      Tensor(b1)), Tensor(s)))
+                for x, s in zip(xs, ss)]
+        loss = ad.add(ad.add(outs[0], outs[1]), outs[2])
+    g = backward(loss, [w1_t])[0]
+    parts = [np.tanh(x @ w0 + b0).T @ s for x, s in zip(xs, ss)]
+    assert np.array_equal(g, (parts[2] + parts[1]) + parts[0])
+
+
+def test_upstream_arrays_and_views_are_summed_but_never_written():
+    # x gets, in replay order, a view of s's upstream array from reshape and
+    # then t's upstream array itself from add, twice.  Writing into the view
+    # would change y's gradient, which q reads from s's upstream array last.
+    r = RandomStream.from_seed(22)
+    a, b, e = r.normal((2, 3)), r.normal((3, 2)), r.normal((3, 2))
+    x = Tensor(r.normal((2, 3)), requires_grad=True)
+    y = Tensor(r.normal((3, 2)), requires_grad=True)
+    with GradTape():
+        q = ad.mul(y, Tensor(e))
+        via_add = ad.sum(ad.mul(ad.add(x, x), Tensor(a)))
+        s = ad.add(ad.reshape(x, (3, 2)), q)
+        loss = ad.add(via_add, ad.sum(ad.mul(s, Tensor(b))))
+    gx, gy = backward(loss, [x, y])
+    ga, gb = np.ones((2, 3)) * a, np.ones((3, 2)) * b
+    assert np.array_equal(gx, (gb.reshape(2, 3) + ga) + ga)
+    assert np.array_equal(gy, gb * e)
+
+
 def test_non_scalar_loss_rejected():
     x = Tensor([1.0, 2.0], requires_grad=True)
     with GradTape():

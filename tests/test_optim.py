@@ -1,7 +1,9 @@
+import weakref
+
 import numpy as np
 import pytest
 
-from vidchain.autodiff import Tensor
+from vidchain.autodiff import NumericsError, Tensor
 from vidchain.optim import BLOCK, AdamState, adam_step
 from vidchain.rng import RandomStream
 
@@ -96,8 +98,12 @@ def test_shape_mismatch_rejected():
 
 def test_in_place_update_equals_allocating_expressions_bit_for_bit():
     r = RandomStream.from_seed(8)
-    # the last shape spans two blocks, the second one partial
-    shapes = [(5, 3), (3,), (2, 4), (3, BLOCK // 2 + 5)]
+    # the large shapes are split between the two threads: (3, BLOCK//2 + 5)
+    # and BLOCK + 1 into a full block and a partial one, 2*BLOCK into two
+    # full blocks, and the odd 5*BLOCK + 12345 elements into three full
+    # blocks and two full blocks and a partial one
+    shapes = [(5, 3), (3,), (2, 4), (3, BLOCK // 2 + 5), (BLOCK + 1,),
+              (2 * BLOCK,), (5, (5 * BLOCK + 12345) // 5)]
     p0 = [r.split(f"p{i}").normal(s) for i, s in enumerate(shapes)]
     gs = [[r.split(f"g{t}.{i}").normal(s, scale=10.0 ** (t % 5 - 2))
            for i, s in enumerate(shapes)] for t in range(12)]
@@ -112,3 +118,32 @@ def test_in_place_update_equals_allocating_expressions_bit_for_bit():
             assert np.array_equal(params[i].data, p)
             assert np.array_equal(state.m[i], m)
             assert np.array_equal(state.v[i], v)
+
+
+def test_non_finite_in_the_worker_half_raises_and_leaves_the_worker_usable():
+    r = RandomStream.from_seed(9)
+    p0 = r.split("p").normal(2 * BLOCK)
+    g = np.zeros(2 * BLOCK)
+    g[-1] = np.nan      # past the split at BLOCK: only the worker sees it
+    with pytest.raises(NumericsError, match="adam_step"):
+        adam_step(AdamState(), [Tensor(p0, requires_grad=True)], [g])
+
+    gs = [r.split(f"g{t}").normal(2 * BLOCK) for t in range(3)]
+    state = AdamState(lr=3e-3)
+    p = Tensor(p0, requires_grad=True)
+    for g, (want, m, v) in zip(gs, allocating_adam(p0, gs, 3e-3, 0.5, 0.999, 1e-8)):
+        (p,) = adam_step(state, [p], [g])
+        assert np.array_equal(p.data, want)
+        assert np.array_equal(state.m[0], m)
+        assert np.array_equal(state.v[0], v)
+
+
+def test_worker_holds_no_array_after_the_call():
+    # the second half's block views would keep the gradient and the old
+    # parameter alive: about one parameter group's size in every training step
+    g = np.ones(2 * BLOCK)
+    p = Tensor(np.zeros(2 * BLOCK), requires_grad=True)
+    refs = weakref.ref(g), weakref.ref(p.data)
+    adam_step(AdamState(), [p], [g])
+    del g, p
+    assert [ref() for ref in refs] == [None, None]
