@@ -14,7 +14,9 @@ Conventions
   name them.
 * The single honored environment variable is VIDCHAIN_OUT: when set,
   relative output paths are created under it.  Inputs are never remapped.
-  An unusable --out or --report fails (exit 3) before any work starts.
+  An unusable --out or --report fails (exit 3) before any work starts, and
+  so does (exit 2) one that names another output or a file the command
+  reads; --out may write over --init.
 * Every tab-separated file written (a dataset manifest, a metric report,
   an ablation table) is a ``# `` line of column names, then one line of
   tab-separated fields per row, floats as their shortest repr; it is
@@ -91,14 +93,34 @@ def _resolve_out(path: str) -> str:
 
 
 def _check_outputs(args) -> None:
-    """Raise, creating nothing, the OSError writing --out or --report would: a
-    file output that is a directory, or a path at or below a regular file where
-    a directory goes (dataset-gen and ablate write --out as a directory)."""
+    """Raise, creating nothing, an ArgumentError for a file output that is
+    another output or a file the command reads (--data, --reference, --ckpt,
+    --init or --config; a directory's manifest), and the OSError writing
+    --out or --report would: a file output that is a directory, or a path at
+    or below a regular file where a directory goes (dataset-gen and ablate
+    write --out as a directory).  --out may continue --init in place."""
+    dir_out = args.command in ("dataset-gen", "ablate")
+    files = []      # (option, resolved path): the file outputs, then the inputs
+    for name in ("out", "report", "data", "reference", "ckpt", "init", "config"):
+        path = getattr(args, name, None)
+        if path is None or (name == "out" and dir_out):
+            continue
+        if name in ("out", "report"):
+            path = _out_path(path)
+        elif os.path.isdir(path):
+            path = os.path.join(path, "manifest.tsv")
+        path = os.path.realpath(path)
+        for output, output_path in files:
+            if (output in ("out", "report") and output_path == path
+                    and (output, name) != ("out", "init")):
+                raise argparse.ArgumentError(None, f"--{output} and --{name} are "
+                                             f"the same file {getattr(args, output)}")
+        files.append((name, path))
     for name in ("out", "report"):
         if getattr(args, name, None) is None:
             continue
         path = pathlib.Path(_out_path(getattr(args, name)))
-        is_dir = name == "out" and args.command in ("dataset-gen", "ablate")
+        is_dir = name == "out" and dir_out
         if path.is_dir() and not is_dir:
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
         start = path if is_dir else path.parent
@@ -591,6 +613,8 @@ def main(argv=None) -> int:
         with np.errstate(all="ignore"):
             _check_outputs(args)
             return args.func(args)
+    except argparse.ArgumentError as exc:
+        return _fail("usage", 2, exc)
     except ConfigError as exc:
         return _fail("config", 2, exc)
     except OSError as exc:      # missing, a directory, or otherwise unusable

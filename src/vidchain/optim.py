@@ -11,19 +11,16 @@ operations in the same order as in one pass over the whole array, so
 blocking changes no bit.  Identical (state, params, grads) triples produce
 bit-identical results.
 
-The update runs on two threads.  Each parameter larger than one block is
-split at a block boundary near its middle: the calling thread runs the first
-halves and every small parameter, and one process-wide worker thread,
-started on first use, runs the second halves through the same block kernel.
-The kernel is numpy calls only, which release the interpreter lock, and no
-element's operations depend on any other element, so where an element is
-updated moves no bit.  `adam_step` joins both halves before it returns or
-raises.
+The update runs on two threads.  The blocks of all parameters, in order, are
+cut once where the last ones hold half of all elements, to within half a
+block: a thread started for the call updates those, the calling thread the
+rest, and `adam_step` joins it before it returns or raises.  A call of at most
+one block's elements starts no thread.  The kernel is numpy calls only, which
+release the interpreter lock, and no element's operations read another's.
 """
 
 from __future__ import annotations
 
-import queue
 import threading
 
 import numpy as np
@@ -35,12 +32,6 @@ __all__ = ["AdamState", "adam_step"]
 # Elements per block of the update: one block of g, m, v, the scratch buffer
 # and the new parameter (5 x 256 KiB) stays in cache for all its passes.
 BLOCK = 32768
-
-# The worker thread, started by the first call that splits a parameter, and
-# the queue of its jobs: (blocks, coef, reply).
-_jobs: queue.SimpleQueue = queue.SimpleQueue()
-_worker: threading.Thread | None = None
-_worker_lock = threading.Lock()
 
 
 class AdamState:
@@ -83,33 +74,6 @@ def _update(blocks, coef) -> None:
             raise NumericsError("non-finite parameter produced by adam_step")
 
 
-def _serve() -> None:
-    while True:
-        blocks, coef, reply = _jobs.get()
-        error = None
-        try:
-            _update(blocks, coef)
-        except Exception as exc:    # raised again by the calling thread
-            error = exc
-        # the views would keep the step's gradients and old parameters alive
-        # until the next job
-        del blocks
-        reply.put(error)
-
-
-def _hand_off(blocks, coef) -> queue.SimpleQueue:
-    """Queues `blocks` for the worker thread; the queue returned receives
-    None, or the exception the update raised, once they are done."""
-    global _worker
-    with _worker_lock:
-        if _worker is None or not _worker.is_alive():
-            _worker = threading.Thread(target=_serve, name="adam", daemon=True)
-            _worker.start()
-    reply = queue.SimpleQueue()
-    _jobs.put((blocks, coef, reply))
-    return reply
-
-
 def adam_step(state: AdamState, params, grads) -> list[Tensor]:
     """One bias-corrected Adam update; returns the new parameter Tensors."""
     params = list(params)
@@ -131,30 +95,41 @@ def adam_step(state: AdamState, params, grads) -> list[Tensor]:
     coef = (b1, 1.0 - b1, b2, 1.0 - b2, 1.0 - b1 ** t, 1.0 - b2 ** t,
             state.lr, state.eps)
     news = [np.empty(p.shape) for p in params]
-    mine, theirs = [], []
+    blocks = []
     for m, v, p, g, new in zip(state.m, state.v, params, grads, news):
         if new.size <= BLOCK:
             # one block: the whole arrays.  The ten views and slices below
             # cost about 6 us a parameter, which made the eval probe's 780
             # steps of four small parameters 20-30% slower
-            mine.append((m, v, g, p.data, new))
+            blocks.append((m, v, g, p.data, new))
             continue
         # flat views: writes to the blocks of m and v land in the moments,
         # which stay C-contiguous
         flat = [a.reshape(-1) for a in (m, v, g, p.data, new)]
-        # the block boundary nearest the middle: both halves are non-empty
-        mid = (new.size + BLOCK) // (2 * BLOCK) * BLOCK
-        mine += ([a[lo:lo + BLOCK] for a in flat] for lo in range(0, mid, BLOCK))
-        theirs += ([a[lo:lo + BLOCK] for a in flat]
-                   for lo in range(mid, new.size, BLOCK))
-    reply = _hand_off(theirs, coef) if theirs else None
+        blocks += ([a[lo:lo + BLOCK] for a in flat] for lo in range(0, new.size, BLOCK))
+    # blocks[cut:] hold half of all elements +- BLOCK/2, or none if all fit in one
+    total, cut, back = sum(new.size for new in news), len(blocks), 0
+    while 2 * back < total - BLOCK:
+        cut -= 1
+        back += blocks[cut][4].size
+    errors = []
+
+    def update_back():
+        try:
+            _update(blocks[cut:], coef)
+        except Exception as exc:    # raised again by the calling thread
+            errors.append(exc)
+
+    second = threading.Thread(target=update_back, name="adam") if back else None
+    if second is not None:
+        second.start()
     try:
-        _update(mine, coef)
-    finally:
-        # the worker writes into state.m and state.v: wait for it either way
-        error = None if reply is None else reply.get()
-    if error is not None:
-        raise error
+        _update(blocks[:cut], coef)
+    finally:    # the second thread writes into state.m and state.v
+        if second is not None:
+            second.join()
+    if errors:
+        raise errors[0]
     out = []
     for new in news:
         tensor = Tensor._wrap(new)

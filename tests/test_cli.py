@@ -541,6 +541,21 @@ _DAMAGED = {
                  "missing-file", id="train-report-is-dir"),
     pytest.param(["ablate", "--data", "DATA", "--out", "OUT", "--steps", "1",
                   *TINY_FLAGS], None, 3, "missing-file", id="ablate-out-is-file"),
+    # an output that would overwrite the other output or a file the command
+    # reads is refused as usage, naming both options
+    pytest.param(_TRAIN + [*TINY_FLAGS, "--report", "OUT"], None, 2, "usage",
+                 id="train-out-is-report"),
+    pytest.param(_LONG + ["--report", "OUT"], None, 2, "usage",
+                 id="long-out-is-report"),
+    pytest.param(["eval", "--data", "OUT", "--reference", "DATA", "--report",
+                  "OUT", "--seg-len", "4"], None, 2, "usage",
+                 id="eval-report-is-data"),
+    pytest.param(["generate-long", "--ckpt", "CKPT", "--out", "CKPT", "--clips",
+                  "2"], None, 2, "usage", id="long-out-is-ckpt"),
+    pytest.param(_RECALL + ["--report", "CKPT"], None, 2, "usage",
+                 id="recall-report-is-init"),
+    pytest.param(_TRAIN + [*TINY_FLAGS, "--config", "CFG", "--report", "CFG"],
+                 b"{}", 2, "usage", id="train-report-is-config"),
 ])
 def test_cli_error_contract(tiny_dataset, tmp_path, capsys, monkeypatch, argv,
                             config, code, kind):
@@ -551,6 +566,7 @@ def test_cli_error_contract(tiny_dataset, tmp_path, capsys, monkeypatch, argv,
     assert run(["train", "--data", tiny_dataset, "--out", ckpt,
                 "--steps", "1", *TINY_FLAGS]) == 0
     capsys.readouterr()
+    trained = ckpt.read_bytes()
 
     def unusable(flag, value):
         as_dir = flag == "--out" and argv[0] in ("dataset-gen", "ablate")
@@ -560,7 +576,7 @@ def test_cli_error_contract(tiny_dataset, tmp_path, capsys, monkeypatch, argv,
         pytest.fail("ran before its output path and config were checked")
 
     # a refused ablate config, like an unusable output, stops it before training
-    if (argv[0], kind) == ("ablate", "config") or any(
+    if (argv[0], kind) == ("ablate", "config") or kind == "usage" or any(
             unusable(flag, value) for flag, value in zip(argv, argv[1:])
             if flag in ("--out", "--report")):
         for name in ("train_loop", "train_loop_recall", "chain_generate"):
@@ -624,7 +640,11 @@ def test_cli_error_contract(tiny_dataset, tmp_path, capsys, monkeypatch, argv,
         assert "video 1 has 5 frames" in line and "spanning 7" in line
     if "UNDER_FILE" in argv:
         assert "[Errno 20] Not a directory" in line
-    if kind == "usage":     # names the last flag as the one not taken
+    same = [flag for flag, value in zip(argv, argv[1:])
+            if value in paths and argv.count(value) > 1]
+    if kind == "usage" and same:    # names both options
+        assert all(flag in line for flag in same) and "same file" in line
+    elif kind == "usage":   # names the last flag as the one not taken
         flag = [a for a in argv if a.startswith("--")][-1]
         assert line.split("unrecognized arguments: ")[1].split()[0] == flag
     if "wild" in argv:
@@ -636,6 +656,7 @@ def test_cli_error_contract(tiny_dataset, tmp_path, capsys, monkeypatch, argv,
     if config == _SWEPT_CONFIG:
         assert "ovi, mgv, gen_mode" in line
     assert (work / "out.rcg").read_bytes() == b"previous"
+    assert ckpt.read_bytes() == trained
     assert sorted(os.listdir(work)) == before
     assert os.listdir(work / "dir") == []
 
@@ -766,6 +787,33 @@ def test_train_recall_init_restores_the_moments(tiny_dataset, tmp_path):
         saved[name] = (tmp_path / f"{name}.ckpt").read_bytes()
     assert out.read_bytes() == saved["whole"]
     assert out.read_bytes() != saved["params"]
+
+
+def test_train_recall_continues_its_init_in_place(tiny_dataset, tmp_path):
+    """--init and --out may name one checkpoint: it is replaced by the one a
+    run to another file writes."""
+    ckpt, other = tmp_path / "m.ckpt", tmp_path / "other.ckpt"
+    assert run(["train", "--data", tiny_dataset, "--out", ckpt,
+                "--steps", "1", *TINY_FLAGS]) == 0
+    assert run(["train-recall", "--data", tiny_dataset, "--init", ckpt,
+                "--out", other, "--steps", "1"]) == 0
+    assert run(["train-recall", "--data", tiny_dataset, "--init", ckpt,
+                "--out", ckpt, "--steps", "1"]) == 0
+    assert ckpt.read_bytes() == other.read_bytes()
+
+
+def test_runtime_imports_only_numpy_beyond_the_standard_library():
+    # the baseline is taken in the same process: site may preload other
+    # packages through .pth files
+    code = ("import sys\n"
+            "before = set(sys.modules)\n"
+            "import vidchain.cli, vidchain.training\n"
+            "new = {name.split('.')[0] for name in set(sys.modules) - before}\n"
+            "print(*sorted(new - set(sys.stdlib_module_names)))\n")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.split() == ["numpy", "vidchain"]
 
 
 @pytest.mark.parametrize("damage", ["missing", "wrong-shape"])

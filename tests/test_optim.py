@@ -1,9 +1,16 @@
+import os
+import subprocess
+import sys
+import threading
 import weakref
 
 import numpy as np
 import pytest
 
+from vidchain import optim
 from vidchain.autodiff import NumericsError, Tensor
+from vidchain.config import RunConfig
+from vidchain.model import OPT_GROUPS, ModelBundle
 from vidchain.optim import BLOCK, AdamState, adam_step
 from vidchain.rng import RandomStream
 
@@ -120,11 +127,11 @@ def test_in_place_update_equals_allocating_expressions_bit_for_bit():
             assert np.array_equal(state.v[i], v)
 
 
-def test_non_finite_in_the_worker_half_raises_and_leaves_the_worker_usable():
+def test_non_finite_in_the_second_threads_share_raises_and_later_calls_match():
     r = RandomStream.from_seed(9)
     p0 = r.split("p").normal(2 * BLOCK)
     g = np.zeros(2 * BLOCK)
-    g[-1] = np.nan      # past the split at BLOCK: only the worker sees it
+    g[-1] = np.nan      # past the cut at BLOCK: only the second thread sees it
     with pytest.raises(NumericsError, match="adam_step"):
         adam_step(AdamState(), [Tensor(p0, requires_grad=True)], [g])
 
@@ -138,7 +145,7 @@ def test_non_finite_in_the_worker_half_raises_and_leaves_the_worker_usable():
         assert np.array_equal(state.v[0], v)
 
 
-def test_worker_holds_no_array_after_the_call():
+def test_second_thread_holds_no_array_after_the_call():
     # the second half's block views would keep the gradient and the old
     # parameter alive: about one parameter group's size in every training step
     g = np.ones(2 * BLOCK)
@@ -147,3 +154,50 @@ def test_worker_holds_no_array_after_the_call():
     adam_step(AdamState(), [p], [g])
     del g, p
     assert [ref() for ref in refs] == [None, None]
+
+
+def test_a_call_that_splits_leaves_no_thread_behind():
+    # in a fresh process, so that no earlier call has started anything
+    code = ("import threading, numpy as np\n"
+            "from vidchain.autodiff import Tensor\n"
+            "from vidchain.optim import BLOCK, AdamState, adam_step\n"
+            "before = threading.enumerate()\n"
+            "adam_step(AdamState(), [Tensor(np.zeros(2 * BLOCK))],"
+            " [np.ones(2 * BLOCK)])\n"
+            "print(threading.enumerate() == before)\n")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.split() == ["True"]
+
+
+def test_a_call_of_at_most_one_block_starts_no_thread(monkeypatch):
+    def refuse(*args, **kwargs):
+        pytest.fail("started a thread for one block's elements")
+
+    monkeypatch.setattr(optim.threading, "Thread", refuse)
+    # two parameters whose elements together fill one block
+    params = [Tensor(np.zeros(BLOCK - 8), requires_grad=True),
+              Tensor(np.zeros((2, 4)), requires_grad=True)]
+    adam_step(AdamState(), params, [np.ones(BLOCK - 8), np.ones((2, 4))])
+
+
+@pytest.mark.parametrize("opt_name", list(OPT_GROUPS))
+def test_each_thread_updates_half_of_a_groups_elements(monkeypatch, opt_name):
+    """The two threads' shares of a default-model optimizer group differ by
+    at most one block."""
+    shares = {}
+    kernel = optim._update
+
+    def counting(blocks, coef):
+        ident = threading.get_ident()
+        shares[ident] = shares.get(ident, 0) + sum(b[4].size for b in blocks)
+        kernel(blocks, coef)
+
+    monkeypatch.setattr(optim, "_update", counting)
+    params = ModelBundle.init(RunConfig()).params(OPT_GROUPS[opt_name])
+    adam_step(AdamState(), params, [np.ones(p.shape) for p in params])
+    assert len(shares) == 2
+    assert sum(shares.values()) == sum(p.data.size for p in params)
+    mine, theirs = shares.pop(threading.get_ident()), shares.popitem()[1]
+    assert abs(mine - theirs) <= BLOCK, (mine, theirs)
